@@ -23,6 +23,7 @@ from .community import (
     GrowthRow,
     LeaderSet,
     clique_growth_experiment,
+    clique_growth_rows,
     count_triangles,
     is_clique,
     leader_block_range,
@@ -75,15 +76,12 @@ from .process import (
     ProcessParams,
     RunResult,
     Snapshot,
-    StepKind,
-    StepOutcome,
     export_edges,
     make_rng,
-    new_graph,
     read_edges,
+    replicas,
     run,
     sample_endpoint,
-    step,
 )
 
 from ._version import __version__

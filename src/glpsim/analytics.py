@@ -171,22 +171,20 @@ def martingale_check(
     steps = max(checkpoints[-1], 1)
     degs = np.empty((replicas, len(checkpoints)), dtype=np.float64)
     accepted = 0
-    seed = int(base_seed)
     budget = max_attempts_factor * replicas
-    while accepted < replicas:
-        if seed - base_seed >= budget:
-            raise StatisticsError(
-                f"conditioning accepted only {accepted}/{replicas} replicas "
-                f"after {budget} attempts"
-            )
-        res = process.run(process.ProcessParams(p=p, steps=steps, seed=seed))
-        seed += 1
-        g = res.graph
+    for g in process.replicas(p, steps, int(base_seed), budget):
         if vertex > 1:
             if g.num_vertices < vertex or g.arrival_time(vertex) != arrival_step:
                 continue
         degs[accepted] = _degree_history(g.endpoints, vertex, checkpoints)
         accepted += 1
+        if accepted == replicas:
+            break
+    else:
+        raise StatisticsError(
+            f"conditioning accepted only {accepted}/{replicas} replicas "
+            f"after {budget} attempts"
+        )
 
     norm = np.array([phi_tilde(t, p) for t in checkpoints])
     means = degs.mean(axis=0) / norm

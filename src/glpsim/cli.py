@@ -240,20 +240,13 @@ def _cmd_hitting(res: _Resolver) -> int:
     if csv_path:
         import csv as _csv
 
-        emp = hitting.empirical_hit_times(
-            p, steps if steps else max(grid), hitting.BlockSpec(j, m, (k,)), k,
-            replicas, seed,
-        )
-        dom = hitting.sample_dominating(
-            report.params, process.make_rng(seed + replicas), size=dom_samples
-        )
         with open(csv_path, "w", newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(["source", "p", "m", "j", "k", "replica", "hit_time"])
-            for i, v in enumerate(emp):
+            for i, v in enumerate(report.empirical_times):
                 w.writerow(["empirical", repr(p), m, j, k, i,
                             "censored" if math.isinf(v) else int(v)])
-            for i, v in enumerate(dom):
+            for i, v in enumerate(report.dominating_times):
                 w.writerow(["dominating", repr(p), m, j, k, i, repr(float(v))])
     return 0 if report.passed else 1
 
@@ -268,12 +261,8 @@ def _cmd_clique(res: _Resolver) -> int:
     topk = res.get("topk", int, 64)
     out = res.get("out", str)
 
-    rows = community.clique_growth_experiment(
-        p, [t_ref], seeds=1, base_seed=seed, m=m, eps=eps, eps_prime=eps_prime, topk=topk
-    )
-    row = rows[0]
-    g2t = 2 * t_ref
-    graph = process.run(process.ProcessParams(p=p, steps=g2t, seed=seed)).graph
+    graph = process.run(process.ProcessParams(p=p, steps=2 * t_ref, seed=seed)).graph
+    row = community.clique_growth_rows(graph, [t_ref], m, eps, eps_prime, topk)[0]
     _dump_json(
         {
             "command": "clique",

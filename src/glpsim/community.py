@@ -30,6 +30,7 @@ __all__ = [
     "count_triangles",
     "simple_edges",
     "GrowthRow",
+    "clique_growth_rows",
     "clique_growth_experiment",
 ]
 
@@ -341,6 +342,38 @@ def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[
     return j_lo, j_hi
 
 
+def clique_growth_rows(
+    graph: process.GlpGraph, t_values, m: int, eps: float, eps_prime: float, topk: int
+) -> list[GrowthRow]:
+    """Leader clique density and top-degree clique size of one run.
+
+    For each ``t``, leaders are selected from the degrees at time ``t`` and
+    their pairwise adjacency is read from the state at time ``2t``, as is
+    the clique among the ``topk`` highest-degree vertices; the run must
+    therefore reach ``2 * max(t)``.
+    """
+    rows = []
+    for t in t_values:
+        j_lo, j_hi = leader_block_range(t, graph.p, eps, eps_prime)
+        led = leaders(graph, m=m, j_lo=j_lo, j_hi=j_hi, at_time=t)
+        rep = is_clique(graph, led.vertices, at_time=2 * t)
+        top = max_clique_topk(graph, topk, at_time=2 * t)
+        rows.append(
+            GrowthRow(
+                p=graph.p,
+                seed=graph.seed,
+                t=t,
+                j_lo=j_lo,
+                j_hi=j_hi,
+                leader_count=int(led.vertices.size),
+                pair_fraction=rep.pair_fraction,
+                clique_size=int(rep.largest_clique_size or 0),
+                topk_clique_size=len(top),
+            )
+        )
+    return rows
+
+
 def clique_growth_experiment(
     p: float,
     t_values,
@@ -351,37 +384,14 @@ def clique_growth_experiment(
     eps_prime: float = 0.05,
     topk: int = 64,
 ) -> list[GrowthRow]:
-    """Leader clique density and top-degree clique size across time scales.
+    """:func:`clique_growth_rows` over ``seeds`` replicas.
 
-    One run of ``2 * max(t)`` steps per seed serves every ``t``: leaders are
-    selected from the degrees at time ``t`` and their pairwise adjacency is
-    read from the state at time ``2t`` of the same run, as is the clique
-    among the ``topk`` highest-degree vertices.
+    One run of ``2 * max(t)`` steps per seed serves every ``t``.
     """
     ts = sorted(int(t) for t in t_values)
     if not ts:
         raise ParameterError("no time values")
     rows = []
-    for r in range(seeds):
-        seed = base_seed + r
-        res = process.run(process.ProcessParams(p=p, steps=2 * ts[-1], seed=seed))
-        g = res.graph
-        for t in ts:
-            j_lo, j_hi = leader_block_range(t, p, eps, eps_prime)
-            led = leaders(g, m=m, j_lo=j_lo, j_hi=j_hi, at_time=t)
-            rep = is_clique(g, led.vertices, at_time=2 * t)
-            top = max_clique_topk(g, topk, at_time=2 * t)
-            rows.append(
-                GrowthRow(
-                    p=p,
-                    seed=seed,
-                    t=t,
-                    j_lo=j_lo,
-                    j_hi=j_hi,
-                    leader_count=int(led.vertices.size),
-                    pair_fraction=rep.pair_fraction,
-                    clique_size=int(rep.largest_clique_size or 0),
-                    topk_clique_size=len(top),
-                )
-            )
+    for graph in process.replicas(p, 2 * ts[-1], base_seed, seeds):
+        rows.extend(clique_growth_rows(graph, ts, m, eps, eps_prime, topk))
     return rows

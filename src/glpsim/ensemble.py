@@ -1,11 +1,11 @@
 """Replica orchestration: seed fans, parallel execution, reports on disk.
 
-An experiment is a registered function mapping ``(p, steps, seed, **params)``
-to metric rows ``(t, metric, value)``.  ``run_ensemble`` fans it out over a
-grid of ``p`` values and replica seeds (replica ``r`` uses
-``base_seed + r``), optionally across processes, and aggregates rows into
-deterministic per ``(p, t, metric)`` summaries.  Replica failures are
-captured per seed instead of aborting the batch.
+An experiment is a registered function mapping the graph of one run and
+``**params`` to metric rows ``(t, metric, value)``.  ``run_ensemble`` fans
+it out over a grid of ``p`` values and replica seeds (replica ``r`` uses
+``base_seed + r`` and is generated once), optionally across processes, and
+aggregates rows into deterministic per ``(p, t, metric)`` summaries.
+Replica failures are captured per seed instead of aborting the batch.
 
 Reports serialize to JSON under the schema tag ``glp-report/1``, with the
 row data additionally available as CSV.
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import community, process
 from ._version import __version__
-from .errors import BatchError, ConfigError, ParseError
+from .errors import BatchError, ConfigError, ParameterError, ParseError
 
 __all__ = [
     "SCHEMA",
@@ -44,35 +44,35 @@ SCHEMA = "glp-report/1"
 # experiment registry
 
 
-def _exp_maxdeg(p, steps, seed, snapshot_times=()):
-    times = tuple(int(t) for t in snapshot_times) or (steps,)
-    res = process.run(
-        process.ProcessParams(p=p, steps=steps, seed=seed, snapshot_times=times)
-    )
-    return [(s.t, "max_degree", float(s.max_degree)) for s in res.snapshots]
+def _snapshot_times(graph, snapshot_times) -> tuple[int, ...]:
+    times = tuple(int(t) for t in snapshot_times) or (graph.t,)
+    if any(b >= a for a, b in zip(times[1:], times)):
+        raise ParameterError("snapshot times must be strictly increasing")
+    return times
 
 
-def _exp_triangles(p, steps, seed, snapshot_times=()):
-    times = tuple(int(t) for t in snapshot_times) or (steps,)
-    res = process.run(process.ProcessParams(p=p, steps=steps, seed=seed))
+def _exp_maxdeg(graph, snapshot_times=()):
+    times = _snapshot_times(graph, snapshot_times)
+    return [(t, "max_degree", float(graph.degrees_at(t).max())) for t in times]
+
+
+def _exp_triangles(graph, snapshot_times=()):
+    times = _snapshot_times(graph, snapshot_times)
     return [
-        (t, "triangles", float(community.count_triangles(res.graph, at_time=t)))
+        (t, "triangles", float(community.count_triangles(graph, at_time=t)))
         for t in times
     ]
 
 
-def _exp_arrival(p, steps, seed, vertex=2):
-    res = process.run(process.ProcessParams(p=p, steps=steps, seed=seed))
-    return [(steps, f"arrival_time_{vertex}", float(res.graph.arrival_time(vertex)))]
+def _exp_arrival(graph, vertex=2):
+    return [(graph.t, f"arrival_time_{vertex}", float(graph.arrival_time(vertex)))]
 
 
-def _exp_cliquegrowth(p, steps, seed, t_values=(), m=10, eps=0.1, eps_prime=0.05, topk=64):
-    ts = tuple(int(t) for t in t_values) or (steps // 2,)
-    if steps != 2 * max(ts):
+def _exp_cliquegrowth(graph, t_values=(), m=10, eps=0.1, eps_prime=0.05, topk=64):
+    ts = tuple(int(t) for t in t_values) or (graph.t // 2,)
+    if graph.t != 2 * max(ts):
         raise ConfigError("cliquegrowth needs steps == 2 * max(t_values)")
-    rows = community.clique_growth_experiment(
-        p, ts, seeds=1, base_seed=seed, m=m, eps=eps, eps_prime=eps_prime, topk=topk
-    )
+    rows = community.clique_growth_rows(graph, ts, m, eps, eps_prime, topk)
     out = []
     for r in rows:
         out.append((r.t, "pair_fraction", float(r.pair_fraction)))
@@ -175,7 +175,8 @@ def _run_task(task):
     experiment, p, steps, seed, params = task
     fn = EXPERIMENTS[experiment]
     try:
-        rows = fn(p, steps, seed, **params)
+        graph = process.run(process.ProcessParams(p=p, steps=steps, seed=seed)).graph
+        rows = fn(graph, **params)
         return (p, seed, [(int(t), str(m), float(v)) for t, m, v in rows], None)
     except Exception as exc:  # noqa: BLE001 (replica isolation is the point)
         return (p, seed, None, f"{type(exc).__name__}: {exc}")

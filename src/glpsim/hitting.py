@@ -17,7 +17,7 @@ for blocks arriving late enough, which is enforced, not warned about.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class BlockSpec:
     def vertex_range(self) -> tuple[int, int]:
         return ((self.j - 1) * self.m + 1, self.j * self.m)
 
-    def as_tuple(self) -> tuple[int, int, tuple[int, ...]]:
-        return (self.j, self.m, self.thresholds)
-
 
 @dataclass(frozen=True)
 class HittingRecord:
@@ -102,14 +99,11 @@ def crossing_times(graph: process.GlpGraph, block: BlockSpec) -> HittingRecord:
     return HittingRecord(block=block, hit_times=hits)
 
 
-def track_blocks(params: process.ProcessParams, blocks=None) -> TrackedRun:
+def track_blocks(params: process.ProcessParams, blocks) -> TrackedRun:
     """Run the process and extract hitting records for the given blocks.
 
-    ``blocks`` defaults to ``params.watched_blocks``.  Duplicate ``(j, m)``
-    pairs are a configuration error.
+    Duplicate ``(j, m)`` pairs are a configuration error.
     """
-    if blocks is None:
-        blocks = [BlockSpec(j, m, tuple(ks)) for j, m, ks in params.watched_blocks]
     blocks = list(blocks)
     if not blocks:
         raise ConfigError("no blocks to track")
@@ -242,10 +236,16 @@ class DominationRow:
 
 @dataclass(frozen=True)
 class DominationReport:
+    """Survival comparison rows plus the samples they were computed from:
+    the empirical hit times (``inf`` when censored) and the dominating-law
+    draws."""
+
     params: DominatingLawParams
     replicas: int
     dominating_samples: int
     rows: tuple[DominationRow, ...]
+    empirical_times: np.ndarray = field(repr=False, compare=False)
+    dominating_times: np.ndarray = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -267,6 +267,8 @@ def domination_test(
     grid = sorted(int(t) for t in t_grid)
     if not grid:
         raise ParameterError("empty time grid")
+    empirical_times = np.asarray(empirical_times, dtype=np.float64)
+    dominating_samples = np.asarray(dominating_samples, dtype=np.float64)
     emp, emp_se = survival_curve(empirical_times, grid)
     dom, dom_se = survival_curve(dominating_samples, grid)
     rows = tuple(
@@ -281,9 +283,11 @@ def domination_test(
     )
     return DominationReport(
         params=params,
-        replicas=int(np.asarray(empirical_times).size),
-        dominating_samples=int(np.asarray(dominating_samples).size),
+        replicas=int(empirical_times.size),
+        dominating_samples=int(dominating_samples.size),
         rows=rows,
+        empirical_times=empirical_times,
+        dominating_times=dominating_samples,
     )
 
 
@@ -293,9 +297,8 @@ def empirical_hit_times(
     """Hit times of block degree ``k`` over independent runs (inf if censored)."""
     spec = BlockSpec(j=block.j, m=block.m, thresholds=(int(k),))
     out = np.empty(replicas, dtype=np.float64)
-    for r in range(replicas):
-        res = process.run(process.ProcessParams(p=p, steps=steps, seed=base_seed + r))
-        hit = crossing_times(res.graph, spec).hit_times[0]
+    for r, graph in enumerate(process.replicas(p, steps, base_seed, replicas)):
+        hit = crossing_times(graph, spec).hit_times[0]
         out[r] = math.inf if hit is None else float(hit)
     return out
 
@@ -364,9 +367,8 @@ def lower_tail_curve(
     block = BlockSpec(j=j, m=m, thresholds=(1,))
     idx = np.asarray(ts, dtype=np.int64)
     below = np.zeros(len(ts), dtype=np.int64)
-    for r in range(replicas):
-        res = process.run(process.ProcessParams(p=p, steps=ts[-1], seed=base_seed + r))
-        curve = block_degree_curve(res.graph, block)
+    for graph in process.replicas(p, ts[-1], base_seed, replicas):
+        curve = block_degree_curve(graph, block)
         below += curve[idx] < np.power(idx.astype(np.float64), beta)
     est = below / replicas
     se = np.sqrt(est * (1.0 - est) / replicas)

@@ -6,12 +6,12 @@ chosen proportionally to degree (a vertex-step); otherwise an extra edge is
 drawn between two existing vertices, each endpoint chosen independently and
 proportionally to degree (an edge-step).  Loops and parallel edges are kept.
 
-The multigraph is stored as an append-only flat sequence of edge endpoints,
-two entries per edge.  A vertex appears in that sequence exactly ``degree``
-times, so degree-proportional sampling is just a uniform draw of one slot.
-That representation is what makes single steps O(1) and full runs
-vectorizable: all step kinds and slot indices can be drawn up front because
-the slot count after ``t`` steps is deterministically ``2*(t+1)``.
+The multigraph is stored as a flat sequence of edge endpoints, two entries
+per edge.  A vertex appears in that sequence exactly ``degree`` times, so
+degree-proportional sampling is just a uniform draw of one slot.  That
+representation is what makes full runs vectorizable: all step kinds and slot
+indices can be drawn up front because the slot count after ``t`` steps is
+deterministically ``2*(t+1)``.
 
 Randomness comes from numpy's PCG64 bit generator, a fixed published
 algorithm whose stream for a given seed is identical on every platform.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -32,16 +31,13 @@ from .errors import CapacityError, ParameterError, ParseError, UnknownVertexErro
 __all__ = [
     "MAX_STEPS",
     "ProcessParams",
-    "StepKind",
-    "StepOutcome",
     "Snapshot",
     "RunResult",
     "GlpGraph",
     "make_rng",
-    "new_graph",
     "sample_endpoint",
-    "step",
     "run",
+    "replicas",
     "export_edges",
     "read_edges",
 ]
@@ -81,9 +77,6 @@ class ProcessParams:
         the maximum degree and the degrees of ``watched_vertices``.
     watched_vertices : tuple of int
         Vertex ids reported in every snapshot (0 if not yet born).
-    watched_blocks : tuple
-        Entries ``(j, m, thresholds)`` describing contiguous vertex blocks
-        whose threshold crossing times the hitting-times module extracts.
     """
 
     p: float
@@ -91,7 +84,6 @@ class ProcessParams:
     seed: int
     snapshot_times: tuple[int, ...] = ()
     watched_vertices: tuple[int, ...] = ()
-    watched_blocks: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         _check_p(self.p)
@@ -110,26 +102,6 @@ class ProcessParams:
             raise ParameterError("snapshot times must be strictly increasing")
         if any(int(v) < 1 for v in self.watched_vertices):
             raise ParameterError("watched vertex ids must be >= 1")
-        for blk in self.watched_blocks:
-            j, m, thresholds = blk
-            if j < 1 or m < 1 or not thresholds:
-                raise ParameterError(f"bad block spec {blk!r}")
-            if any(k < 1 for k in thresholds) or list(thresholds) != sorted(thresholds):
-                raise ParameterError(f"block thresholds must be sorted naturals: {blk!r}")
-
-
-class StepKind(Enum):
-    VERTEX = "vertex-step"
-    EDGE = "edge-step"
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """What a single step did: the new edge and, for vertex-steps, the new id."""
-
-    kind: StepKind
-    edge: tuple[int, int]
-    new_vertex: int | None = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +118,8 @@ class RunResult:
 
 
 class GlpGraph:
-    """Append-only multigraph produced by the growth process.
+    """Multigraph produced by the growth process, built whole by ``run`` or
+    ``from_endpoints`` and read-only afterwards.
 
     Edge ``i`` (0-based) occupies endpoint slots ``2i`` and ``2i+1``; slot
     pairs appear in creation order, so the prefix of the first ``2*(t+1)``
@@ -155,17 +128,6 @@ class GlpGraph:
     """
 
     __slots__ = ("p", "seed", "_ep", "_len", "_deg", "_nv", "_arr")
-
-    def __init__(self, p: float, seed: int):
-        self.p = _check_p(p)
-        self.seed = int(seed)
-        self._ep = np.empty(64, dtype=np.int32)
-        self._ep[0] = self._ep[1] = 1
-        self._len = 2
-        self._deg = np.zeros(64, dtype=np.int64)
-        self._deg[1] = 2
-        self._nv = 1
-        self._arr = np.zeros(64, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -204,34 +166,6 @@ class GlpGraph:
         arr = np.zeros(nv + 1, dtype=np.int64)
         arr[ids] = first_slot // 2  # edge index == step of first appearance
         return cls._from_arrays(p, seed, ep.copy(), deg, arr)
-
-    # ------------------------------------------------------------------
-    # growth plumbing (scalar path)
-
-    def _grow(self, buf: np.ndarray, need: int) -> np.ndarray:
-        if need <= buf.size:
-            return buf
-        out = np.empty(max(need, 2 * buf.size), dtype=buf.dtype)
-        out[: buf.size] = buf
-        return out
-
-    def _append_edge(self, u: int, v: int) -> None:
-        self._ep = self._grow(self._ep, self._len + 2)
-        self._ep[self._len] = u
-        self._ep[self._len + 1] = v
-        self._len += 2
-        self._deg[u] += 1
-        self._deg[v] += 1
-
-    def _add_vertex(self, at_step: int) -> int:
-        if self._nv + 1 >= 2**31 - 1:
-            raise CapacityError("vertex ids exhausted the 32-bit budget")
-        self._nv += 1
-        self._deg = self._grow(self._deg, self._nv + 1)
-        self._arr = self._grow(self._arr, self._nv + 1)
-        self._deg[self._nv] = 0
-        self._arr[self._nv] = at_step
-        return self._nv
 
     # ------------------------------------------------------------------
     # queries
@@ -300,11 +234,6 @@ class GlpGraph:
         return np.bincount(prefix, minlength=self._nv + 1)
 
 
-def new_graph(params: ProcessParams) -> GlpGraph:
-    """Initial state: one vertex, one loop, total degree 2, time 0."""
-    return GlpGraph(params.p, params.seed)
-
-
 def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
     """Draw one vertex with probability degree / total degree.
 
@@ -313,26 +242,6 @@ def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
     exactly ``degree(v) / (2*(t+1))``.
     """
     return int(graph._ep[rng.integers(0, graph._len)])
-
-
-def step(graph: GlpGraph, rng: np.random.Generator) -> StepOutcome:
-    """Advance the graph by one step in place.
-
-    Scalar stream order: one uniform for the step kind, then one bounded slot
-    index per endpoint sampled (one for a vertex-step, two for an edge-step).
-    All endpoint draws use the pre-step slot count, so a new vertex is never
-    its own attachment target.
-    """
-    pre_slots = graph._len
-    if rng.random() < graph.p:
-        u = int(graph._ep[rng.integers(0, pre_slots)])
-        v = graph._add_vertex(at_step=graph.t + 1)
-        graph._append_edge(u, v)
-        return StepOutcome(StepKind.VERTEX, (u, v), new_vertex=v)
-    u = int(graph._ep[rng.integers(0, pre_slots)])
-    w = int(graph._ep[rng.integers(0, pre_slots)])
-    graph._append_edge(u, w)
-    return StepOutcome(StepKind.EDGE, (u, w))
 
 
 def _generate(p: float, steps: int, seed: int):
@@ -408,10 +317,22 @@ def run(params: ProcessParams) -> RunResult:
     return RunResult(graph=graph, snapshots=snapshots)
 
 
+def replicas(p: float, steps: int, base_seed: int, n: int):
+    """Yield the graphs of ``n`` independent runs; replica ``r`` is the run
+    at seed ``base_seed + r``.
+
+    Lazy: a caller that stops iterating early (a rejection loop that has
+    accepted enough runs) generates no further replica.
+    """
+    for r in range(n):
+        yield run(ProcessParams(p=p, steps=steps, seed=base_seed + r)).graph
+
+
 # ----------------------------------------------------------------------
 # import / export
 
 _HEADER = "# glp v1 p={p} steps={steps} seed={seed}"
+_MAX_ID = 2**31 - 1
 
 
 def export_edges(graph: GlpGraph, sink) -> None:
@@ -456,6 +377,8 @@ def read_edges(source) -> GlpGraph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
+            if not (0 < u <= _MAX_ID and 0 < v <= _MAX_ID):
+                raise ParseError(f"line {lineno}: vertex id outside [1, {_MAX_ID}] in {line!r}")
             flat.append(u)
             flat.append(v)
         if len(flat) != 2 * (steps + 1):
@@ -467,6 +390,8 @@ def read_edges(source) -> GlpGraph:
         except ParameterError as exc:
             raise ParseError(str(exc)) from exc
         return graph
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not {exc.encoding} text ({exc.reason})") from exc
     finally:
         if own:
             fh.close()

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -57,6 +58,17 @@ def test_unknown_subcommand(capsys):
 def test_stats_missing_input_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "stats", "--in", str(tmp_path / "nope.edges"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "body", [f"1 {2**31}\n".encode(), b"1 \xff\n"], ids=["id-overflow", "not-utf8"]
+)
+def test_stats_unparsable_edge_list(tmp_path, capsys, body):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"# glp v1 p=0.5 steps=1 seed=0\n1 1\n" + body)
+    code, _, err = run_cli(capsys, "stats", "--in", str(path))
+    assert code == 2
+    assert "error:" in err
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +235,14 @@ def test_hitting_json_and_csv(tmp_path, capsys):
     sources = {r[0] for r in rows[1:]}
     assert sources == {"empirical", "dominating"}
     assert len(rows) - 1 == 50 + 500
+    # the CSV carries the very samples of the experiment, seeded as documented
+    emp = g.empirical_hit_times(0.5, 4096, g.BlockSpec(260, 4, (8,)), 8, 50, 0)
+    law = g.DominatingLawParams(p=0.5, m=4, j=260, k=8, gamma=doc["gamma"])
+    dom = g.sample_dominating(law, g.make_rng(0 + 50), size=500)
+    assert [r[6] for r in rows[1:51]] == [
+        "censored" if math.isinf(v) else str(int(v)) for v in emp
+    ]
+    assert [float(r[6]) for r in rows[51:]] == dom.tolist()
 
 
 def test_hitting_precondition_exit(capsys):
@@ -253,7 +273,8 @@ def test_clique_matches_community_module(capsys):
     assert doc["j_lo"] == row.j_lo and doc["j_hi"] == row.j_hi
     assert doc["leader_count"] == row.leader_count
     assert doc["t"] == 1000
-    assert "triangles" in doc
+    graph = g.run(g.ProcessParams(p=0.5, steps=2000, seed=7)).graph
+    assert doc["triangles"] == g.count_triangles(graph)
 
 
 # ----------------------------------------------------------------------

@@ -48,14 +48,14 @@ def test_single_replica_aggregate_identity():
 
 def test_aggregates_match_sequential_runs():
     rep = g.run_ensemble(maxdeg_config(replicas=5))
-    # oracle: run each replica directly through the process module
+    # oracle: the snapshot maxima of each replica run directly
+    snap = {}
+    for r in range(5):
+        res = g.run(g.ProcessParams(p=0.5, steps=400, seed=r, snapshot_times=(100, 400)))
+        snap.update({(r, s.t): s.max_degree for s in res.snapshots})
+    assert {(row.seed, row.t): row.value for row in rep.rows} == snap
     for agg in rep.aggregates:
-        vals = []
-        for r in range(5):
-            res = g.run(
-                g.ProcessParams(p=0.5, steps=400, seed=r, snapshot_times=(100, 400))
-            )
-            vals.append({s.t: s.max_degree for s in res.snapshots}[agg["t"]])
+        vals = [snap[r, agg["t"]] for r in range(5)]
         assert agg["mean"] == pytest.approx(sum(vals) / 5)
         assert agg["n"] == 5
 
@@ -158,6 +158,14 @@ def test_all_failures_raise_batch_error():
     )
     with pytest.raises(BatchError):
         g.run_ensemble(cfg)
+    # a repeated snapshot time would count every replica twice
+    for experiment in ("maxdeg", "triangles"):
+        cfg = g.EnsembleConfig(
+            experiment=experiment, p_grid=(0.5,), steps=20, replicas=2,
+            params={"snapshot_times": (10, 10)},
+        )
+        with pytest.raises(BatchError, match="strictly increasing"):
+            g.run_ensemble(cfg)
 
 
 def test_version_and_schema_fields():

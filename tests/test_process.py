@@ -119,6 +119,15 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(a, c)
 
 
+def test_replicas_are_runs_at_consecutive_seeds():
+    graphs = list(g.replicas(0.5, 300, 40, 4))
+    assert len(graphs) == 4
+    for r, gr in enumerate(graphs):
+        ref = g.run(g.ProcessParams(p=0.5, steps=300, seed=40 + r)).graph
+        assert gr.seed == 40 + r and gr.t == 300
+        assert np.array_equal(gr.endpoints, ref.endpoints)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.75, 1.0])
 @pytest.mark.parametrize("seed", [0, 17])
 def test_scalar_replay_matches_run(p, seed):
@@ -149,30 +158,6 @@ def test_p_zero_stays_on_the_root():
     assert all(tuple(e) == (1, 1) for e in gr.edges())
 
 
-def test_scalar_step_outcomes():
-    gr = g.new_graph(g.ProcessParams(p=1.0, steps=1, seed=0))
-    out = g.step(gr, g.make_rng(0))
-    assert out.kind is g.StepKind.VERTEX
-    assert out.new_vertex == 2
-    assert gr.t == 1 and gr.degree(2) == 1
-
-    gr = g.new_graph(g.ProcessParams(p=0.0, steps=1, seed=0))
-    out = g.step(gr, g.make_rng(0))
-    assert out.kind is g.StepKind.EDGE
-    assert out.new_vertex is None
-    assert gr.num_vertices == 1 and gr.total_degree() == 4
-
-
-def test_scalar_step_conserves():
-    gr = g.new_graph(g.ProcessParams(p=0.5, steps=1, seed=9))
-    rng = g.make_rng(9)
-    for i in range(200):
-        before = gr.total_degree()
-        g.step(gr, rng)
-        assert gr.total_degree() == before + 2
-    assert gr.t == 200
-
-
 # ----------------------------------------------------------------------
 # attachment sampling distribution
 
@@ -190,23 +175,6 @@ def test_sample_endpoint_proportions():
     emp = counts[1:] / n
     tv = 0.5 * np.abs(emp - np.array([0.2, 0.4, 0.4])).sum()
     assert tv < 0.01  # ~3e-3 expected at this n
-
-
-def test_single_step_drift_via_step():
-    """Scalar step() hits vertex 1 at the exact-normalization rate."""
-    base = g.run(g.ProcessParams(p=0.5, steps=20, seed=3)).graph
-    ep0 = base.endpoints.copy()
-    d1 = base.degree(1)
-    exact = (2 - 0.5) * d1 / base.total_degree()
-    rng = g.make_rng(99)
-    n = 20_000
-    incs = np.empty(n)
-    for i in range(n):
-        trial = g.GlpGraph.from_endpoints(ep0, p=0.5, seed=0)
-        g.step(trial, rng)
-        incs[i] = trial.degree(1) - d1
-    se = incs.std(ddof=1) / np.sqrt(n)
-    assert abs(incs.mean() - exact) < 3 * se
 
 
 def test_interarrival_gaps_are_geometric():
@@ -288,6 +256,14 @@ def test_read_edges_diagnostics(tmp_path):
 
     path.write_text("# glp v1 p=0.5 steps=1 seed=0\n1 1\n1 x\n")
     with pytest.raises(ParseError, match="line 3"):
+        g.read_edges(path)
+
+    path.write_text(f"# glp v1 p=0.5 steps=1 seed=0\n1 1\n1 {2**31}\n")
+    with pytest.raises(ParseError, match="line 3"):
+        g.read_edges(path)
+
+    path.write_bytes(b"# glp v1 p=0.5 steps=1 seed=0\n1 1\n1 \xff\n")
+    with pytest.raises(ParseError, match="text"):
         g.read_edges(path)
 
 
