@@ -62,8 +62,12 @@ def read_config_file(path: str) -> dict[str, str]:
     """Flat ``key=value`` file; blank lines and ``#`` comments are skipped."""
     cfg: dict[str, str] = {}
     try:
-        with open(path, "r") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+        with open(path, "rb") as fh:
+            for lineno, data in enumerate(fh, start=1):
+                try:
+                    raw = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue

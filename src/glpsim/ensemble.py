@@ -271,6 +271,8 @@ def read_report(path) -> EnsembleReport:
             raise ParseError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
             ) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("schema", "version", "experiment", "config", "rows", "failures", "aggregates"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")

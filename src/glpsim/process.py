@@ -244,6 +244,45 @@ def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
     return int(graph._ep[rng.integers(0, graph._len)])
 
 
+# Slot blocks of the resolver: the first block ends at ``_FIRST_BLOCK``;
+# every later block at most doubles the resolved prefix and holds at most
+# ``_MAX_BLOCK`` slots.  ``_MAX_BLOCK`` is also the chunk of kind uniforms.
+_FIRST_BLOCK = 2**16
+_MAX_BLOCK = 2**18
+
+
+def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
+    """Draw the slot indices of slots ``[lo, hi)``, resolve them against the
+    final prefix ``endpoints[:lo]`` and write them; return the vertex count."""
+    # slot s belongs to step s//2 - 1 and copies slot ptr[s - lo] < s & ~1
+    ptr = rng.integers(0, np.arange(lo, hi) & ~1)
+    # roots: the odd slots of vertex-steps, which hold a brand-new vertex
+    roots = lo + 1 + 2 * np.flatnonzero(z[lo // 2 - 1 : hi // 2 - 1])
+    ptr[roots - lo] = roots
+    endpoints[roots] = np.arange(nv + 1, nv + 1 + roots.size)
+
+    if lo == 2:
+        # No final prefix yet: pointer doubling over slots [0, hi), in which
+        # slots 0 and 1 and the roots point at themselves.
+        ptr = np.concatenate(([0, 1], ptr))
+        while True:
+            nxt = ptr[ptr]
+            if np.array_equal(nxt, ptr):
+                break
+            ptr = nxt
+        ptr = ptr[2:]
+    else:
+        # Jump only the pointers that land inside the block.
+        act = np.flatnonzero(ptr >= lo)
+        while act.size:
+            cur = ptr[act]
+            nxt = ptr[cur - lo]
+            ptr[act] = nxt
+            act = act[(nxt >= lo) & (nxt != cur)]  # nxt == cur only at a root
+    endpoints[lo:hi] = endpoints[ptr]
+    return nv + roots.size
+
+
 def _generate(p: float, steps: int, seed: int):
     """Vectorized endpoint-sequence generation.
 
@@ -255,40 +294,37 @@ def _generate(p: float, steps: int, seed: int):
        only the first of its pair; the second is discarded so the layout
        stays rectangular.
 
+    Both draws are taken in pieces, which leaves the stream unchanged: the
+    kind uniforms in chunks of ``_MAX_BLOCK``, the slot indices block by
+    block as the endpoints are resolved.
+
     Every non-root slot holds a copy of an earlier slot, so the sequence is
-    resolved by pointer doubling over the copy forest (a handful of passes,
-    since copy chains are logarithmically short with high probability).
+    resolved block by block, streaming through the slots.  The first block,
+    ``[2, _FIRST_BLOCK)``, has no final prefix and is resolved by pointer
+    doubling over the block.  Each later block ``[lo, hi)`` ends at
+    ``min(2*lo, lo + _MAX_BLOCK)``.  With ``[0, lo)`` final, only the
+    pointers that land inside the block are followed, until they reach a
+    final slot or a new-vertex root; one gather then fills the block.  A
+    block is at most as long as the prefix, so fewer than half of its
+    pointers land inside it, and no working array outgrows one block.
     """
     n = int(steps)
     rng = make_rng(seed)
-    z = rng.random(n) < p
-    bounds = np.repeat(2 * np.arange(1, n + 1, dtype=np.int64), 2)
-    draws = rng.integers(0, bounds)
+    z = np.empty(n, dtype=bool)
+    for a in range(0, n, _MAX_BLOCK):
+        b = min(n, a + _MAX_BLOCK)
+        np.less(rng.random(b - a), p, out=z[a:b])
 
     nslots = 2 * (n + 1)
-    ptr = np.empty(nslots, dtype=np.int64)
-    ptr[0] = 0
-    ptr[1] = 1
-    ptr[2::2] = draws[0::2]
-    ptr[3::2] = draws[1::2]
-    odd = np.arange(3, nslots, 2, dtype=np.int64)
-    new_slots = odd[z]
-    ptr[new_slots] = new_slots  # roots: slots that hold a brand-new vertex
+    endpoints = np.empty(nslots, dtype=np.int32)
+    endpoints[:2] = 1
+    nv = 1
+    lo, hi = 2, min(nslots, _FIRST_BLOCK)
+    while lo < hi:
+        nv = _fill_block(endpoints, z, rng, lo, hi, nv)
+        lo, hi = hi, min(nslots, 2 * hi, hi + _MAX_BLOCK)
 
-    root_val = np.zeros(nslots, dtype=np.int64)
-    root_val[0] = root_val[1] = 1
-    ids = 1 + np.cumsum(z)
-    root_val[new_slots] = ids[z]
-
-    while True:
-        nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
-            break
-        ptr = nxt
-    endpoints = root_val[ptr].astype(np.int32)
-
-    nv = int(ids[-1]) if n else 1
-    degrees = np.bincount(endpoints, minlength=nv + 1).astype(np.int64)
+    degrees = np.bincount(endpoints, minlength=nv + 1)
     arrivals = np.empty(nv + 1, dtype=np.int64)
     arrivals[0] = 0
     arrivals[1] = 0

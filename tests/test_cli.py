@@ -123,6 +123,13 @@ def test_config_file_malformed(tmp_path, capsys):
     )
     assert code == 2
 
+    cfg.write_bytes(b"steps = 10\np = 0.5\xff\n")  # not UTF-8 on line 2
+    code, _, err = run_cli(
+        capsys, "generate", "--config", str(cfg), "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert f"{cfg}:2: not UTF-8 text" in err
+
 
 # ----------------------------------------------------------------------
 # reproducibility

@@ -123,6 +123,12 @@ def test_read_report_diagnostics(tmp_path):
     with pytest.raises(ParseError, match="row"):
         g.read_report(bad)
 
+    for text in ("5", "[]", '"x"'):
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text(text)
+        with pytest.raises(ParseError, match="expected a JSON object"):
+            g.read_report(scalar)
+
 
 def test_failure_isolation_and_gate():
     # cliquegrowth demands steps == 2 * max(t_values); half the grid violates

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,11 +130,36 @@ def test_replicas_are_runs_at_consecutive_seeds():
         assert np.array_equal(gr.endpoints, ref.endpoints)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.75, 1.0])
-@pytest.mark.parametrize("seed", [0, 17])
-def test_scalar_replay_matches_run(p, seed):
-    got = g.run(g.ProcessParams(p=p, steps=500, seed=seed)).graph.endpoints
-    assert np.array_equal(got, scalar_replay(p, 500, seed))
+# Step counts on the resolver's block edges: the tiny runs, either side of
+# the end of the first block (2**16 slots), and a run whose tail spans
+# several blocks capped at 2**18 slots.
+BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 2**19 + 3)
+
+
+@pytest.mark.parametrize(
+    "p, seed, steps",
+    # explicit ids keep the names of the 500-step cases stable
+    [pytest.param(p, seed, 500, id=f"{seed}-{p}")
+     for seed in (0, 17) for p in (0.0, 0.3, 0.5, 0.75, 1.0)]
+    + [pytest.param(p, 0, steps, id=f"0-{p}-steps{steps}")
+       for p in (0.0, 0.5, 1.0) for steps in BLOCK_EDGE_STEPS],
+)
+def test_scalar_replay_matches_run(p, seed, steps):
+    got = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph.endpoints
+    assert np.array_equal(got, scalar_replay(p, steps, seed))
+
+
+def test_generation_peak_bytes_per_step():
+    # Working arrays stay within one block; the peak is the int32 endpoints,
+    # the step kinds and np.bincount's intp copy of the endpoints.
+    steps = 2**18
+    tracemalloc.start()
+    try:
+        g.run(g.ProcessParams(p=0.5, steps=steps, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 48
 
 
 # ----------------------------------------------------------------------
