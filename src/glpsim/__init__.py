@@ -57,8 +57,6 @@ from .hitting import (
     DominatingLawParams,
     DominationReport,
     DominationRow,
-    HittingRecord,
-    TrackedRun,
     block_degree_curve,
     crossing_times,
     default_gamma,
@@ -69,7 +67,6 @@ from .hitting import (
     sample_arrival,
     sample_dominating,
     survival_curve,
-    track_blocks,
 )
 from .process import (
     GlpGraph,

@@ -19,36 +19,19 @@ import sys
 import numpy as np
 
 from . import analytics, community, ensemble, hitting, process
-from .errors import (
-    BatchError,
-    CapacityError,
-    ConfigError,
-    FitError,
-    GlpError,
-    ParameterError,
-    ParseError,
-    PreconditionError,
-    StatisticsError,
-    UnknownVertexError,
-)
-
-_USAGE_ERRORS = (
-    ParameterError,
-    ConfigError,
-    ParseError,
-    CapacityError,
-    PreconditionError,
-    StatisticsError,
-    FitError,
-    UnknownVertexError,
-)
+from .errors import BatchError, ConfigError, FitError, GlpError, StatisticsError
 
 
 def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; integral floats such as ``1e3`` are accepted,
+    ``1.5``, ``inf`` and ``nan`` are not."""
     try:
-        return tuple(int(float(tok)) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
+        vals = [float(tok) for tok in str(text).split(",") if tok.strip()]
+        if all(v.is_integer() for v in vals):
+            return tuple(int(v) for v in vals)
+    except ValueError:
+        pass
+    raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -298,7 +281,11 @@ def _cmd_ensemble(res: _Resolver) -> int:
     out_dir = res.get("out_dir", str, required=True)
     threads = res.get("threads", int)
     if threads is None:
-        threads = int(os.environ.get("GLP_THREADS", "1"))
+        raw = os.environ.get("GLP_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"GLP_THREADS={raw!r} is not an integer") from exc
     res.effective["threads"] = threads
 
     params: dict = {}
@@ -449,15 +436,12 @@ def main(argv=None) -> int:
         cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
         res = _Resolver(args, cfg, known)
         return _HANDLERS[args.command](res)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BatchError,) as exc:
+    except BatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (GlpError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ dropped and parallel edges collapse to one.  Adjacency is built on demand
 for the vertex sets under study, never as a global matrix.
 
 Leaders are per-block maximum-degree vertices (ties broken toward the
-smaller id) selected from the degrees at a reference time, typically the
-half-way point of a run twice as long, so that their adjacency can then be
-inspected in the later graph.
+smaller id).  Every function reads the graph it is given; to select leaders
+at time ``t`` of a run and inspect their adjacency at ``2t``, pass
+``graph.at(t)`` and then ``graph.at(2 * t)``.
 """
 
 from __future__ import annotations
@@ -37,22 +37,24 @@ __all__ = [
 PAIR_CAP = 10_000
 
 
-def _slot_count(graph: process.GlpGraph, at_time) -> int:
-    t = graph.t if at_time is None else int(at_time)
-    if not (0 <= t <= graph.t):
-        raise ParameterError(f"time {t} outside [0, {graph.t}]")
-    return 2 * (t + 1)
-
-
-def simple_edges(graph: process.GlpGraph, at_time: int | None = None) -> np.ndarray:
-    """Distinct non-loop edges as an (E, 2) array with u < v."""
-    ep = graph.endpoints[: _slot_count(graph, at_time)]
-    pairs = ep.reshape(-1, 2).astype(np.int64)
+def _edge_keys(graph: process.GlpGraph, ids: np.ndarray | None = None) -> np.ndarray:
+    """Sorted distinct keys ``u*(V+1) + v`` (``u < v``) of the simple
+    projection; with ``ids`` given, only the edges with both ends in it."""
+    pairs = graph.endpoints.reshape(-1, 2)
+    if ids is not None:
+        pairs = pairs[np.isin(pairs[:, 0], ids) & np.isin(pairs[:, 1], ids)]
+    pairs = pairs.astype(np.int64)
     u = pairs.min(axis=1)
     v = pairs.max(axis=1)
     keep = u != v
-    key = np.unique(u[keep] * (graph.num_vertices + 1) + v[keep])
-    return np.column_stack(divmod(key, graph.num_vertices + 1))
+    key = np.sort(u[keep] * (graph.num_vertices + 1) + v[keep])
+    return key[np.diff(key, prepend=-1) != 0]
+
+
+def simple_edges(graph: process.GlpGraph) -> np.ndarray:
+    """Distinct non-loop edges as an (E, 2) array with u < v, in
+    lexicographic order."""
+    return np.column_stack(divmod(_edge_keys(graph), graph.num_vertices + 1))
 
 
 @dataclass(frozen=True)
@@ -65,40 +67,33 @@ class LeaderSet:
     degrees: np.ndarray
 
 
-def leaders(
-    graph: process.GlpGraph,
-    m: int,
-    j_lo: int,
-    j_hi: int,
-    at_time: int | None = None,
-) -> LeaderSet:
-    """Max-degree vertex of each block ``j_lo .. j_hi`` at the reference time.
+def leaders(graph: process.GlpGraph, m: int, j_lo: int, j_hi: int) -> LeaderSet:
+    """Max-degree vertex of each block ``j_lo .. j_hi`` of ``graph``.
 
     Block ``j`` covers ids ``(j-1)*m + 1 .. j*m``.  Ties go to the smaller
-    id.  Every block must be fully populated at the reference time.
+    id.  Every block must be fully populated; ``t_ref`` is ``graph.t``.
     """
     if m < 1:
         raise ParameterError(f"block width must be >= 1, got {m}")
     if not (1 <= j_lo <= j_hi):
         raise ParameterError(f"need 1 <= j_lo <= j_hi, got [{j_lo}, {j_hi}]")
-    t_ref = graph.t if at_time is None else int(at_time)
-    if j_hi * m > graph.vertex_count_at(t_ref):
+    if j_hi * m > graph.num_vertices:
         raise ParameterError(
             f"block {j_hi} needs vertex {j_hi * m}, but only "
-            f"{graph.vertex_count_at(t_ref)} vertices exist at t={t_ref}"
+            f"{graph.num_vertices} vertices exist at t={graph.t}"
         )
-    deg = graph.degrees_at(t_ref)
+    deg = graph.degrees  # deg[j-1] is vertex j
     lo = (j_lo - 1) * m + 1
-    window = deg[lo : j_hi * m + 1].reshape(j_hi - j_lo + 1, m)
+    window = deg[lo - 1 : j_hi * m].reshape(j_hi - j_lo + 1, m)
     offsets = window.argmax(axis=1)  # argmax picks the first, hence smallest id
     ids = lo + np.arange(window.shape[0], dtype=np.int64) * m + offsets
     return LeaderSet(
         m=m,
         j_lo=j_lo,
         j_hi=j_hi,
-        t_ref=t_ref,
+        t_ref=graph.t,
         vertices=ids,
-        degrees=deg[ids].astype(np.int64),
+        degrees=deg[ids - 1].astype(np.int64),
     )
 
 
@@ -115,16 +110,12 @@ class CliqueReport:
     sampled: bool
 
 
-def _induced_masks(graph, ids: np.ndarray, at_time) -> list[int]:
-    """Bitmask adjacency rows of the simple projection induced on ``ids``."""
-    ep = graph.endpoints[: _slot_count(graph, at_time)]
-    pairs = ep.reshape(-1, 2)
-    hit = np.isin(pairs[:, 0], ids) & np.isin(pairs[:, 1], ids)
-    sub = pairs[hit]
-    sub = sub[sub[:, 0] != sub[:, 1]]
-    order = np.argsort(ids, kind="stable")
-    pos_a = order[np.searchsorted(ids, sub[:, 0], sorter=order)]
-    pos_b = order[np.searchsorted(ids, sub[:, 1], sorter=order)]
+def _induced_masks(graph, ids: np.ndarray) -> list[int]:
+    """Bitmask adjacency rows of the simple projection induced on the
+    sorted ``ids``."""
+    u, v = divmod(_edge_keys(graph, ids), graph.num_vertices + 1)
+    pos_a = np.searchsorted(ids, u)
+    pos_b = np.searchsorted(ids, v)
     masks = [0] * len(ids)
     for a, b in zip(pos_a.tolist(), pos_b.tolist()):
         masks[a] |= 1 << b
@@ -183,10 +174,18 @@ def _max_clique_mask(masks: list[int]) -> int:
     return best_mask
 
 
+def _clique_mask(masks: list[int], exact_cap: int) -> int:
+    """Largest clique found: exact up to ``exact_cap`` vertices, greedy in
+    degree order above."""
+    if len(masks) <= exact_cap:
+        return _max_clique_mask(masks)
+    order = sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())
+    return _greedy_clique_mask(masks, order)
+
+
 def is_clique(
     graph: process.GlpGraph,
     vertices,
-    at_time: int | None = None,
     pair_cap: int = PAIR_CAP,
     sample_seed: int = 0,
     exact_cap: int = 128,
@@ -210,7 +209,7 @@ def is_clique(
         return CliqueReport(1, 1.0, (), 1, False)
 
     if npairs <= pair_cap:
-        masks = _induced_masks(graph, ids, at_time)
+        masks = _induced_masks(graph, ids)
         missing = []
         present = 0
         for a in range(s):
@@ -220,22 +219,13 @@ def is_clique(
                     present += 1
                 elif len(missing) < 100:
                     missing.append((int(ids[a]), int(ids[b])))
-        if s <= exact_cap:
-            largest = _max_clique_mask(masks).bit_count()
-        else:
-            order = sorted(range(s), key=lambda v: -masks[v].bit_count())
-            largest = _greedy_clique_mask(masks, order).bit_count()
+        largest = _clique_mask(masks, exact_cap).bit_count()
         return CliqueReport(s, present / npairs, tuple(missing), largest, False)
 
     # sampled mode: estimate the fraction from pair_cap uniform pairs
     rng = process.make_rng(sample_seed)
     enc = graph.num_vertices + 1
-    ep = graph.endpoints[: _slot_count(graph, at_time)]
-    pairs = ep.reshape(-1, 2)
-    hit = np.isin(pairs[:, 0], ids) & np.isin(pairs[:, 1], ids)
-    sub = pairs[hit].astype(np.int64)
-    sub = sub[sub[:, 0] != sub[:, 1]]
-    edge_keys = np.unique(sub.min(axis=1) * enc + sub.max(axis=1))
+    edge_keys = _edge_keys(graph, ids)
     got = 0
     found = 0
     missing = []
@@ -255,46 +245,34 @@ def is_clique(
     return CliqueReport(s, found / pair_cap, tuple(missing), None, True)
 
 
-def max_clique_topk(
-    graph: process.GlpGraph,
-    k: int,
-    at_time: int | None = None,
-    exact_cap: int = 128,
-) -> tuple[int, ...]:
+def max_clique_topk(graph: process.GlpGraph, k: int, exact_cap: int = 128) -> tuple[int, ...]:
     """Largest clique among the ``k`` highest-degree vertices.
 
-    Candidates are ranked by degree at the reference time (ties toward the
-    smaller id).  Exact branch and bound up to ``exact_cap`` candidates,
-    greedy beyond.  Returns the clique as a sorted id tuple.
+    Candidates are ranked by degree in ``graph`` (ties toward the smaller
+    id).  Exact branch and bound up to ``exact_cap`` candidates, greedy
+    beyond.  Returns the clique as a sorted id tuple.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    t_ref = graph.t if at_time is None else int(at_time)
-    deg = graph.degrees_at(t_ref)[1:]
+    deg = graph.degrees
     k = min(k, deg.size)
     order = np.lexsort((np.arange(1, deg.size + 1), -deg))
     ids = np.sort(order[:k] + 1).astype(np.int64)
-    masks = _induced_masks(graph, ids, at_time)
-    if k <= exact_cap:
-        mask = _max_clique_mask(masks)
-    else:
-        deg_order = sorted(range(k), key=lambda v: -masks[v].bit_count())
-        mask = _greedy_clique_mask(masks, deg_order)
-    picked = [int(ids[i]) for i in range(k) if mask >> i & 1]
-    return tuple(sorted(picked))
+    mask = _clique_mask(_induced_masks(graph, ids), exact_cap)
+    return tuple(int(ids[i]) for i in range(k) if mask >> i & 1)
 
 
 # ----------------------------------------------------------------------
 # triangles
 
 
-def count_triangles(graph: process.GlpGraph, at_time: int | None = None) -> int:
+def count_triangles(graph: process.GlpGraph) -> int:
     """Triangle count of the simple projection.
 
     Edges are oriented from lower to higher simple degree (ids break ties),
     which keeps the sparse path-counting product small on skewed graphs.
     """
-    edges = simple_edges(graph, at_time)
+    edges = simple_edges(graph)
     if edges.shape[0] == 0:
         return 0
     n = graph.num_vertices + 1
@@ -355,9 +333,10 @@ def clique_growth_rows(
     rows = []
     for t in t_values:
         j_lo, j_hi = leader_block_range(t, graph.p, eps, eps_prime)
-        led = leaders(graph, m=m, j_lo=j_lo, j_hi=j_hi, at_time=t)
-        rep = is_clique(graph, led.vertices, at_time=2 * t)
-        top = max_clique_topk(graph, topk, at_time=2 * t)
+        led = leaders(graph.at(t), m=m, j_lo=j_lo, j_hi=j_hi)
+        later = graph.at(2 * t)
+        rep = is_clique(later, led.vertices)
+        top = max_clique_topk(later, topk)
         rows.append(
             GrowthRow(
                 p=graph.p,

@@ -53,15 +53,12 @@ def _snapshot_times(graph, snapshot_times) -> tuple[int, ...]:
 
 def _exp_maxdeg(graph, snapshot_times=()):
     times = _snapshot_times(graph, snapshot_times)
-    return [(t, "max_degree", float(graph.degrees_at(t).max())) for t in times]
+    return [(t, "max_degree", float(graph.at(t).max_degree())) for t in times]
 
 
 def _exp_triangles(graph, snapshot_times=()):
     times = _snapshot_times(graph, snapshot_times)
-    return [
-        (t, "triangles", float(community.count_triangles(graph, at_time=t)))
-        for t in times
-    ]
+    return [(t, "triangles", float(community.count_triangles(graph.at(t)))) for t in times]
 
 
 def _exp_arrival(graph, vertex=2):
@@ -116,6 +113,11 @@ class EnsembleConfig:
             raise ConfigError(f"p grid outside [0, 1]: {self.p_grid}")
         if self.steps < 1 or self.replicas < 1 or self.width < 1:
             raise ConfigError("steps, replicas and width must be >= 1")
+        if not (0 <= self.base_seed <= 2**64 - self.replicas):
+            raise ConfigError(
+                f"base_seed must lie in [0, 2**64 - replicas] so that every "
+                f"replica seed is a 64-bit natural, got {self.base_seed}"
+            )
         if not (0.0 < self.min_success <= 1.0):
             raise ConfigError(f"min_success must lie in (0, 1], got {self.min_success}")
 

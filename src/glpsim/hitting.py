@@ -23,14 +23,11 @@ import numpy as np
 
 from . import process
 from .analytics import c_p
-from .errors import ConfigError, ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError
 
 __all__ = [
     "BlockSpec",
-    "HittingRecord",
-    "TrackedRun",
     "crossing_times",
-    "track_blocks",
     "sample_arrival",
     "default_gamma",
     "DominatingLawParams",
@@ -65,23 +62,6 @@ class BlockSpec:
         return ((self.j - 1) * self.m + 1, self.j * self.m)
 
 
-@dataclass(frozen=True)
-class HittingRecord:
-    """First time the block degree reaches each threshold (None if never)."""
-
-    block: BlockSpec
-    hit_times: tuple[int | None, ...]
-
-    def hit(self, k: int) -> int | None:
-        return self.hit_times[self.block.thresholds.index(k)]
-
-
-@dataclass
-class TrackedRun:
-    result: process.RunResult
-    records: list[HittingRecord]
-
-
 def block_degree_curve(graph: process.GlpGraph, block: BlockSpec) -> np.ndarray:
     """Block degree after each step, index 0 being the initial loop state."""
     lo, hi = block.vertex_range
@@ -90,29 +70,13 @@ def block_degree_curve(graph: process.GlpGraph, block: BlockSpec) -> np.ndarray:
     return np.cumsum(member.reshape(-1, 2).sum(axis=1))
 
 
-def crossing_times(graph: process.GlpGraph, block: BlockSpec) -> HittingRecord:
-    """Scan a finished run for the block's threshold crossing times."""
+def crossing_times(graph: process.GlpGraph, block: BlockSpec) -> tuple[int | None, ...]:
+    """First time the block degree reaches each of the block's thresholds in
+    a finished run (None if never)."""
     curve = block_degree_curve(graph, block)
     ks = np.asarray(block.thresholds, dtype=np.int64)
     idx = np.searchsorted(curve, ks)  # curve is nondecreasing
-    hits = tuple(int(i) if i < curve.size else None for i in idx)
-    return HittingRecord(block=block, hit_times=hits)
-
-
-def track_blocks(params: process.ProcessParams, blocks) -> TrackedRun:
-    """Run the process and extract hitting records for the given blocks.
-
-    Duplicate ``(j, m)`` pairs are a configuration error.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        raise ConfigError("no blocks to track")
-    keys = [(b.j, b.m) for b in blocks]
-    if len(set(keys)) != len(keys):
-        raise ConfigError(f"duplicate block specs: {sorted(keys)}")
-    result = process.run(params)
-    records = [crossing_times(result.graph, b) for b in blocks]
-    return TrackedRun(result=result, records=records)
+    return tuple(int(i) if i < curve.size else None for i in idx)
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +262,7 @@ def empirical_hit_times(
     spec = BlockSpec(j=block.j, m=block.m, thresholds=(int(k),))
     out = np.empty(replicas, dtype=np.float64)
     for r, graph in enumerate(process.replicas(p, steps, base_seed, replicas)):
-        hit = crossing_times(graph, spec).hit_times[0]
+        hit = crossing_times(graph, spec)[0]
         out[r] = math.inf if hit is None else float(hit)
     return out
 
@@ -324,6 +288,11 @@ def domination_experiment(
     grid = sorted(int(t) for t in t_grid)
     if not grid:
         raise ParameterError("empty time grid")
+    if replicas < 1 or dominating_samples < 1:
+        raise ParameterError(
+            f"replicas and dominating samples must be >= 1, "
+            f"got {replicas} and {dominating_samples}"
+        )
     if gamma is None:
         gamma = default_gamma(p)
     params = DominatingLawParams(p=p, m=m, j=j, k=k, gamma=gamma)

@@ -22,7 +22,7 @@ so identical ``(p, steps, seed)`` reproduce identical endpoint sequences.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,16 +74,13 @@ class ProcessParams:
         64-bit seed; replica ``r`` of an ensemble uses ``seed + r``.
     snapshot_times : tuple of int
         Strictly increasing times (each <= steps) at which the run records
-        the maximum degree and the degrees of ``watched_vertices``.
-    watched_vertices : tuple of int
-        Vertex ids reported in every snapshot (0 if not yet born).
+        the maximum degree.
     """
 
     p: float
     steps: int
     seed: int
     snapshot_times: tuple[int, ...] = ()
-    watched_vertices: tuple[int, ...] = ()
 
     def __post_init__(self):
         _check_p(self.p)
@@ -100,15 +97,12 @@ class ProcessParams:
             raise ParameterError("snapshot times must lie in [0, steps]")
         if any(b >= a for a, b in zip(times[1:], times)):
             raise ParameterError("snapshot times must be strictly increasing")
-        if any(int(v) < 1 for v in self.watched_vertices):
-            raise ParameterError("watched vertex ids must be >= 1")
 
 
 @dataclass(frozen=True)
 class Snapshot:
     t: int
     max_degree: int
-    watched_degrees: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -123,8 +117,9 @@ class GlpGraph:
 
     Edge ``i`` (0-based) occupies endpoint slots ``2i`` and ``2i+1``; slot
     pairs appear in creation order, so the prefix of the first ``2*(t+1)``
-    slots is exactly the state of this run at time ``t``.  Vertex ids are
-    1-based and assigned in arrival order.
+    slots is exactly the state of this run at time ``t``, which ``at(t)``
+    returns as a graph.  Vertex ids are 1-based and assigned in arrival
+    order.
     """
 
     __slots__ = ("p", "seed", "_ep", "_len", "_deg", "_nv", "_arr")
@@ -160,11 +155,14 @@ class GlpGraph:
         deg = np.bincount(ep, minlength=nv + 1).astype(np.int64)
         if (deg[1:] == 0).any():
             raise ParameterError("vertex ids must form a contiguous range 1..V")
-        ids, first_slot = np.unique(ep, return_index=True)
-        if (np.diff(first_slot) <= 0).any():
+        # In first-appearance order each new id is one above the largest
+        # id seen so far, so the running maximum rises by at most 1 a slot.
+        r = np.maximum.accumulate(ep)
+        if ep[0] != 1 or (np.diff(r) > 1).any():
             raise ParameterError("vertex ids must be ordered by first appearance")
         arr = np.zeros(nv + 1, dtype=np.int64)
-        arr[ids] = first_slot // 2  # edge index == step of first appearance
+        # first slots of ids 1..V; edge index == step of first appearance
+        arr[1:] = np.flatnonzero(np.diff(r, prepend=0)) // 2
         return cls._from_arrays(p, seed, ep.copy(), deg, arr)
 
     # ------------------------------------------------------------------
@@ -220,18 +218,19 @@ class GlpGraph:
             raise UnknownVertexError(j)
         return int(self._arr[j])
 
-    def vertex_count_at(self, t: int) -> int:
-        """Number of vertices present at time ``t`` of this run."""
-        if not (0 <= t <= self.t):
-            raise ParameterError(f"time {t} outside [0, {self.t}]")
-        return int(np.searchsorted(self._arr[1 : self._nv + 1], t, side="right"))
+    def at(self, t: int) -> "GlpGraph":
+        """The graph as it stood at time ``t`` of this run.
 
-    def degrees_at(self, t: int) -> np.ndarray:
-        """Degree array (indexed by id, slot 0 unused) at time ``t`` of this run."""
+        Its endpoint sequence is a view of this graph's first ``2*(t+1)``
+        slots; its degrees are counted afresh.  ``at(self.t)`` is ``self``.
+        """
+        if t == self.t:
+            return self
         if not (0 <= t <= self.t):
             raise ParameterError(f"time {t} outside [0, {self.t}]")
-        prefix = self._ep[: 2 * (t + 1)]
-        return np.bincount(prefix, minlength=self._nv + 1)
+        ep = self._ep[: 2 * (t + 1)]
+        deg = np.bincount(ep)
+        return GlpGraph._from_arrays(self.p, self.seed, ep, deg, self._arr[: deg.size])
 
 
 def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
@@ -342,14 +341,10 @@ def run(params: ProcessParams) -> RunResult:
     endpoints, degrees, arrivals = _generate(params.p, params.steps, params.seed)
     graph = GlpGraph._from_arrays(params.p, params.seed, endpoints, degrees, arrivals)
 
-    snapshots = []
-    for t in params.snapshot_times:
-        pref = np.bincount(endpoints[: 2 * (t + 1)])
-        watched = {
-            int(v): int(pref[v]) if v < pref.size else 0
-            for v in params.watched_vertices
-        }
-        snapshots.append(Snapshot(t=int(t), max_degree=int(pref.max()), watched_degrees=watched))
+    snapshots = [
+        Snapshot(t=int(t), max_degree=graph.at(t).max_degree())
+        for t in params.snapshot_times
+    ]
     return RunResult(graph=graph, snapshots=snapshots)
 
 

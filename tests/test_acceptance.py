@@ -306,7 +306,7 @@ def test_criterion_11_triangle_scaling():
     for s in range(5):
         gr = g.run(g.ProcessParams(p=0.5, steps=10**6, seed=900 + s)).graph
         for t in times:
-            per_t[t].append(g.count_triangles(gr, at_time=t))
+            per_t[t].append(g.count_triangles(gr.at(t)))
     series = [(t, float(np.mean(per_t[t]))) for t in times]
     slope = g.fit_exponent(series).estimate
     in_band = 0.7 <= slope <= 1.3

@@ -1,8 +1,10 @@
 import csv
+import importlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,38 @@ def test_stats_unparsable_edge_list(tmp_path, capsys, body):
     code, _, err = run_cli(capsys, "stats", "--in", str(path))
     assert code == 2
     assert "error:" in err
+
+
+_REQUIRED = {
+    "hitting": ["--p", "0.5", "--j", "260", "--m", "4", "--k", "6"],
+    "ensemble": ["--experiment", "maxdeg", "--p-grid", "0.5", "--steps", "100",
+                 "--replicas", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["hitting", "--grid", "inf"], ""),
+        (["hitting"], "grid = 64,inf\n"),
+        (["hitting", "--grid", "64,1.5"], ""),
+        (["hitting", "--grid", "64", "--replicas", "-1"], ""),
+        (["hitting", "--grid", "64", "--dom-samples", "-1"], ""),
+        (["ensemble", "--snapshots", "inf"], ""),
+        (["ensemble"], "snapshots = 10,nan\n"),
+        (["ensemble", "--base-seed", "-5"], ""),
+    ],
+    ids=["grid-inf", "grid-inf-config", "grid-fraction", "replicas-negative",
+         "dom-samples-negative", "snapshots-inf", "snapshots-nan-config",
+         "base-seed-negative"],
+)
+def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    extra = ["--out-dir", str(tmp_path / "ens")] if argv[0] == "ensemble" else []
+    code, _, err = run_cli(capsys, *argv, *_REQUIRED[argv[0]], *extra, "--config", str(cfg))
+    assert code == 2
+    assert "error" in err
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +358,14 @@ def test_ensemble_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["config"]["threads"] == 2
 
+    monkeypatch.setenv("GLP_THREADS", "abc")
+    code, _, err = run_cli(
+        capsys, "ensemble", "--experiment", "maxdeg", "--p-grid", "0.5",
+        "--steps", "100", "--replicas", "2", "--out-dir", str(tmp_path / "env"),
+    )
+    assert code == 2
+    assert "GLP_THREADS" in err
+
 
 # ----------------------------------------------------------------------
 # console entry point
@@ -337,3 +379,17 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t"] == 50
+
+
+# ----------------------------------------------------------------------
+# benchmark tracing contract
+
+
+def test_traced_functions_exist(monkeypatch):
+    """`perfbench/spans.py` wraps these by name; a rename breaks `--trace 1`."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    spans = importlib.import_module("perfbench.spans")
+    for module, name in [*spans.WRAPPED, ("cli", "main")]:
+        assert callable(getattr(importlib.import_module(f"glpsim.{module}"), name, None)), (
+            f"glpsim.{module}.{name}"
+        )

@@ -33,12 +33,11 @@ def dp_max_clique(n, adj_masks):
     return best[(1 << n) - 1]
 
 
-def induced_adjacency(graph, ids, at_time=None):
+def induced_adjacency(graph, ids):
     """Bitmask adjacency over `ids` built straight from the edge list."""
     pos = {v: i for i, v in enumerate(ids)}
     masks = [0] * len(ids)
-    ep = graph.endpoints if at_time is None else graph.endpoints[: 2 * (at_time + 1)]
-    for u, v in ep.reshape(-1, 2):
+    for u, v in graph.endpoints.reshape(-1, 2):
         u, v = int(u), int(v)
         if u != v and u in pos and v in pos:
             masks[pos[u]] |= 1 << pos[v]
@@ -84,8 +83,9 @@ def test_leaders_validation():
 
 def test_leaders_at_reference_time():
     gr = g.run(g.ProcessParams(p=0.5, steps=2000, seed=3)).graph
-    ls = g.leaders(gr, m=5, j_lo=1, j_hi=4, at_time=500)
-    deg500 = gr.degrees_at(500)
+    ls = g.leaders(gr.at(500), m=5, j_lo=1, j_hi=4)
+    assert ls.t_ref == 500
+    deg500 = np.bincount(gr.endpoints[: 2 * 501])  # id-indexed, slot 0 unused
     for jdx, v in enumerate(ls.vertices):
         lo = jdx * 5 + 1
         block = deg500[lo : lo + 5]
@@ -259,7 +259,7 @@ def test_triangles_ignore_loops_and_parallels():
 
 def test_triangles_prefix_time():
     gr = g.run(g.ProcessParams(p=0.5, steps=3000, seed=8)).graph
-    counts = [g.count_triangles(gr, at_time=t) for t in (100, 1000, 3000)]
+    counts = [g.count_triangles(gr.at(t)) for t in (100, 1000, 3000)]
     assert counts == sorted(counts)
     assert counts[-1] == g.count_triangles(gr)
 

@@ -33,6 +33,11 @@ def test_config_validation():
         maxdeg_config(width=0)
     with pytest.raises(ConfigError):
         maxdeg_config(min_success=1.5)
+    replicas = maxdeg_config().replicas
+    assert maxdeg_config(base_seed=2**64 - replicas).base_seed == 2**64 - replicas
+    for seed in (-5, 2**64 - replicas + 1):
+        with pytest.raises(ConfigError, match="base_seed"):
+            maxdeg_config(base_seed=seed)
 
 
 def test_single_replica_aggregate_identity():

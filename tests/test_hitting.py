@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import glpsim as g
-from glpsim.errors import ConfigError, ParameterError, PreconditionError
+from glpsim.errors import ParameterError, PreconditionError
 
 
 # ----------------------------------------------------------------------
@@ -23,35 +23,19 @@ def test_block_spec_validation():
 
 
 def test_initial_loop_hits_immediately():
-    blocks = (g.BlockSpec(j=1, m=1, thresholds=(2,)),)
-    tr = g.track_blocks(
-        g.ProcessParams(p=0.5, steps=10, seed=0), blocks=blocks
-    )
-    assert tr.records[0].hit_times == (0,)
+    gr = g.run(g.ProcessParams(p=0.5, steps=10, seed=0)).graph
+    assert g.crossing_times(gr, g.BlockSpec(j=1, m=1, thresholds=(2,))) == (0,)
 
 
 def test_p0_deterministic_crossings():
     # all edges are loops on vertex 1: degree 2(n+1) after n steps
-    blocks = (g.BlockSpec(j=1, m=1, thresholds=(4, 8, 42)),)
-    tr = g.track_blocks(g.ProcessParams(p=0.0, steps=30, seed=1), blocks=blocks)
-    assert tr.records[0].hit_times == (1, 3, 20)
+    gr = g.run(g.ProcessParams(p=0.0, steps=30, seed=1)).graph
+    assert g.crossing_times(gr, g.BlockSpec(j=1, m=1, thresholds=(4, 8, 42))) == (1, 3, 20)
 
 
 def test_censored_threshold_is_none():
-    blocks = (g.BlockSpec(j=1, m=1, thresholds=(10**6,)),)
-    tr = g.track_blocks(g.ProcessParams(p=0.5, steps=50, seed=2), blocks=blocks)
-    assert tr.records[0].hit_times == (None,)
-    assert tr.records[0].hit(10**6) is None
-
-
-def test_duplicate_blocks_rejected():
-    b = g.BlockSpec(j=2, m=3, thresholds=(4,))
-    with pytest.raises(ConfigError):
-        g.track_blocks(
-            g.ProcessParams(p=0.5, steps=10, seed=0), blocks=(b, b)
-        )
-    with pytest.raises(ConfigError):
-        g.track_blocks(g.ProcessParams(p=0.5, steps=10, seed=0), blocks=())
+    gr = g.run(g.ProcessParams(p=0.5, steps=50, seed=2)).graph
+    assert g.crossing_times(gr, g.BlockSpec(j=1, m=1, thresholds=(10**6,))) == (None,)
 
 
 def test_block_degree_curve_matches_direct_sum():
@@ -61,35 +45,26 @@ def test_block_degree_curve_matches_direct_sum():
     curve = g.block_degree_curve(gr, block)
     assert curve.shape == (gr.t + 1,)
     for t in (0, 100, 350, 500):
-        deg_t = gr.degrees_at(t)
-        direct = int(deg_t[lo : hi + 1].sum()) if deg_t.size > lo else 0
-        assert curve[t] == direct
+        deg_t = gr.at(t).degrees  # deg_t[j-1] is vertex j
+        assert curve[t] == int(deg_t[lo - 1 : hi].sum())
     assert (np.diff(curve) >= 0).all()
 
 
 def test_crossings_are_monotone_in_k_per_replica():
     thresholds = (4, 6, 10, 14)
     for seed in range(20):
-        blocks = (g.BlockSpec(j=2, m=2, thresholds=thresholds),)
-        tr = g.track_blocks(
-            g.ProcessParams(p=0.5, steps=3000, seed=seed), blocks=blocks
-        )
-        hits = [h for h in tr.records[0].hit_times if h is not None]
+        block = g.BlockSpec(j=2, m=2, thresholds=thresholds)
+        gr = g.run(g.ProcessParams(p=0.5, steps=3000, seed=seed)).graph
+        hits = [h for h in g.crossing_times(gr, block) if h is not None]
         assert hits == sorted(hits)
 
 
 def test_wider_block_hits_no_later():
     # block (j=1, m=2) contains block (j=1, m=1); same threshold, same run
     for seed in range(15):
-        blocks = (
-            g.BlockSpec(j=1, m=1, thresholds=(12,)),
-            g.BlockSpec(j=1, m=2, thresholds=(12,)),
-        )
-        tr = g.track_blocks(
-            g.ProcessParams(p=0.5, steps=2000, seed=100 + seed), blocks=blocks
-        )
-        narrow = tr.records[0].hit_times[0]
-        wide = tr.records[1].hit_times[0]
+        gr = g.run(g.ProcessParams(p=0.5, steps=2000, seed=100 + seed)).graph
+        (narrow,) = g.crossing_times(gr, g.BlockSpec(j=1, m=1, thresholds=(12,)))
+        (wide,) = g.crossing_times(gr, g.BlockSpec(j=1, m=2, thresholds=(12,)))
         if narrow is not None:
             assert wide is not None and wide <= narrow
 
@@ -125,10 +100,8 @@ def test_sample_arrival_dominates_true_block_fill():
     block = g.BlockSpec(j=j, m=m, thresholds=(m,))
     true_times = np.empty(replicas)
     for r in range(replicas):
-        tr = g.track_blocks(
-            g.ProcessParams(p=p, steps=400, seed=7000 + r), blocks=(block,)
-        )
-        h = tr.records[0].hit_times[0]
+        gr = g.run(g.ProcessParams(p=p, steps=400, seed=7000 + r)).graph
+        (h,) = g.crossing_times(gr, block)
         true_times[r] = math.inf if h is None else h
     surrogate = g.sample_arrival(j, m, p, g.make_rng(123), size=replicas)
     grid = np.arange(0, 60, dtype=float)
@@ -162,6 +135,12 @@ def test_dominating_params_validation():
     # gamma beyond the guarantee regime is allowed (rates stay positive)
     lp = g.DominatingLawParams(p=0.5, m=4, j=260, k=16, gamma=0.4)
     assert (lp.rates() > 0).all()
+    for replicas, samples in ((0, 10), (-1, 10), (10, 0), (10, -1)):
+        with pytest.raises(ParameterError, match="must be >= 1"):
+            g.domination_experiment(
+                p=0.5, m=4, j=260, k=16, t_grid=(100, 1000),
+                replicas=replicas, dominating_samples=samples,
+            )
 
 
 def test_dominating_rates_closed_form():

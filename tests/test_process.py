@@ -63,8 +63,6 @@ def test_param_validation():
         g.ProcessParams(p=0.5, steps=10, seed=0, snapshot_times=(5, 20))
     with pytest.raises(ParameterError):
         g.ProcessParams(p=0.5, steps=10, seed=0, snapshot_times=(7, 7))
-    with pytest.raises(ParameterError):
-        g.ProcessParams(p=0.5, steps=10, seed=0, watched_vertices=(0,))
 
 
 def test_unknown_vertex():
@@ -225,26 +223,30 @@ def test_interarrival_gaps_are_geometric():
 
 
 def test_snapshots_match_prefix_views():
-    params = g.ProcessParams(
-        p=0.5, steps=1000, seed=8, snapshot_times=(0, 10, 500, 1000),
-        watched_vertices=(1, 2),
-    )
+    params = g.ProcessParams(p=0.5, steps=1000, seed=8, snapshot_times=(0, 10, 500, 1000))
     res = g.run(params)
     gr = res.graph
     assert [s.t for s in res.snapshots] == [0, 10, 500, 1000]
     for s in res.snapshots:
-        deg_t = gr.degrees_at(s.t)  # id-indexed, slot 0 unused
-        assert s.max_degree == deg_t.max()
-        assert deg_t.sum() == 2 * (s.t + 1)
-        for v, d in s.watched_degrees.items():
-            assert d == deg_t[v]
-    assert gr.vertex_count_at(0) == 1
-    assert gr.vertex_count_at(1000) == gr.num_vertices
+        past = gr.at(s.t)
+        ref = g.GlpGraph.from_endpoints(gr.endpoints[: 2 * (s.t + 1)])
+        assert past.t == s.t
+        assert np.array_equal(past.endpoints, ref.endpoints)
+        assert np.array_equal(past.degrees, ref.degrees)
+        assert np.array_equal(past.arrival_times, ref.arrival_times)
+        assert past.num_vertices == ref.num_vertices
+        assert s.max_degree == past.max_degree() == ref.degrees.max()
+        assert past.degrees.sum() == 2 * (s.t + 1)
+    assert gr.at(0).num_vertices == 1
+    assert gr.at(1000) is gr
+    for bad in (-1, gr.t + 1):
+        with pytest.raises(ParameterError, match=f"time {bad} outside"):
+            gr.at(bad)
 
 
 def test_vertex_count_at_is_monotone():
     gr = g.run(g.ProcessParams(p=0.7, steps=300, seed=14)).graph
-    counts = [gr.vertex_count_at(t) for t in range(0, 301, 25)]
+    counts = [gr.at(t).num_vertices for t in range(0, 301, 25)]
     assert counts == sorted(counts)
 
 
