@@ -63,7 +63,6 @@ from .hitting import (
     domination_experiment,
     domination_test,
     empirical_hit_times,
-    lower_tail_curve,
     sample_arrival,
     sample_dominating,
     survival_curve,

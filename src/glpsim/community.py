@@ -34,7 +34,7 @@ __all__ = [
     "clique_growth_experiment",
 ]
 
-PAIR_CAP = 10_000
+EXACT_CAP = 128
 
 
 def _edge_keys(graph: process.GlpGraph, ids: np.ndarray | None = None) -> np.ndarray:
@@ -106,8 +106,7 @@ class CliqueReport:
     candidate_count: int
     pair_fraction: float
     missing_pairs: tuple[tuple[int, int], ...]
-    largest_clique_size: int | None
-    sampled: bool
+    largest_clique_size: int
 
 
 def _induced_masks(graph, ids: np.ndarray) -> list[int]:
@@ -174,29 +173,21 @@ def _max_clique_mask(masks: list[int]) -> int:
     return best_mask
 
 
-def _clique_mask(masks: list[int], exact_cap: int) -> int:
-    """Largest clique found: exact up to ``exact_cap`` vertices, greedy in
+def _clique_mask(masks: list[int]) -> int:
+    """Largest clique found: exact up to ``EXACT_CAP`` vertices, greedy in
     degree order above."""
-    if len(masks) <= exact_cap:
+    if len(masks) <= EXACT_CAP:
         return _max_clique_mask(masks)
     order = sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())
     return _greedy_clique_mask(masks, order)
 
 
-def is_clique(
-    graph: process.GlpGraph,
-    vertices,
-    pair_cap: int = PAIR_CAP,
-    sample_seed: int = 0,
-    exact_cap: int = 128,
-) -> CliqueReport:
+def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
     """How close a vertex set is to a clique in the simple projection.
 
-    Up to ``pair_cap`` pairs are checked exhaustively; beyond that a uniform
-    pair sample of that size estimates the fraction and the report is
-    flagged as sampled.  In exact mode the report also carries the largest
-    complete subset found (exact up to ``exact_cap`` candidates, greedy
-    above).  At most 100 missing pairs are listed.
+    Every candidate pair is counted.  The report carries the largest
+    complete subset found (exact up to ``EXACT_CAP`` candidates, greedy
+    above) and the first 100 missing pairs in lexicographic order.
     """
     ids = np.unique(np.asarray(vertices, dtype=np.int64))
     if ids.size < 1:
@@ -206,50 +197,27 @@ def is_clique(
     s = int(ids.size)
     npairs = s * (s - 1) // 2
     if npairs == 0:
-        return CliqueReport(1, 1.0, (), 1, False)
+        return CliqueReport(1, 1.0, (), 1)
 
-    if npairs <= pair_cap:
-        masks = _induced_masks(graph, ids)
-        missing = []
-        present = 0
-        for a in range(s):
-            row = masks[a]
-            for b in range(a + 1, s):
-                if row >> b & 1:
-                    present += 1
-                elif len(missing) < 100:
-                    missing.append((int(ids[a]), int(ids[b])))
-        largest = _clique_mask(masks, exact_cap).bit_count()
-        return CliqueReport(s, present / npairs, tuple(missing), largest, False)
-
-    # sampled mode: estimate the fraction from pair_cap uniform pairs
-    rng = process.make_rng(sample_seed)
-    enc = graph.num_vertices + 1
-    edge_keys = _edge_keys(graph, ids)
-    got = 0
-    found = 0
+    masks = _induced_masks(graph, ids)
+    present = sum(m.bit_count() for m in masks) // 2
     missing = []
-    while got < pair_cap:
-        a = ids[rng.integers(0, s, size=pair_cap)]
-        b = ids[rng.integers(0, s, size=pair_cap)]
-        ok = a != b
-        a, b = a[ok], b[ok]
-        keys = np.minimum(a, b) * enc + np.maximum(a, b)
-        take = min(keys.size, pair_cap - got)
-        present = np.isin(keys[:take], edge_keys)
-        found += int(present.sum())
-        for u, v, h in zip(a[:take], b[:take], present):
-            if not h and len(missing) < 100:
-                missing.append((int(min(u, v)), int(max(u, v))))
-        got += take
-    return CliqueReport(s, found / pair_cap, tuple(missing), None, True)
+    full = (1 << s) - 1
+    for a in range(s - 1):
+        gaps = (full ^ masks[a]) >> (a + 1)  # bit i set: pair (a, a + 1 + i) absent
+        while gaps and len(missing) < 100:
+            low = gaps & -gaps
+            missing.append((int(ids[a]), int(ids[a + low.bit_length()])))
+            gaps ^= low
+    largest = _clique_mask(masks).bit_count()
+    return CliqueReport(s, present / npairs, tuple(missing), largest)
 
 
-def max_clique_topk(graph: process.GlpGraph, k: int, exact_cap: int = 128) -> tuple[int, ...]:
+def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
     """Largest clique among the ``k`` highest-degree vertices.
 
     Candidates are ranked by degree in ``graph`` (ties toward the smaller
-    id).  Exact branch and bound up to ``exact_cap`` candidates, greedy
+    id).  Exact branch and bound up to ``EXACT_CAP`` candidates, greedy
     beyond.  Returns the clique as a sorted id tuple.
     """
     if k < 1:
@@ -258,7 +226,7 @@ def max_clique_topk(graph: process.GlpGraph, k: int, exact_cap: int = 128) -> tu
     k = min(k, deg.size)
     order = np.lexsort((np.arange(1, deg.size + 1), -deg))
     ids = np.sort(order[:k] + 1).astype(np.int64)
-    mask = _clique_mask(_induced_masks(graph, ids), exact_cap)
+    mask = _clique_mask(_induced_masks(graph, ids))
     return tuple(int(ids[i]) for i in range(k) if mask >> i & 1)
 
 
@@ -310,6 +278,10 @@ class GrowthRow:
 def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[int, int]:
     """Block index window ``[ceil(t**eps_prime), floor(t**alpha)]`` where
     ``alpha = (1 - eps) * (1 - p) / (2 - p)``."""
+    if not (0.0 < eps < 1.0):
+        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    if not (0.0 <= eps_prime < math.inf):
+        raise ParameterError(f"eps_prime must be finite and >= 0, got {eps_prime}")
     alpha = (1.0 - eps) * (1.0 - p) / (2.0 - p)
     j_lo = max(1, math.ceil(t**eps_prime))
     j_hi = math.floor(t**alpha)
@@ -346,7 +318,7 @@ def clique_growth_rows(
                 j_hi=j_hi,
                 leader_count=int(led.vertices.size),
                 pair_fraction=rep.pair_fraction,
-                clique_size=int(rep.largest_clique_size or 0),
+                clique_size=rep.largest_clique_size,
                 topk_clique_size=len(top),
             )
         )

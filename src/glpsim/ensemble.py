@@ -23,7 +23,7 @@ import numpy as np
 
 from . import community, process
 from ._version import __version__
-from .errors import BatchError, ConfigError, ParameterError, ParseError
+from .errors import BatchError, ConfigError, ParseError
 
 __all__ = [
     "SCHEMA",
@@ -44,20 +44,13 @@ SCHEMA = "glp-report/1"
 # experiment registry
 
 
-def _snapshot_times(graph, snapshot_times) -> tuple[int, ...]:
-    times = tuple(int(t) for t in snapshot_times) or (graph.t,)
-    if any(b >= a for a, b in zip(times[1:], times)):
-        raise ParameterError("snapshot times must be strictly increasing")
-    return times
-
-
 def _exp_maxdeg(graph, snapshot_times=()):
-    times = _snapshot_times(graph, snapshot_times)
+    times = tuple(snapshot_times) or (graph.t,)
     return [(t, "max_degree", float(graph.at(t).max_degree())) for t in times]
 
 
 def _exp_triangles(graph, snapshot_times=()):
-    times = _snapshot_times(graph, snapshot_times)
+    times = tuple(snapshot_times) or (graph.t,)
     return [(t, "triangles", float(community.count_triangles(graph.at(t)))) for t in times]
 
 
@@ -66,9 +59,7 @@ def _exp_arrival(graph, vertex=2):
 
 
 def _exp_cliquegrowth(graph, t_values=(), m=10, eps=0.1, eps_prime=0.05, topk=64):
-    ts = tuple(int(t) for t in t_values) or (graph.t // 2,)
-    if graph.t != 2 * max(ts):
-        raise ConfigError("cliquegrowth needs steps == 2 * max(t_values)")
+    ts = tuple(t_values) or (graph.t // 2,)
     rows = community.clique_growth_rows(graph, ts, m, eps, eps_prime, topk)
     out = []
     for r in rows:
@@ -120,6 +111,23 @@ class EnsembleConfig:
             )
         if not (0.0 < self.min_success <= 1.0):
             raise ConfigError(f"min_success must lie in (0, 1], got {self.min_success}")
+        times = tuple(self.params.get("snapshot_times", ()))
+        increasing = all(a < b for a, b in zip(times, times[1:]))
+        if not increasing or not all(0 <= t <= self.steps for t in times):
+            raise ConfigError(
+                f"snapshot times must be strictly increasing and lie in "
+                f"[0, {self.steps}], got {list(times)}"
+            )
+        vertex = self.params.get("vertex", 1)
+        if not (1 <= vertex <= self.steps + 1):
+            raise ConfigError(f"vertex must lie in [1, {self.steps + 1}], got {vertex}")
+        if self.experiment == "cliquegrowth":
+            ts = tuple(self.params.get("t_values", ())) or (self.steps // 2,)
+            if self.steps != 2 * max(ts):
+                raise ConfigError(
+                    f"cliquegrowth needs steps == 2 * max(t_values), "
+                    f"got steps={self.steps} and t_values={list(ts)}"
+                )
 
     def as_dict(self) -> dict:
         d = asdict(self)

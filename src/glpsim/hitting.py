@@ -37,7 +37,6 @@ __all__ = [
     "DominationReport",
     "domination_test",
     "domination_experiment",
-    "lower_tail_curve",
 ]
 
 
@@ -109,7 +108,7 @@ def default_gamma(p: float) -> float:
     """Default tilt exponent: well inside the open interval (0, 1/c_p - 1)."""
     if not (0.0 < p < 1.0):
         raise ParameterError(
-            "gamma default needs p in (0, 1); the guarantee interval is empty at p=0"
+            f"gamma default needs p in (0, 1), got p={p}; pass gamma explicitly"
         )
     return min(0.5, 0.9 * (1.0 / c_p(p) - 1.0))
 
@@ -310,35 +309,3 @@ def domination_experiment(
     dom_rng = process.make_rng(base_seed + replicas)
     dom = sample_dominating(params, dom_rng, size=dominating_samples)
     return domination_test(params, emp, dom, grid)
-
-
-# ----------------------------------------------------------------------
-# lower tail of block degrees
-
-
-def lower_tail_curve(
-    p: float,
-    m: int,
-    j: int,
-    beta: float,
-    t_values,
-    replicas: int,
-    base_seed: int = 0,
-) -> list[tuple[int, float, float]]:
-    """Estimate ``P(block degree at t < t**beta)`` on a grid of times.
-
-    For ``beta`` below the block growth exponent this probability decays as
-    ``t`` grows; each row is ``(t, estimate, standard error)``.
-    """
-    ts = sorted(int(t) for t in t_values)
-    if not ts:
-        raise ParameterError("no time values")
-    block = BlockSpec(j=j, m=m, thresholds=(1,))
-    idx = np.asarray(ts, dtype=np.int64)
-    below = np.zeros(len(ts), dtype=np.int64)
-    for graph in process.replicas(p, ts[-1], base_seed, replicas):
-        curve = block_degree_curve(graph, block)
-        below += curve[idx] < np.power(idx.astype(np.float64), beta)
-    est = below / replicas
-    se = np.sqrt(est * (1.0 - est) / replicas)
-    return [(t, float(e), float(s)) for t, e, s in zip(ts, est, se)]

@@ -122,7 +122,7 @@ class GlpGraph:
     order.
     """
 
-    __slots__ = ("p", "seed", "_ep", "_len", "_deg", "_nv", "_arr")
+    __slots__ = ("p", "seed", "_ep", "_deg", "_arr")
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -133,9 +133,7 @@ class GlpGraph:
         g.p = _check_p(p)
         g.seed = int(seed)
         g._ep = endpoints
-        g._len = endpoints.size
         g._deg = degrees
-        g._nv = degrees.size - 1
         g._arr = arrivals
         return g
 
@@ -171,29 +169,29 @@ class GlpGraph:
     @property
     def t(self) -> int:
         """Number of steps taken so far."""
-        return self._len // 2 - 1
+        return self._ep.size // 2 - 1
 
     @property
     def num_vertices(self) -> int:
-        return self._nv
+        return self._deg.size - 1
 
     @property
     def endpoints(self) -> np.ndarray:
         """Flat endpoint sequence, two slots per edge, read-only view."""
-        view = self._ep[: self._len]
+        view = self._ep[:]
         view.flags.writeable = False
         return view
 
     @property
     def degrees(self) -> np.ndarray:
         """Degrees indexed by vertex: ``degrees[j-1]`` is vertex ``j``, read-only."""
-        view = self._deg[1 : self._nv + 1]
+        view = self._deg[1:]
         view.flags.writeable = False
         return view
 
     @property
     def arrival_times(self) -> np.ndarray:
-        view = self._arr[1 : self._nv + 1]
+        view = self._arr[1:]
         view.flags.writeable = False
         return view
 
@@ -202,19 +200,19 @@ class GlpGraph:
         return self.endpoints.reshape(-1, 2)
 
     def degree(self, v: int) -> int:
-        if not (1 <= v <= self._nv):
+        if not (1 <= v <= self.num_vertices):
             raise UnknownVertexError(v)
         return int(self._deg[v])
 
     def total_degree(self) -> int:
-        return self._len
+        return self._ep.size
 
     def max_degree(self) -> int:
-        return int(self._deg[1 : self._nv + 1].max())
+        return int(self._deg[1:].max())
 
     def arrival_time(self, j: int) -> int:
         """Step at which vertex ``j`` was created; vertex 1 arrives at 0."""
-        if not (1 <= j <= self._nv):
+        if not (1 <= j <= self.num_vertices):
             raise UnknownVertexError(j)
         return int(self._arr[j])
 
@@ -240,7 +238,7 @@ def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
     integer from the stream), so the probability of returning ``v`` is
     exactly ``degree(v) / (2*(t+1))``.
     """
-    return int(graph._ep[rng.integers(0, graph._len)])
+    return int(graph._ep[rng.integers(0, graph._ep.size)])
 
 
 # Slot blocks of the resolver: the first block ends at ``_FIRST_BLOCK``;

@@ -73,10 +73,12 @@ def test_stats_unparsable_edge_list(tmp_path, capsys, body):
     assert "error:" in err
 
 
+# Flags after these override them.
 _REQUIRED = {
     "hitting": ["--p", "0.5", "--j", "260", "--m", "4", "--k", "6"],
     "ensemble": ["--experiment", "maxdeg", "--p-grid", "0.5", "--steps", "100",
                  "--replicas", "2"],
+    "clique": ["--p", "0.5", "--steps", "1000"],
 }
 
 
@@ -91,16 +93,33 @@ _REQUIRED = {
         (["ensemble", "--snapshots", "inf"], ""),
         (["ensemble"], "snapshots = 10,nan\n"),
         (["ensemble", "--base-seed", "-5"], ""),
+        (["ensemble", "--snapshots", "500"], ""),
+        (["ensemble", "--snapshots", "-5"], ""),
+        (["ensemble", "--snapshots", "50,10"], ""),
+        (["ensemble", "--experiment", "arrival", "--vertex", "0"], ""),
+        (["ensemble", "--experiment", "arrival", "--vertex", "500"], ""),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000",
+          "--t-values", "100"], ""),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "10001"], ""),
+        (["clique", "--eps", "nan"], ""),
+        (["clique", "--eps-prime", "nan"], ""),
+        (["clique", "--eps-prime", "inf"], ""),
+        (["hitting", "--p", "1", "--grid", "64"], ""),
     ],
     ids=["grid-inf", "grid-inf-config", "grid-fraction", "replicas-negative",
          "dom-samples-negative", "snapshots-inf", "snapshots-nan-config",
-         "base-seed-negative"],
+         "base-seed-negative", "snapshots-beyond-steps", "snapshots-negative",
+         "snapshots-decreasing", "vertex-zero", "vertex-beyond-steps",
+         "t-values-mismatch", "t-values-default-odd", "eps-nan", "eps-prime-nan",
+         "eps-prime-inf", "gamma-default-p1"],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     extra = ["--out-dir", str(tmp_path / "ens")] if argv[0] == "ensemble" else []
-    code, _, err = run_cli(capsys, *argv, *_REQUIRED[argv[0]], *extra, "--config", str(cfg))
+    code, _, err = run_cli(
+        capsys, argv[0], *_REQUIRED[argv[0]], *argv[1:], *extra, "--config", str(cfg)
+    )
     assert code == 2
     assert "error" in err
 
@@ -385,11 +404,14 @@ def test_console_script_runs(tmp_path):
 # benchmark tracing contract
 
 
-def test_traced_functions_exist(monkeypatch):
-    """`perfbench/spans.py` wraps these by name; a rename breaks `--trace 1`."""
+def test_traced_functions_exist(monkeypatch, tmp_path):
+    """`perfbench/spans.py` wraps these by name; a rename breaks `--trace 1`.
+    The benchmark's own fixture checks must also hold."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     spans = importlib.import_module("perfbench.spans")
     for module, name in [*spans.WRAPPED, ("cli", "main")]:
         assert callable(getattr(importlib.import_module(f"glpsim.{module}"), name, None)), (
             f"glpsim.{module}.{name}"
         )
+    workloads = importlib.import_module("perfbench.workloads")
+    assert workloads.fixture_problems(1, str(tmp_path)) == []

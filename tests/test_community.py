@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
+from glpsim import community
 from glpsim.errors import ParameterError
 
 
@@ -98,6 +99,10 @@ def test_leader_block_range():
     assert g.leader_block_range(10**6, 0.5, 0.1, 0.05) == (2, 63)
     with pytest.raises(ParameterError):
         g.leader_block_range(10, 0.9, 0.1, 0.5)  # empty range
+    for eps, eps_prime in ((np.nan, 0.05), (0.0, 0.05), (1.0, 0.05), (0.1, np.nan),
+                           (0.1, np.inf), (0.1, -1.0)):
+        with pytest.raises(ParameterError):
+            g.leader_block_range(10**4, 0.5, eps, eps_prime)
 
 
 def test_leader_degree_floor():
@@ -126,7 +131,6 @@ def test_is_clique_triangle():
     assert rep.pair_fraction == 1.0
     assert rep.missing_pairs == ()
     assert rep.largest_clique_size == 3
-    assert not rep.sampled
 
 
 def test_is_clique_missing_pair():
@@ -151,16 +155,17 @@ def test_is_clique_ignores_loops_and_multiplicity():
     assert rep.pair_fraction == 1.0
 
 
-def test_is_clique_sampled_mode_flag():
+def test_is_clique_counts_every_pair_of_a_large_set():
+    """160 candidates (12,720 pairs) are counted exactly, pair by pair."""
     gr = g.run(g.ProcessParams(p=0.5, steps=3000, seed=4)).graph
-    vs = list(range(1, 141))  # 9730 pairs: under the default cap, over a tiny one
-    rep = g.is_clique(gr, vs, pair_cap=100, sample_seed=1)
-    assert rep.sampled
-    assert 0.0 <= rep.pair_fraction <= 1.0
-    assert rep.largest_clique_size is None
-    full = g.is_clique(gr, vs)  # default cap covers it exactly
-    assert not full.sampled
-    assert abs(rep.pair_fraction - full.pair_fraction) < 0.15
+    vs = list(range(1, 161))
+    rep = g.is_clique(gr, vs)
+    masks = induced_adjacency(gr, vs)
+    absent = [(vs[a], vs[b]) for a in range(160) for b in range(a + 1, 160)
+              if not masks[a] >> b & 1]
+    assert rep.pair_fraction == (12_720 - len(absent)) / 12_720
+    assert rep.missing_pairs == tuple(absent[:100])
+    assert rep.largest_clique_size >= 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,6 +209,35 @@ def test_max_clique_result_is_a_verified_clique():
     assert g.is_clique(gr, got).pair_fraction == 1.0
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([0.1, 0.3, 0.5, 0.8]),
+    steps=st.integers(min_value=20, max_value=3000),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_clique_sizes_match_networkx(p, steps, seed):
+    nx = pytest.importorskip("networkx")
+    gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
+    full = nx.Graph()
+    full.add_nodes_from(range(1, gr.num_vertices + 1))
+    full.add_edges_from(g.simple_edges(gr).tolist())
+
+    def nx_clique_size(ids):
+        return max(len(c) for c in nx.find_cliques(full.subgraph(ids)))
+
+    vs = list(range(1, min(40, gr.num_vertices) + 1))
+    rep = g.is_clique(gr, vs)
+    assert rep.largest_clique_size == nx_clique_size(vs)
+    if len(vs) > 1:
+        assert rep.pair_fraction == pytest.approx(nx.density(full.subgraph(vs)))
+    k = min(30, gr.num_vertices)
+    top = g.max_clique_topk(gr, k)
+    deg = gr.degrees
+    order = np.lexsort((np.arange(1, deg.size + 1), -deg))[:k]
+    assert len(top) == nx_clique_size([int(v) + 1 for v in order])
+    assert full.subgraph(top).number_of_edges() == len(top) * (len(top) - 1) // 2
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_max_clique_matches_subset_dp(seed):
     """Branch-and-bound equals the exhaustive DP on the same candidates."""
@@ -217,10 +251,11 @@ def test_max_clique_matches_subset_dp(seed):
     assert len(got) == dp_max_clique(len(ids), masks)
 
 
-def test_max_clique_greedy_above_cap():
+def test_max_clique_greedy_above_cap(monkeypatch):
     gr = g.run(g.ProcessParams(p=0.5, steps=5000, seed=6)).graph
     exact = g.max_clique_topk(gr, 24)
-    greedy = g.max_clique_topk(gr, 24, exact_cap=4)
+    monkeypatch.setattr(community, "EXACT_CAP", 4)
+    greedy = g.max_clique_topk(gr, 24)
     assert g.is_clique(gr, greedy).pair_fraction == 1.0
     assert len(greedy) <= len(exact)
 
@@ -296,3 +331,12 @@ def test_growth_experiment_rows():
     for r in rows:
         by_seed.setdefault(r.seed, []).append(r.t)
     assert all(sorted(ts) == [1000, 2000] for ts in by_seed.values())
+
+
+def test_growth_rows_exact_above_141_leaders():
+    """p=0.05 at t=10^5 selects about 150 leaders, more than 10,000 pairs."""
+    gr = g.run(g.ProcessParams(p=0.05, steps=2 * 10**5, seed=1)).graph
+    (row,) = g.clique_growth_rows(gr, [10**5], m=10, eps=0.1, eps_prime=0.05, topk=16)
+    assert row.leader_count > 141
+    assert 1 <= row.clique_size <= row.leader_count
+    assert 0.0 < row.pair_fraction < 1.0

@@ -171,12 +171,11 @@ def test_all_failures_raise_batch_error():
         g.run_ensemble(cfg)
     # a repeated snapshot time would count every replica twice
     for experiment in ("maxdeg", "triangles"):
-        cfg = g.EnsembleConfig(
-            experiment=experiment, p_grid=(0.5,), steps=20, replicas=2,
-            params={"snapshot_times": (10, 10)},
-        )
-        with pytest.raises(BatchError, match="strictly increasing"):
-            g.run_ensemble(cfg)
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            g.EnsembleConfig(
+                experiment=experiment, p_grid=(0.5,), steps=20, replicas=2,
+                params={"snapshot_times": (10, 10)},
+            )
 
 
 def test_version_and_schema_fields():
@@ -194,9 +193,8 @@ def test_cliquegrowth_experiment_steps_contract():
     rep = g.run_ensemble(cfg)
     metrics = {r.metric for r in rep.rows}
     assert metrics == {"pair_fraction", "clique_size", "topk_clique_size"}
-    bad = g.EnsembleConfig(
-        experiment="cliquegrowth", p_grid=(0.5,), steps=999, replicas=1,
-        params={"t_values": (200, 500), "m": 5, "topk": 8},
-    )
-    with pytest.raises(BatchError):  # every replica rejects the step mismatch
-        g.run_ensemble(bad)
+    with pytest.raises(ConfigError, match="steps == 2"):
+        g.EnsembleConfig(
+            experiment="cliquegrowth", p_grid=(0.5,), steps=999, replicas=1,
+            params={"t_values": (200, 500), "m": 5, "topk": 8},
+        )
