@@ -442,6 +442,9 @@ def main(argv=None) -> int:
     except (GlpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try fewer steps or replicas", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

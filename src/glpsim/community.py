@@ -34,8 +34,6 @@ __all__ = [
     "clique_growth_experiment",
 ]
 
-EXACT_CAP = 128
-
 
 def _edge_keys(graph: process.GlpGraph, ids: np.ndarray | None = None) -> np.ndarray:
     """Sorted distinct keys ``u*(V+1) + v`` (``u < v``) of the simple
@@ -173,21 +171,12 @@ def _max_clique_mask(masks: list[int]) -> int:
     return best_mask
 
 
-def _clique_mask(masks: list[int]) -> int:
-    """Largest clique found: exact up to ``EXACT_CAP`` vertices, greedy in
-    degree order above."""
-    if len(masks) <= EXACT_CAP:
-        return _max_clique_mask(masks)
-    order = sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())
-    return _greedy_clique_mask(masks, order)
-
-
 def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
     """How close a vertex set is to a clique in the simple projection.
 
-    Every candidate pair is counted.  The report carries the largest
-    complete subset found (exact up to ``EXACT_CAP`` candidates, greedy
-    above) and the first 100 missing pairs in lexicographic order.
+    Every candidate pair is counted.  The report carries the size of the
+    largest complete subset (exact, by branch and bound) and the first 100
+    missing pairs in lexicographic order.
     """
     ids = np.unique(np.asarray(vertices, dtype=np.int64))
     if ids.size < 1:
@@ -209,7 +198,7 @@ def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
             low = gaps & -gaps
             missing.append((int(ids[a]), int(ids[a + low.bit_length()])))
             gaps ^= low
-    largest = _clique_mask(masks).bit_count()
+    largest = _max_clique_mask(masks).bit_count()
     return CliqueReport(s, present / npairs, tuple(missing), largest)
 
 
@@ -217,8 +206,8 @@ def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
     """Largest clique among the ``k`` highest-degree vertices.
 
     Candidates are ranked by degree in ``graph`` (ties toward the smaller
-    id).  Exact branch and bound up to ``EXACT_CAP`` candidates, greedy
-    beyond.  Returns the clique as a sorted id tuple.
+    id).  Exact branch and bound at any ``k``.  Returns the clique as a
+    sorted id tuple.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -226,7 +215,7 @@ def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
     k = min(k, deg.size)
     order = np.lexsort((np.arange(1, deg.size + 1), -deg))
     ids = np.sort(order[:k] + 1).astype(np.int64)
-    mask = _clique_mask(_induced_masks(graph, ids))
+    mask = _max_clique_mask(_induced_masks(graph, ids))
     return tuple(int(ids[i]) for i in range(k) if mask >> i & 1)
 
 

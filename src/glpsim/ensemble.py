@@ -23,7 +23,7 @@ import numpy as np
 
 from . import community, process
 from ._version import __version__
-from .errors import BatchError, ConfigError, ParseError
+from .errors import BatchError, ConfigError, ParameterError, ParseError
 
 __all__ = [
     "SCHEMA",
@@ -123,11 +123,22 @@ class EnsembleConfig:
             raise ConfigError(f"vertex must lie in [1, {self.steps + 1}], got {vertex}")
         if self.experiment == "cliquegrowth":
             ts = tuple(self.params.get("t_values", ())) or (self.steps // 2,)
-            if self.steps != 2 * max(ts):
+            if self.steps != 2 * max(ts) or min(ts) < 1:
                 raise ConfigError(
-                    f"cliquegrowth needs steps == 2 * max(t_values), "
+                    f"cliquegrowth needs t_values >= 1 and steps == 2 * max(t_values), "
                     f"got steps={self.steps} and t_values={list(ts)}"
                 )
+            for name in ("m", "topk"):
+                if self.params.get(name, 1) < 1:
+                    raise ConfigError(f"{name} must be >= 1, got {self.params[name]}")
+            eps = self.params.get("eps", 0.1)
+            eps_prime = self.params.get("eps_prime", 0.05)
+            try:
+                for p in self.p_grid:
+                    for t in ts:
+                        community.leader_block_range(t, p, eps, eps_prime)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -281,11 +292,16 @@ def read_report(path) -> EnsembleReport:
             raise ParseError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
             ) from exc
+        except (ValueError, RecursionError) as exc:  # undecodable bytes, deep nesting
+            raise ParseError(f"{path}: unreadable JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("schema", "version", "experiment", "config", "rows", "failures", "aggregates"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
+    for key in ("rows", "failures", "aggregates"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{path}: field {key!r} is not a list")
     if doc["schema"] != SCHEMA:
         raise ParseError(f"{path}: schema {doc['schema']!r}, expected {SCHEMA!r}")
     try:

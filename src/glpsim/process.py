@@ -21,7 +21,9 @@ so identical ``(p, steps, seed)`` reproduce identical endpoint sequences.
 
 from __future__ import annotations
 
+import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,21 +366,77 @@ _HEADER = "# glp v1 p={p} steps={steps} seed={seed}"
 _MAX_ID = 2**31 - 1
 
 
+# Edges per formatted write: bounds the temporary string at any ``t``.
+_WRITE_CHUNK = 2**16
+
+
 def export_edges(graph: GlpGraph, sink) -> None:
-    """Write the edge list in creation order: a header line then ``u v`` lines."""
+    """Write the edge list in creation order: a header line then ``u v`` lines.
+
+    The body is formatted a chunk of edges at a time, byte-identical to
+    ``np.savetxt(fh, graph.edges(), fmt="%d")``.
+    """
     own = isinstance(sink, (str, bytes, os.PathLike))
     fh = open(sink, "w") if own else sink
     try:
         fh.write(_HEADER.format(p=repr(graph.p), steps=graph.t, seed=graph.seed) + "\n")
-        pairs = graph.endpoints.reshape(-1, 2)
-        np.savetxt(fh, pairs, fmt="%d")
+        flat = graph.endpoints
+        for a in range(0, flat.size, 2 * _WRITE_CHUNK):
+            chunk = flat[a : a + 2 * _WRITE_CHUNK].tolist()
+            fh.write(("%d %d\n" * (len(chunk) // 2)) % tuple(chunk))
     finally:
         if own:
             fh.close()
 
 
+def _load_pairs(body: str, steps: int) -> np.ndarray | None:
+    """Parse the edge-list body in one ``np.loadtxt`` call.
+
+    Returns the flat endpoints, or ``None`` when the body is not exactly
+    ``steps + 1`` lines of two ids in ``[1, _MAX_ID]``.  Whatever this
+    accepts, :func:`_scan_pairs` accepts with the same values.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body
+            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if pairs.shape != (steps + 1, 2) or pairs.min() < 1 or pairs.max() > _MAX_ID:
+        return None
+    return pairs.ravel().astype(np.int32)
+
+
+def _scan_pairs(body: str, steps: int) -> np.ndarray:
+    """Parse the edge-list body line by line, raising a ``ParseError`` that
+    names the first bad line; blank lines are skipped."""
+    flat = []
+    for lineno, line in enumerate(io.StringIO(body), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
+        if not (0 < u <= _MAX_ID and 0 < v <= _MAX_ID):
+            raise ParseError(f"line {lineno}: vertex id outside [1, {_MAX_ID}] in {line!r}")
+        flat.append(u)
+        flat.append(v)
+    if len(flat) != 2 * (steps + 1):
+        raise ParseError(f"edge count {len(flat) // 2} does not match header steps={steps}")
+    return np.array(flat, dtype=np.int32)
+
+
 def read_edges(source) -> GlpGraph:
-    """Parse a file produced by :func:`export_edges` back into a graph."""
+    """Parse a file produced by :func:`export_edges` back into a graph.
+
+    The body is parsed in bulk; only a body that the bulk parse rejects is
+    scanned line by line, to word the error.
+    """
     own = isinstance(source, (str, bytes, os.PathLike))
     fh = open(source, "r") if own else source
     try:
@@ -394,33 +452,16 @@ def read_edges(source) -> GlpGraph:
             seed = int(fields["seed"])
         except (KeyError, ValueError) as exc:
             raise ParseError(f"line 1: bad header field ({exc})") from exc
-        flat = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
-            if not (0 < u <= _MAX_ID and 0 < v <= _MAX_ID):
-                raise ParseError(f"line {lineno}: vertex id outside [1, {_MAX_ID}] in {line!r}")
-            flat.append(u)
-            flat.append(v)
-        if len(flat) != 2 * (steps + 1):
-            raise ParseError(
-                f"edge count {len(flat) // 2} does not match header steps={steps}"
-            )
-        try:
-            graph = GlpGraph.from_endpoints(np.array(flat, dtype=np.int32), p=p, seed=seed)
-        except ParameterError as exc:
-            raise ParseError(str(exc)) from exc
-        return graph
+        body = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not {exc.encoding} text ({exc.reason})") from exc
     finally:
         if own:
             fh.close()
+    flat = _load_pairs(body, steps)
+    if flat is None:
+        flat = _scan_pairs(body, steps)
+    try:
+        return GlpGraph.from_endpoints(flat, p=p, seed=seed)
+    except ParameterError as exc:
+        raise ParseError(str(exc)) from exc

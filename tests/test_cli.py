@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import glpsim as g
-from glpsim import cli
+from glpsim import cli, process
+from glpsim.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +76,18 @@ def test_stats_unparsable_edge_list(tmp_path, capsys, body):
     assert "error:" in err
 
 
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr(process, "run", exhausted)
+    code, _, err = run_cli(
+        capsys, "generate", "--p", "0.5", "--steps", "10", "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert err.startswith("error: out of memory")
+
+
 # Flags after these override them.
 _REQUIRED = {
     "hitting": ["--p", "0.5", "--j", "260", "--m", "4", "--k", "6"],
@@ -105,13 +120,24 @@ _REQUIRED = {
         (["clique", "--eps-prime", "nan"], ""),
         (["clique", "--eps-prime", "inf"], ""),
         (["hitting", "--p", "1", "--grid", "64"], ""),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000", "--eps", "nan"], ""),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000",
+          "--eps-prime", "inf"], ""),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000", "--topk", "0"], ""),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000"], "m = 0\n"),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000",
+          "--p-grid", "0.5,1"], ""),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000"],
+         "t-values = -5,500\n"),
     ],
     ids=["grid-inf", "grid-inf-config", "grid-fraction", "replicas-negative",
          "dom-samples-negative", "snapshots-inf", "snapshots-nan-config",
          "base-seed-negative", "snapshots-beyond-steps", "snapshots-negative",
          "snapshots-decreasing", "vertex-zero", "vertex-beyond-steps",
          "t-values-mismatch", "t-values-default-odd", "eps-nan", "eps-prime-nan",
-         "eps-prime-inf", "gamma-default-p1"],
+         "eps-prime-inf", "gamma-default-p1", "cliquegrowth-eps-nan",
+         "cliquegrowth-eps-prime-inf", "cliquegrowth-topk-zero", "cliquegrowth-m-zero-config",
+         "cliquegrowth-no-leader-window", "cliquegrowth-t-negative"],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
@@ -182,6 +208,27 @@ def test_config_file_malformed(tmp_path, capsys):
     )
     assert code == 2
     assert f"{cfg}:2: not UTF-8 text" in err
+
+
+_CONFIG_LINES = st.one_of(
+    st.sampled_from([b"p = 0.5", b"steps=10", b"# note", b"", b"=", b"key", b"a = b = c",
+                     b"x = 1 # c", b"\xff", b"\xef\xbb\xbfp = 1", b"\r", b"\x00=\x00"]),
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CONFIG_LINES, max_size=6), end=st.sampled_from([b"", b"\n"]))
+def test_read_config_file_fuzz(tmp_path, lines, end):
+    """Any bytes give a flat str -> str mapping or a ``ConfigError``."""
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_bytes(b"\n".join(lines) + end)
+    try:
+        got = cli.read_config_file(str(cfg))
+    except ConfigError:
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in got.items())
 
 
 # ----------------------------------------------------------------------

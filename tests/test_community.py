@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
-from glpsim import community
 from glpsim.errors import ParameterError
 
 
@@ -251,13 +250,19 @@ def test_max_clique_matches_subset_dp(seed):
     assert len(got) == dp_max_clique(len(ids), masks)
 
 
-def test_max_clique_greedy_above_cap(monkeypatch):
-    gr = g.run(g.ProcessParams(p=0.5, steps=5000, seed=6)).graph
-    exact = g.max_clique_topk(gr, 24)
-    monkeypatch.setattr(community, "EXACT_CAP", 4)
-    greedy = g.max_clique_topk(gr, 24)
-    assert g.is_clique(gr, greedy).pair_fraction == 1.0
-    assert len(greedy) <= len(exact)
+def test_max_clique_exact_above_128_candidates():
+    """Branch and bound stays exact on candidate sets beyond 128 vertices."""
+    nx = pytest.importorskip("networkx")
+    gr = g.run(g.ProcessParams(p=0.2, steps=20_000, seed=6)).graph
+    k = 200
+    got = g.max_clique_topk(gr, k)
+    deg = gr.degrees
+    ids = [int(v) + 1 for v in np.lexsort((np.arange(1, deg.size + 1), -deg))[:k]]
+    full = nx.Graph(g.simple_edges(gr).tolist())
+    top = full.subgraph(ids)
+    assert len(got) == max(len(c) for c in nx.find_cliques(top))
+    assert top.subgraph(got).number_of_edges() == len(got) * (len(got) - 1) // 2
+    assert g.is_clique(gr, ids).largest_clique_size == len(got)
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +295,21 @@ def test_triangles_ignore_loops_and_parallels():
     noisy = [1, 1, 1, 2, 2, 3, 1, 3, 1, 3, 2, 2, 3, 3, 2, 1]
     gr_noisy = g.GlpGraph.from_endpoints(np.array(noisy), p=0.5, seed=0)
     assert g.count_triangles(gr_noisy) == g.count_triangles(gr_simple) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]),
+    steps=st.integers(min_value=0, max_value=3000),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_triangles_match_networkx(p, steps, seed):
+    nx = pytest.importorskip("networkx")
+    gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
+    full = nx.Graph()
+    full.add_nodes_from(range(1, gr.num_vertices + 1))
+    full.add_edges_from(g.simple_edges(gr).tolist())
+    assert g.count_triangles(gr) == sum(nx.triangles(full).values()) // 3
 
 
 def test_triangles_prefix_time():

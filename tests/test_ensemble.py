@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import glpsim as g
 from glpsim.errors import BatchError, ConfigError, ParseError
@@ -133,6 +135,51 @@ def test_read_report_diagnostics(tmp_path):
         scalar.write_text(text)
         with pytest.raises(ParseError, match="expected a JSON object"):
             g.read_report(scalar)
+
+
+@pytest.fixture(scope="module")
+def report_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    g.write_report(g.run_ensemble(maxdeg_config(replicas=2)), path)
+    return path.read_text()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_read_report_fuzz(tmp_path, report_text, data):
+    """Malformed reports raise ``ParseError`` and nothing else."""
+    text = report_text
+    kind = data.draw(st.sampled_from(["truncate", "bytes", "field", "row"]))
+    if kind == "truncate":
+        raw = text[: data.draw(st.integers(0, len(text)))].encode()
+    elif kind == "bytes":
+        pos = data.draw(st.integers(0, len(text)))
+        noise = data.draw(st.binary(min_size=1, max_size=4))
+        raw = text[:pos].encode() + noise + text[pos:].encode()
+    else:
+        doc = json.loads(text)
+        target = doc if kind == "field" else doc["rows"][0]
+        key = data.draw(st.sampled_from(sorted(target)))
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(_JSON_VALUES)
+        raw = json.dumps(doc).encode()
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(raw)
+    try:
+        g.read_report(path)
+    except ParseError:
+        pass
 
 
 def test_failure_isolation_and_gate():

@@ -1,11 +1,13 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
+from glpsim import process
 from glpsim.errors import CapacityError, ParameterError, ParseError, UnknownVertexError
 
 
@@ -263,6 +265,9 @@ def test_export_read_round_trip(tmp_path):
     assert lines[1] == "1 1"
     back = g.read_edges(path)
     assert back.p == gr.p and back.seed == gr.seed and back.t == gr.t
+    # a well-formed body never needs the line scan
+    body = path.read_text().split("\n", 1)[1]
+    assert np.array_equal(process._load_pairs(body, gr.t), gr.endpoints)
     assert np.array_equal(back.endpoints, gr.endpoints)
     assert np.array_equal(back.degrees, gr.degrees)
     assert np.array_equal(back.arrival_times, gr.arrival_times)
@@ -318,3 +323,97 @@ def test_from_endpoints_rebuilds_run_output(p, steps, seed):
     back = g.GlpGraph.from_endpoints(gr.endpoints, p=p, seed=seed)
     assert np.array_equal(back.degrees, gr.degrees)
     assert np.array_equal(back.arrival_times, gr.arrival_times)
+
+
+# Edge counts either side of the export chunk (``2**16`` edges) and of two.
+_CHUNK_EDGE_STEPS = (2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    steps=st.one_of(st.sampled_from((0,) + _CHUNK_EDGE_STEPS), st.integers(0, 3000)),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(p=0.0, steps=0, seed=0)
+@example(p=1.0, steps=0, seed=0)
+@example(p=0.0, steps=2**16 - 1, seed=1)
+@example(p=1.0, steps=2**16, seed=2)
+@example(p=0.5, steps=2**17 - 1, seed=3)
+def test_export_matches_savetxt(p, steps, seed):
+    gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
+    got = io.StringIO()
+    g.export_edges(gr, got)
+    header, _ = got.getvalue().split("\n", 1)
+    ref = io.StringIO()
+    ref.write(header + "\n")
+    np.savetxt(ref, gr.edges(), fmt="%d")
+    assert got.getvalue() == ref.getvalue()
+
+
+def _read_outcome(text):
+    """What ``read_edges`` makes of ``text``: a graph's fields or the
+    ``ParseError`` message.  Any other exception propagates."""
+    try:
+        gr = g.read_edges(io.StringIO(text))
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("graph", gr.p, gr.seed, gr.endpoints.tolist())
+
+
+_TOKENS = ("#", "", "+", "+1", "1.0", "-1", "0", str(2**31), "1_0", "\uff11",
+           "\t", "\r", "\r\n", "\x00", "1 2 3")
+
+_RESPELL = (
+    lambda line: "+" + line,
+    lambda line: "0" + line,
+    lambda line: line.replace(" ", "\t"),
+    lambda line: " " + line.replace(" ", "\x0c ") + " ",
+    lambda line: line + "\r",
+    lambda line: line.translate({ord("0") + d: 0xFF10 + d for d in range(10)}),  # full width
+)
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    p = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    steps = draw(st.integers(0, 40))
+    buf = io.StringIO()
+    g.export_edges(g.run(g.ProcessParams(p=p, steps=steps, seed=steps)).graph, buf)
+    text = buf.getvalue()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["truncate", "token", "no-newline", "column", "replace", "respell"]
+        ))
+        if kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif kind == "token":
+            pos = draw(st.integers(0, len(text)))
+            sep = draw(st.sampled_from(["", " ", "\n"]))
+            text = text[:pos] + sep + draw(st.sampled_from(_TOKENS)) + sep + text[pos:]
+        elif kind == "no-newline":
+            text = text.rstrip("\n")
+        else:
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            if kind == "column":
+                lines[i] += " " + draw(st.sampled_from(["1", "2", "7"]))
+            elif kind == "replace":  # one id becomes a token, the column count kept
+                parts = lines[i].split(" ")
+                parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_TOKENS))
+                lines[i] = " ".join(parts)
+            else:  # the same edge, spelled in a way the line scan accepts
+                lines[i] = draw(st.sampled_from(_RESPELL))(lines[i])
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_edge_lists())
+def test_read_edges_bulk_parse_agrees_with_line_scan(text):
+    """Every input reads as the line scan alone reads it: the same graph or
+    the same ``ParseError``, and nothing else."""
+    got = _read_outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(process, "_load_pairs", lambda body, steps: None)
+        assert got == _read_outcome(text)
