@@ -1,22 +1,23 @@
 """Command line front end.
 
-Subcommands: generate, stats, hitting, clique, ensemble.  Every option can
-also come from a flat ``key=value`` config file (``--config``); explicit
-flags win over the file, the file wins over defaults.  All outputs echo the
-effective configuration and are byte-identical across reruns with the same
-arguments.  Exit codes: 0 success, 1 a statistical gate failed, 2 bad usage
-or configuration.
+Subcommands: generate, stats, hitting, clique, ensemble.  Each option is
+declared once, in ``_COMMANDS``, with its type in ``_TYPES``.  Every option
+can also come from a flat ``key=value`` config file (``--config``); explicit
+flags win over the file, the file wins over defaults.  An option that the
+run does not read (see ``_UNREAD``) is rejected, as a flag or as a config
+key.  All outputs echo the effective configuration and are byte-identical
+across reruns with the same arguments.  Exit codes: 0 success, 1 a
+statistical gate failed, 2 bad usage or configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import analytics, community, ensemble, hitting, process
 from .errors import BatchError, ConfigError, FitError, GlpError, StatisticsError
@@ -63,33 +64,101 @@ def read_config_file(path: str) -> dict[str, str]:
     return cfg
 
 
-class _Resolver:
-    """Merge explicit flags, config file entries and defaults."""
+# ----------------------------------------------------------------------
+# option tables
 
-    def __init__(self, args: argparse.Namespace, cfg: dict[str, str], known: set[str]):
-        self.args = args
-        self.cfg = cfg
-        unknown = set(cfg) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self.effective: dict = {}
+# The type of every option: argparse's ``type=`` for its flag and the cast
+# for its config-file value.
+_TYPES = {
+    "p": float, "steps": int, "seed": int, "out": str, "infile": str, "xmin": int,
+    "c1": float, "csv": str, "j": int, "m": int, "k": int, "grid": _int_list,
+    "replicas": int, "dom_samples": int, "gamma": float, "experiment": str,
+    "p_grid": _float_list, "base_seed": int, "threads": int, "min_success": float,
+    "out_dir": str, "snapshots": _int_list, "vertex": int, "t_values": _int_list,
+    "eps": float, "eps_prime": float, "topk": int,
+}
 
-    def get(self, name: str, cast, default=None, required: bool = False):
-        flag = getattr(self.args, name)
-        if flag is not None:
-            value = flag
-        elif name in self.cfg:
-            raw = self.cfg[name]
+_REQUIRED = object()  # default marker of an option that must be given
+_CLIQUE = community.CLIQUE_DEFAULTS  # m, eps, eps_prime, topk
+
+# Each subcommand's help text and options, with their defaults.
+_COMMANDS = {
+    "generate": ("run the process and write an edge list", {
+        "p": _REQUIRED, "steps": _REQUIRED, "seed": 0, "out": _REQUIRED,
+    }),
+    "stats": ("degree statistics, tail fit, bound check", {
+        "p": _REQUIRED, "steps": _REQUIRED, "seed": 0, "infile": None, "xmin": 10,
+        "c1": None, "out": None, "csv": None,
+    }),
+    "hitting": ("block hitting times against the dominating law", {
+        "p": _REQUIRED, "j": _REQUIRED, "m": _REQUIRED, "k": _REQUIRED, "grid": _REQUIRED,
+        "replicas": 1000, "dom_samples": 10000, "gamma": None, "steps": None, "seed": 0,
+        "out": None, "csv": None,
+    }),
+    "clique": ("leader clique density at time t, adjacency at 2t", {
+        "p": _REQUIRED, "steps": _REQUIRED, "seed": 0, **_CLIQUE, "out": None,
+    }),
+    "ensemble": ("replica sweeps over a p grid", {
+        "experiment": _REQUIRED, "p_grid": _REQUIRED, "steps": _REQUIRED,
+        "replicas": _REQUIRED, "base_seed": 0, "threads": None, "min_success": 1.0,
+        "out_dir": _REQUIRED, "snapshots": None, "vertex": ensemble.ARRIVAL_VERTEX,
+        "t_values": None, **_CLIQUE,
+    }),
+}
+
+_HELP = {
+    ("stats", "infile"): "edge list to analyze instead of generating",
+    ("stats", "c1"): "envelope constant; any violation exits 1",
+    ("clique", "steps"): "reference time t; the run itself has 2t steps",
+    ("ensemble", "threads"): "worker processes; falls back to GLP_THREADS",
+}
+
+# Options that a setting does not read, keyed by (command, setting): for
+# ``stats`` whether ``--in`` is given (its header sets p, steps and seed),
+# for ``ensemble`` the experiment.
+_UNREAD = {
+    ("stats", True): ("p", "steps", "seed"),
+    ("ensemble", "maxdeg"): ("vertex", "t_values", *_CLIQUE),
+    ("ensemble", "triangles"): ("vertex", "t_values", *_CLIQUE),
+    ("ensemble", "arrival"): ("snapshots", "t_values", *_CLIQUE),
+    ("ensemble", "cliquegrowth"): ("snapshots", "vertex"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--in" if name == "infile" else "--" + name.replace("_", "-")
+
+
+def _resolve(args: argparse.Namespace, cfg: dict[str, str]) -> dict:
+    """The options this run reads, flag over config file over default; raises
+    ``ConfigError`` on an unknown config key, an unread option or a missing one."""
+    command = args.command
+    options = _COMMANDS[command][1]
+    unknown = set(cfg) - set(options)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
+    for name, default in options.items():
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+        elif name in cfg:
             try:
-                value = cast(raw)
+                values[name] = _TYPES[name](cfg[name])
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {name}={raw!r}: {exc}") from exc
+                raise ConfigError(f"config key {name}={cfg[name]!r}: {exc}") from exc
         else:
-            value = default
-        if value is None and required:
-            raise ConfigError(f"missing required option --{name.replace('_', '-')}")
-        self.effective[name] = value if not isinstance(value, tuple) else list(value)
-        return value
+            values[name] = default
+    setting = values["infile"] is not None if command == "stats" else values.get("experiment")
+    unread = _UNREAD.get((command, setting), ())
+    given = [_flag(n) for n in unread if getattr(args, n) is not None or n in cfg]
+    if given:
+        how = "--in" if command == "stats" else f"--experiment {setting}"
+        raise ConfigError(f"glp {command} {how} does not read {', '.join(given)}")
+    values = {name: v for name, v in values.items() if name not in unread}
+    missing = [name for name, v in values.items() if v is _REQUIRED]
+    if missing:
+        raise ConfigError(f"missing required option {_flag(missing[0])}")
+    return values
 
 
 def _dump_json(doc: dict, path: str | None) -> None:
@@ -102,44 +171,35 @@ def _dump_json(doc: dict, path: str | None) -> None:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; each takes the resolved options and echoes them
 
 
-def _cmd_generate(res: _Resolver) -> int:
-    p = res.get("p", float, required=True)
-    steps = res.get("steps", int, required=True)
-    seed = res.get("seed", int, 0)
-    out = res.get("out", str, required=True)
-    result = process.run(process.ProcessParams(p=p, steps=steps, seed=seed))
-    process.export_edges(result.graph, out)
+def _cmd_generate(opts: dict) -> int:
+    params = process.ProcessParams(p=opts["p"], steps=opts["steps"], seed=opts["seed"])
+    result = process.run(params)
+    process.export_edges(result.graph, opts["out"])
     _dump_json(
         {
             "command": "generate",
-            "config": res.effective,
+            "config": opts,
             "t": result.graph.t,
             "vertices": result.graph.num_vertices,
             "max_degree": result.graph.max_degree(),
-            "out": out,
+            "out": opts["out"],
         },
         None,
     )
     return 0
 
 
-def _cmd_stats(res: _Resolver) -> int:
-    src = res.get("infile", str)
-    xmin = res.get("xmin", int, 10)
-    c1 = res.get("c1", float)
-    out = res.get("out", str)
-    csv_path = res.get("csv", str)
-    if src is not None:
-        graph = process.read_edges(src)
-        res.effective.update({"p": graph.p, "seed": graph.seed, "steps": graph.t})
+def _cmd_stats(opts: dict) -> int:
+    xmin, c1 = opts["xmin"], opts["c1"]
+    if opts["infile"] is not None:
+        graph = process.read_edges(opts["infile"])
+        opts.update({"p": graph.p, "seed": graph.seed, "steps": graph.t})
     else:
-        p = res.get("p", float, required=True)
-        steps = res.get("steps", int, required=True)
-        seed = res.get("seed", int, 0)
-        graph = process.run(process.ProcessParams(p=p, steps=steps, seed=seed)).graph
+        params = process.ProcessParams(p=opts["p"], steps=opts["steps"], seed=opts["seed"])
+        graph = process.run(params).graph
 
     hist = analytics.degree_histogram(graph)
     try:
@@ -162,7 +222,7 @@ def _cmd_stats(res: _Resolver) -> int:
     _dump_json(
         {
             "command": "stats",
-            "config": res.effective,
+            "config": opts,
             "p": graph.p,
             "seed": graph.seed,
             "t": graph.t,
@@ -172,13 +232,11 @@ def _cmd_stats(res: _Resolver) -> int:
             "power_law": power_law,
             "bound": bound,
         },
-        out,
+        opts["out"],
     )
-    if csv_path:
-        import csv as _csv
-
-        with open(csv_path, "w", newline="") as fh:
-            w = _csv.writer(fh)
+    if opts["csv"]:
+        with open(opts["csv"], "w", newline="") as fh:
+            w = csv.writer(fh)
             w.writerow(["p", "seed", "t", "statistic", "estimate", "stderr"])
             w.writerow([repr(graph.p), graph.seed, graph.t, "max_degree",
                         graph.max_degree(), 0])
@@ -188,27 +246,16 @@ def _cmd_stats(res: _Resolver) -> int:
     return 1 if violations else 0
 
 
-def _cmd_hitting(res: _Resolver) -> int:
-    p = res.get("p", float, required=True)
-    j = res.get("j", int, required=True)
-    m = res.get("m", int, required=True)
-    k = res.get("k", int, required=True)
-    grid = res.get("grid", _int_list, required=True)
-    replicas = res.get("replicas", int, 1000)
-    dom_samples = res.get("dom_samples", int, 10000)
-    seed = res.get("seed", int, 0)
-    gamma = res.get("gamma", float)
-    steps = res.get("steps", int)
-    out = res.get("out", str)
-    csv_path = res.get("csv", str)
-
+def _cmd_hitting(opts: dict) -> int:
+    p, m, j, k = opts["p"], opts["m"], opts["j"], opts["k"]
     report = hitting.domination_experiment(
-        p=p, m=m, j=j, k=k, t_grid=grid, replicas=replicas,
-        dominating_samples=dom_samples, base_seed=seed, gamma=gamma, steps=steps,
+        p=p, m=m, j=j, k=k, t_grid=opts["grid"], replicas=opts["replicas"],
+        dominating_samples=opts["dom_samples"], base_seed=opts["seed"], gamma=opts["gamma"],
+        steps=opts["steps"],
     )
     doc = {
         "command": "hitting",
-        "config": res.effective,
+        "config": opts,
         "gamma": report.params.gamma,
         "rows": [
             {
@@ -223,12 +270,10 @@ def _cmd_hitting(res: _Resolver) -> int:
         ],
         "passed": report.passed,
     }
-    _dump_json(doc, out)
-    if csv_path:
-        import csv as _csv
-
-        with open(csv_path, "w", newline="") as fh:
-            w = _csv.writer(fh)
+    _dump_json(doc, opts["out"])
+    if opts["csv"]:
+        with open(opts["csv"], "w", newline="") as fh:
+            w = csv.writer(fh)
             w.writerow(["source", "p", "m", "j", "k", "replica", "hit_time"])
             for i, v in enumerate(report.empirical_times):
                 w.writerow(["empirical", repr(p), m, j, k, i,
@@ -238,26 +283,18 @@ def _cmd_hitting(res: _Resolver) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_clique(res: _Resolver) -> int:
-    p = res.get("p", float, required=True)
-    t_ref = res.get("steps", int, required=True)
-    seed = res.get("seed", int, 0)
-    m = res.get("m", int, 10)
-    eps = res.get("eps", float, 0.1)
-    eps_prime = res.get("eps_prime", float, 0.05)
-    topk = res.get("topk", int, 64)
-    out = res.get("out", str)
-
+def _cmd_clique(opts: dict) -> int:
+    p, t_ref, seed = opts["p"], opts["steps"], opts["seed"]
     graph = process.run(process.ProcessParams(p=p, steps=2 * t_ref, seed=seed)).graph
-    row = community.clique_growth_rows(graph, [t_ref], m, eps, eps_prime, topk)[0]
+    row = community.clique_growth_rows(graph, [t_ref], **{k: opts[k] for k in _CLIQUE})[0]
     _dump_json(
         {
             "command": "clique",
-            "config": res.effective,
+            "config": opts,
             "p": p,
             "seed": seed,
             "t": t_ref,
-            "m": m,
+            "m": opts["m"],
             "j_lo": row.j_lo,
             "j_hi": row.j_hi,
             "leader_count": row.leader_count,
@@ -266,73 +303,51 @@ def _cmd_clique(res: _Resolver) -> int:
             "topk_clique_size": row.topk_clique_size,
             "triangles": community.count_triangles(graph),
         },
-        out,
+        opts["out"],
     )
     return 0
 
 
-def _cmd_ensemble(res: _Resolver) -> int:
-    experiment = res.get("experiment", str, required=True)
-    p_grid = res.get("p_grid", _float_list, required=True)
-    steps = res.get("steps", int, required=True)
-    replicas = res.get("replicas", int, required=True)
-    base_seed = res.get("base_seed", int, 0)
-    min_success = res.get("min_success", float, 1.0)
-    out_dir = res.get("out_dir", str, required=True)
-    threads = res.get("threads", int)
-    if threads is None:
+def _cmd_ensemble(opts: dict) -> int:
+    if opts["threads"] is None:
         raw = os.environ.get("GLP_THREADS", "1")
         try:
-            threads = int(raw)
+            opts["threads"] = int(raw)
         except ValueError as exc:
             raise ConfigError(f"GLP_THREADS={raw!r} is not an integer") from exc
-    res.effective["threads"] = threads
-
-    params: dict = {}
-    snapshots = res.get("snapshots", _int_list)
-    if experiment in ("maxdeg", "triangles") and snapshots:
-        params["snapshot_times"] = snapshots
-    if experiment == "arrival":
-        vertex = res.get("vertex", int, 2)
-        params["vertex"] = vertex
-    if experiment == "cliquegrowth":
-        t_values = res.get("t_values", _int_list)
-        if t_values:
-            params["t_values"] = t_values
-        params["m"] = res.get("m", int, 10)
-        params["eps"] = res.get("eps", float, 0.1)
-        params["eps_prime"] = res.get("eps_prime", float, 0.05)
-        params["topk"] = res.get("topk", int, 64)
-
-    os.makedirs(out_dir, exist_ok=True)
-    all_passed = True
-    written = []
-    for p in p_grid:
-        config = ensemble.EnsembleConfig(
+    experiment, steps = opts["experiment"], opts["steps"]
+    # the experiment's own options; _resolve dropped the ones it does not read
+    params = {name: opts[name] for name in ("vertex", *_CLIQUE) if name in opts}
+    if opts.get("snapshots"):
+        params["snapshot_times"] = opts["snapshots"]
+    if opts.get("t_values"):
+        params["t_values"] = opts["t_values"]
+    configs = [
+        ensemble.EnsembleConfig(
             experiment=experiment,
             p_grid=(p,),
             steps=steps,
-            replicas=replicas,
-            base_seed=base_seed,
-            width=threads,
-            min_success=min_success,
+            replicas=opts["replicas"],
+            base_seed=opts["base_seed"],
+            width=opts["threads"],
+            min_success=opts["min_success"],
             params=params,
         )
+        for p in opts["p_grid"]
+    ]
+
+    os.makedirs(opts["out_dir"], exist_ok=True)
+    all_passed = True
+    written = []
+    for config in configs:
         report = ensemble.run_ensemble(config)
-        stem = os.path.join(out_dir, f"{experiment}_{p!r}_{steps}")
+        stem = os.path.join(opts["out_dir"], f"{experiment}_{config.p_grid[0]!r}_{steps}")
         ensemble.write_report(report, stem + ".json")
         ensemble.write_rows_csv(report, stem + ".csv")
         written.append(stem + ".json")
         all_passed = all_passed and report.gate_passed()
-    _dump_json(
-        {
-            "command": "ensemble",
-            "config": res.effective,
-            "written": written,
-            "passed": all_passed,
-        },
-        None,
-    )
+    _dump_json({"command": "ensemble", "config": opts, "written": written, "passed": all_passed},
+               None)
     return 0 if all_passed else 1
 
 
@@ -346,96 +361,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate a degree-proportional growth process and check its statistics.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(parser, *names, **kw):
-        kw.setdefault("default", None)
-        parser.add_argument(*names, **kw)
-
-    g = sub.add_parser("generate", help="run the process and write an edge list")
-    add(g, "--p", type=float)
-    add(g, "--steps", type=int)
-    add(g, "--seed", type=int)
-    add(g, "--out", type=str)
-    add(g, "--config", type=str)
-
-    s = sub.add_parser("stats", help="degree statistics, tail fit, bound check")
-    add(s, "--p", type=float)
-    add(s, "--steps", type=int)
-    add(s, "--seed", type=int)
-    add(s, "--in", dest="infile", type=str, help="edge list to analyze instead of generating")
-    add(s, "--xmin", type=int)
-    add(s, "--c1", type=float, help="envelope constant; any violation exits 1")
-    add(s, "--out", type=str)
-    add(s, "--csv", type=str)
-    add(s, "--config", type=str)
-
-    h = sub.add_parser("hitting", help="block hitting times against the dominating law")
-    add(h, "--p", type=float)
-    add(h, "--j", type=int)
-    add(h, "--m", type=int)
-    add(h, "--k", type=int)
-    add(h, "--grid", type=_int_list)
-    add(h, "--replicas", type=int)
-    add(h, "--dom-samples", dest="dom_samples", type=int)
-    add(h, "--gamma", type=float)
-    add(h, "--steps", type=int)
-    add(h, "--seed", type=int)
-    add(h, "--out", type=str)
-    add(h, "--csv", type=str)
-    add(h, "--config", type=str)
-
-    c = sub.add_parser("clique", help="leader clique density at time t, adjacency at 2t")
-    add(c, "--p", type=float)
-    add(c, "--steps", type=int, help="reference time t; the run itself has 2t steps")
-    add(c, "--seed", type=int)
-    add(c, "--m", type=int)
-    add(c, "--eps", type=float)
-    add(c, "--eps-prime", dest="eps_prime", type=float)
-    add(c, "--topk", type=int)
-    add(c, "--out", type=str)
-    add(c, "--config", type=str)
-
-    e = sub.add_parser("ensemble", help="replica sweeps over a p grid")
-    add(e, "--experiment", type=str, choices=sorted(ensemble.EXPERIMENTS))
-    add(e, "--p-grid", dest="p_grid", type=_float_list)
-    add(e, "--steps", type=int)
-    add(e, "--replicas", type=int)
-    add(e, "--base-seed", dest="base_seed", type=int)
-    add(e, "--threads", type=int, help="worker processes; falls back to GLP_THREADS")
-    add(e, "--min-success", dest="min_success", type=float)
-    add(e, "--out-dir", dest="out_dir", type=str)
-    add(e, "--snapshots", type=_int_list)
-    add(e, "--vertex", type=int)
-    add(e, "--t-values", dest="t_values", type=_int_list)
-    add(e, "--m", type=int)
-    add(e, "--eps", type=float)
-    add(e, "--eps-prime", dest="eps_prime", type=float)
-    add(e, "--topk", type=int)
-    add(e, "--config", type=str)
-
+    for command, (help_text, options) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text)
+        for name in options:
+            choices = sorted(ensemble.EXPERIMENTS) if name == "experiment" else None
+            parser.add_argument(_flag(name), dest=name, type=_TYPES[name], choices=choices,
+                                help=_HELP.get((command, name)))
+        parser.add_argument("--config", type=str)
     return top
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "stats": _cmd_stats,
-    "hitting": _cmd_hitting,
-    "clique": _cmd_clique,
-    "ensemble": _cmd_ensemble,
-}
+_HANDLERS = {"generate": _cmd_generate, "stats": _cmd_stats, "hitting": _cmd_hitting,
+             "clique": _cmd_clique, "ensemble": _cmd_ensemble}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    known = {k for k in vars(args) if k not in ("command", "config")}
     try:
-        cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
-        res = _Resolver(args, cfg, known)
-        return _HANDLERS[args.command](res)
+        cfg = read_config_file(args.config) if args.config else {}
+        return _HANDLERS[args.command](_resolve(args, cfg))
     except BatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

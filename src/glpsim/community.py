@@ -281,6 +281,11 @@ def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[
     return j_lo, j_hi
 
 
+# Defaults of the clique growth parameters, shared by the experiment, the
+# ensemble and the command line.
+CLIQUE_DEFAULTS = {"m": 10, "eps": 0.1, "eps_prime": 0.05, "topk": 64}
+
+
 def clique_growth_rows(
     graph: process.GlpGraph, t_values, m: int, eps: float, eps_prime: float, topk: int
 ) -> list[GrowthRow]:
@@ -319,10 +324,10 @@ def clique_growth_experiment(
     t_values,
     seeds: int,
     base_seed: int = 0,
-    m: int = 10,
-    eps: float = 0.1,
-    eps_prime: float = 0.05,
-    topk: int = 64,
+    m: int = CLIQUE_DEFAULTS["m"],
+    eps: float = CLIQUE_DEFAULTS["eps"],
+    eps_prime: float = CLIQUE_DEFAULTS["eps_prime"],
+    topk: int = CLIQUE_DEFAULTS["topk"],
 ) -> list[GrowthRow]:
     """:func:`clique_growth_rows` over ``seeds`` replicas.
 

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 SCHEMA = "glp-report/1"
+ARRIVAL_VERTEX = 2  # default vertex of the ``arrival`` experiment
 
 
 # ----------------------------------------------------------------------
@@ -54,13 +55,13 @@ def _exp_triangles(graph, snapshot_times=()):
     return [(t, "triangles", float(community.count_triangles(graph.at(t)))) for t in times]
 
 
-def _exp_arrival(graph, vertex=2):
+def _exp_arrival(graph, vertex=ARRIVAL_VERTEX):
     return [(graph.t, f"arrival_time_{vertex}", float(graph.arrival_time(vertex)))]
 
 
-def _exp_cliquegrowth(graph, t_values=(), m=10, eps=0.1, eps_prime=0.05, topk=64):
+def _exp_cliquegrowth(graph, t_values=(), **kw):
     ts = tuple(t_values) or (graph.t // 2,)
-    rows = community.clique_growth_rows(graph, ts, m, eps, eps_prime, topk)
+    rows = community.clique_growth_rows(graph, ts, **{**community.CLIQUE_DEFAULTS, **kw})
     out = []
     for r in rows:
         out.append((r.t, "pair_fraction", float(r.pair_fraction)))
@@ -104,6 +105,10 @@ class EnsembleConfig:
             raise ConfigError(f"p grid outside [0, 1]: {self.p_grid}")
         if self.steps < 1 or self.replicas < 1 or self.width < 1:
             raise ConfigError("steps, replicas and width must be >= 1")
+        if self.steps > process.MAX_STEPS:
+            raise ConfigError(
+                f"steps={self.steps} exceeds the 32-bit id budget ({process.MAX_STEPS})"
+            )
         if not (0 <= self.base_seed <= 2**64 - self.replicas):
             raise ConfigError(
                 f"base_seed must lie in [0, 2**64 - replicas] so that every "
@@ -118,7 +123,7 @@ class EnsembleConfig:
                 f"snapshot times must be strictly increasing and lie in "
                 f"[0, {self.steps}], got {list(times)}"
             )
-        vertex = self.params.get("vertex", 1)
+        vertex = self.params.get("vertex", ARRIVAL_VERTEX)
         if not (1 <= vertex <= self.steps + 1):
             raise ConfigError(f"vertex must lie in [1, {self.steps + 1}], got {vertex}")
         if self.experiment == "cliquegrowth":
@@ -128,15 +133,14 @@ class EnsembleConfig:
                     f"cliquegrowth needs t_values >= 1 and steps == 2 * max(t_values), "
                     f"got steps={self.steps} and t_values={list(ts)}"
                 )
+            kw = {**community.CLIQUE_DEFAULTS, **self.params}
             for name in ("m", "topk"):
-                if self.params.get(name, 1) < 1:
-                    raise ConfigError(f"{name} must be >= 1, got {self.params[name]}")
-            eps = self.params.get("eps", 0.1)
-            eps_prime = self.params.get("eps_prime", 0.05)
+                if kw[name] < 1:
+                    raise ConfigError(f"{name} must be >= 1, got {kw[name]}")
             try:
                 for p in self.p_grid:
                     for t in ts:
-                        community.leader_block_range(t, p, eps, eps_prime)
+                        community.leader_block_range(t, p, kw["eps"], kw["eps_prime"])
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -284,6 +288,21 @@ def write_report(report: EnsembleReport, path) -> None:
         fh.write("\n")
 
 
+_ROW_TYPES = {"p": (int, float), "seed": int, "t": int, "metric": str, "value": (int, float)}
+
+
+def _read_row(path, r) -> MetricRow:
+    try:
+        row = MetricRow(**r)
+    except TypeError as exc:
+        raise ParseError(f"{path}: malformed row ({exc})") from exc
+    for name, types in _ROW_TYPES.items():
+        v = getattr(row, name)
+        if isinstance(v, bool) or not isinstance(v, types):
+            raise ParseError(f"{path}: row field {name!r} has type {type(v).__name__}")
+    return row
+
+
 def read_report(path) -> EnsembleReport:
     with open(path, "r") as fh:
         try:
@@ -304,10 +323,9 @@ def read_report(path) -> EnsembleReport:
             raise ParseError(f"{path}: field {key!r} is not a list")
     if doc["schema"] != SCHEMA:
         raise ParseError(f"{path}: schema {doc['schema']!r}, expected {SCHEMA!r}")
-    try:
-        rows = tuple(MetricRow(**r) for r in doc["rows"])
-    except TypeError as exc:
-        raise ParseError(f"{path}: malformed row ({exc})") from exc
+    rows = tuple(_read_row(path, r) for r in doc["rows"])
+    if not all(isinstance(a, dict) for a in doc["aggregates"]):
+        raise ParseError(f"{path}: an aggregate is not a JSON object")
     return EnsembleReport(
         schema=doc["schema"],
         version=doc["version"],

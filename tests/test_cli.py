@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,7 @@ _REQUIRED = {
           "--p-grid", "0.5,1"], ""),
         (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000"],
          "t-values = -5,500\n"),
+        (["ensemble", "--steps", "3000000000"], ""),
     ],
     ids=["grid-inf", "grid-inf-config", "grid-fraction", "replicas-negative",
          "dom-samples-negative", "snapshots-inf", "snapshots-nan-config",
@@ -137,7 +139,7 @@ _REQUIRED = {
          "t-values-mismatch", "t-values-default-odd", "eps-nan", "eps-prime-nan",
          "eps-prime-inf", "gamma-default-p1", "cliquegrowth-eps-nan",
          "cliquegrowth-eps-prime-inf", "cliquegrowth-topk-zero", "cliquegrowth-m-zero-config",
-         "cliquegrowth-no-leader-window", "cliquegrowth-t-negative"],
+         "cliquegrowth-no-leader-window", "cliquegrowth-t-negative", "steps-beyond-capacity"],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
@@ -148,6 +150,51 @@ def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, flag",
+    [
+        (["ensemble", "--vertex", "7"], "", "--vertex"),
+        (["ensemble", "--m", "3"], "", "--m"),
+        (["ensemble", "--t-values", "5"], "", "--t-values"),
+        (["ensemble", "--experiment", "arrival", "--snapshots", "10"], "", "--snapshots"),
+        (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000", "--vertex", "3"], "",
+         "--vertex"),
+        (["stats", "--p", "0.9"], "", "--p"),
+        (["ensemble"], "vertex = 9\n", "--vertex"),
+    ],
+    ids=["maxdeg-vertex", "maxdeg-m", "maxdeg-t-values", "arrival-snapshots",
+         "cliquegrowth-vertex", "stats-in-p", "maxdeg-vertex-config"],
+)
+def test_unused_options_exit_2(tmp_path, capsys, argv, config, flag):
+    """An option the run would not read is rejected before any work or output."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out_path = tmp_path / "out"
+    if argv[0] == "stats":
+        edges = tmp_path / "run.edges"
+        graph = process.run(process.ProcessParams(p=0.5, steps=50, seed=1)).graph
+        process.export_edges(graph, edges)
+        extra = ["--in", str(edges), "--out", str(out_path)]
+    else:
+        extra = [*_REQUIRED["ensemble"], "--out-dir", str(out_path)]
+    code, out, err = run_cli(capsys, argv[0], *extra, *argv[1:], "--config", str(cfg))
+    assert code == 2
+    assert f"does not read {flag}" in err
+    assert out == "" and not out_path.exists()
+
+
+def test_readme_commands_resolve():
+    """Every ``glp`` command in the README's "Command line" section parses
+    and resolves; none is run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("glp ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        cli._resolve(cli.build_parser().parse_args(argv), {})
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import glpsim as g
 from glpsim.errors import BatchError, ConfigError, ParseError
+from glpsim.process import MAX_STEPS
 
 
 def maxdeg_config(**over):
@@ -40,6 +41,8 @@ def test_config_validation():
     for seed in (-5, 2**64 - replicas + 1):
         with pytest.raises(ConfigError, match="base_seed"):
             maxdeg_config(base_seed=seed)
+    with pytest.raises(ConfigError, match="32-bit"):
+        maxdeg_config(steps=MAX_STEPS + 1, params={})
 
 
 def test_single_replica_aggregate_identity():
@@ -130,6 +133,20 @@ def test_read_report_diagnostics(tmp_path):
     with pytest.raises(ParseError, match="row"):
         g.read_report(bad)
 
+    for field, value in [("p", None), ("seed", "s"), ("t", 1.5), ("metric", 3),
+                         ("value", "x"), ("seed", True), ("value", False)]:
+        doc3 = json.loads(text)
+        doc3["rows"][0][field] = value
+        bad.write_text(json.dumps(doc3))
+        with pytest.raises(ParseError, match=f"row field '{field}'"):
+            g.read_report(bad)
+
+    doc4 = json.loads(text)
+    doc4["aggregates"] = [7]
+    bad.write_text(json.dumps(doc4))
+    with pytest.raises(ParseError, match="aggregate"):
+        g.read_report(bad)
+
     for text in ("5", "[]", '"x"'):
         scalar = tmp_path / "scalar.json"
         scalar.write_text(text)
@@ -158,13 +175,17 @@ _JSON_VALUES = st.recursive(
 def test_read_report_fuzz(tmp_path, report_text, data):
     """Malformed reports raise ``ParseError`` and nothing else."""
     text = report_text
-    kind = data.draw(st.sampled_from(["truncate", "bytes", "field", "row"]))
+    kind = data.draw(st.sampled_from(["truncate", "bytes", "field", "row", "aggregate"]))
     if kind == "truncate":
         raw = text[: data.draw(st.integers(0, len(text)))].encode()
     elif kind == "bytes":
         pos = data.draw(st.integers(0, len(text)))
         noise = data.draw(st.binary(min_size=1, max_size=4))
         raw = text[:pos].encode() + noise + text[pos:].encode()
+    elif kind == "aggregate":
+        doc = json.loads(text)
+        doc["aggregates"][0] = data.draw(_JSON_VALUES)
+        raw = json.dumps(doc).encode()
     else:
         doc = json.loads(text)
         target = doc if kind == "field" else doc["rows"][0]
@@ -177,9 +198,14 @@ def test_read_report_fuzz(tmp_path, report_text, data):
     path = tmp_path / "fuzz.json"
     path.write_bytes(raw)
     try:
-        g.read_report(path)
+        rep = g.read_report(path)
     except ParseError:
-        pass
+        return
+    for r in rep.rows:
+        for v, types in [(r.p, (int, float)), (r.seed, int), (r.t, int), (r.metric, str),
+                         (r.value, (int, float))]:
+            assert isinstance(v, types) and not isinstance(v, bool)
+    assert all(isinstance(a, dict) for a in rep.aggregates)
 
 
 def test_failure_isolation_and_gate():
