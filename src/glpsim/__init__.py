@@ -22,7 +22,6 @@ from .community import (
     CliqueReport,
     GrowthRow,
     LeaderSet,
-    clique_growth_experiment,
     clique_growth_rows,
     count_triangles,
     is_clique,

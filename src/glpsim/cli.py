@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -81,6 +82,12 @@ _TYPES = {
 _REQUIRED = object()  # default marker of an option that must be given
 _CLIQUE = community.CLIQUE_DEFAULTS  # m, eps, eps_prime, topk
 
+# Each parameter of the ensemble experiments with its default, and the
+# ``glp ensemble`` flag that sets it: the flag of its name, except
+# ``--snapshots`` for ``snapshot_times``.
+_PARAM_DEFAULT = {n: d for _, ds in ensemble.EXPERIMENTS.values() for n, d in ds.items()}
+_PARAM = {("snapshots" if n == "snapshot_times" else n): n for n in _PARAM_DEFAULT}
+
 # Each subcommand's help text and options, with their defaults.
 _COMMANDS = {
     "generate": ("run the process and write an edge list", {
@@ -101,8 +108,8 @@ _COMMANDS = {
     "ensemble": ("replica sweeps over a p grid", {
         "experiment": _REQUIRED, "p_grid": _REQUIRED, "steps": _REQUIRED,
         "replicas": _REQUIRED, "base_seed": 0, "threads": None, "min_success": 1.0,
-        "out_dir": _REQUIRED, "snapshots": None, "vertex": ensemble.ARRIVAL_VERTEX,
-        "t_values": None, **_CLIQUE,
+        "out_dir": _REQUIRED,  # then the experiment flags, unset for an empty time list
+        **{f: None if _PARAM_DEFAULT[n] == () else _PARAM_DEFAULT[n] for f, n in _PARAM.items()},
     }),
 }
 
@@ -118,10 +125,8 @@ _HELP = {
 # for ``ensemble`` the experiment.
 _UNREAD = {
     ("stats", True): ("p", "steps", "seed"),
-    ("ensemble", "maxdeg"): ("vertex", "t_values", *_CLIQUE),
-    ("ensemble", "triangles"): ("vertex", "t_values", *_CLIQUE),
-    ("ensemble", "arrival"): ("snapshots", "t_values", *_CLIQUE),
-    ("ensemble", "cliquegrowth"): ("snapshots", "vertex"),
+    **{("ensemble", experiment): tuple(f for f, name in _PARAM.items() if name not in defaults)
+       for experiment, (_, defaults) in ensemble.EXPERIMENTS.items()},
 }
 
 
@@ -316,25 +321,15 @@ def _cmd_ensemble(opts: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"GLP_THREADS={raw!r} is not an integer") from exc
     experiment, steps = opts["experiment"], opts["steps"]
-    # the experiment's own options; _resolve dropped the ones it does not read
-    params = {name: opts[name] for name in ("vertex", *_CLIQUE) if name in opts}
-    if opts.get("snapshots"):
-        params["snapshot_times"] = opts["snapshots"]
-    if opts.get("t_values"):
-        params["t_values"] = opts["t_values"]
-    configs = [
-        ensemble.EnsembleConfig(
-            experiment=experiment,
-            p_grid=(p,),
-            steps=steps,
-            replicas=opts["replicas"],
-            base_seed=opts["base_seed"],
-            width=opts["threads"],
-            min_success=opts["min_success"],
-            params=params,
-        )
-        for p in opts["p_grid"]
-    ]
+    # the experiment's own parameters: _resolve dropped the flags it does not
+    # read, and an absent or empty time list leaves the default
+    params = {name: opts[f] for f, name in _PARAM.items() if opts.get(f) not in (None, ())}
+    full = ensemble.EnsembleConfig(
+        experiment=experiment, p_grid=opts["p_grid"], steps=steps, replicas=opts["replicas"],
+        base_seed=opts["base_seed"], width=opts["threads"], min_success=opts["min_success"],
+        params=params,
+    )
+    configs = [dataclasses.replace(full, p_grid=(p,)) for p in full.p_grid]
 
     os.makedirs(opts["out_dir"], exist_ok=True)
     all_passed = True

@@ -31,7 +31,6 @@ __all__ = [
     "simple_edges",
     "GrowthRow",
     "clique_growth_rows",
-    "clique_growth_experiment",
 ]
 
 
@@ -281,8 +280,8 @@ def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[
     return j_lo, j_hi
 
 
-# Defaults of the clique growth parameters, shared by the experiment, the
-# ensemble and the command line.
+# Defaults of the clique growth parameters, shared by the ensemble and the
+# command line.
 CLIQUE_DEFAULTS = {"m": 10, "eps": 0.1, "eps_prime": 0.05, "topk": 64}
 
 
@@ -316,27 +315,4 @@ def clique_growth_rows(
                 topk_clique_size=len(top),
             )
         )
-    return rows
-
-
-def clique_growth_experiment(
-    p: float,
-    t_values,
-    seeds: int,
-    base_seed: int = 0,
-    m: int = CLIQUE_DEFAULTS["m"],
-    eps: float = CLIQUE_DEFAULTS["eps"],
-    eps_prime: float = CLIQUE_DEFAULTS["eps_prime"],
-    topk: int = CLIQUE_DEFAULTS["topk"],
-) -> list[GrowthRow]:
-    """:func:`clique_growth_rows` over ``seeds`` replicas.
-
-    One run of ``2 * max(t)`` steps per seed serves every ``t``.
-    """
-    ts = sorted(int(t) for t in t_values)
-    if not ts:
-        raise ParameterError("no time values")
-    rows = []
-    for graph in process.replicas(p, 2 * ts[-1], base_seed, seeds):
-        rows.extend(clique_growth_rows(graph, ts, m, eps, eps_prime, topk))
     return rows

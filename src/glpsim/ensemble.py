@@ -1,11 +1,14 @@
 """Replica orchestration: seed fans, parallel execution, reports on disk.
 
-An experiment is a registered function mapping the graph of one run and
-``**params`` to metric rows ``(t, metric, value)``.  ``run_ensemble`` fans
-it out over a grid of ``p`` values and replica seeds (replica ``r`` uses
-``base_seed + r`` and is generated once), optionally across processes, and
-aggregates rows into deterministic per ``(p, t, metric)`` summaries.
-Replica failures are captured per seed instead of aborting the batch.
+``EXPERIMENTS`` is the one table of experiments: each name maps to a
+function from the graph of one run and its parameters to metric rows
+``(t, metric, value)``, and to the parameters it reads with their defaults.
+``EnsembleConfig`` rejects any parameter its experiment does not read.
+``run_ensemble`` fans the experiment out over a grid of ``p`` values and
+replica seeds (replica ``r`` uses ``base_seed + r`` and is generated once),
+optionally across processes, and aggregates rows into deterministic per
+``(p, t, metric)`` summaries.  Replica failures are captured per seed
+instead of aborting the batch.
 
 Reports serialize to JSON under the schema tag ``glp-report/1``, with the
 row data additionally available as CSV.
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import community, process
 from ._version import __version__
-from .errors import BatchError, ConfigError, ParameterError, ParseError
+from .errors import BatchError, CapacityError, ConfigError, ParameterError, ParseError
 
 __all__ = [
     "SCHEMA",
@@ -38,43 +41,42 @@ __all__ = [
 ]
 
 SCHEMA = "glp-report/1"
-ARRIVAL_VERTEX = 2  # default vertex of the ``arrival`` experiment
 
 
 # ----------------------------------------------------------------------
 # experiment registry
 
 
-def _exp_maxdeg(graph, snapshot_times=()):
+def _exp_maxdeg(graph, snapshot_times):
     times = tuple(snapshot_times) or (graph.t,)
     return [(t, "max_degree", float(graph.at(t).max_degree())) for t in times]
 
 
-def _exp_triangles(graph, snapshot_times=()):
+def _exp_triangles(graph, snapshot_times):
     times = tuple(snapshot_times) or (graph.t,)
     return [(t, "triangles", float(community.count_triangles(graph.at(t)))) for t in times]
 
 
-def _exp_arrival(graph, vertex=ARRIVAL_VERTEX):
+def _exp_arrival(graph, vertex):
     return [(graph.t, f"arrival_time_{vertex}", float(graph.arrival_time(vertex)))]
 
 
-def _exp_cliquegrowth(graph, t_values=(), **kw):
+def _exp_cliquegrowth(graph, t_values, **kw):
     ts = tuple(t_values) or (graph.t // 2,)
-    rows = community.clique_growth_rows(graph, ts, **{**community.CLIQUE_DEFAULTS, **kw})
     out = []
-    for r in rows:
+    for r in community.clique_growth_rows(graph, ts, **kw):
         out.append((r.t, "pair_fraction", float(r.pair_fraction)))
         out.append((r.t, "clique_size", float(r.clique_size)))
         out.append((r.t, "topk_clique_size", float(r.topk_clique_size)))
     return out
 
 
+# Each experiment's function and the parameters it reads, with their defaults.
 EXPERIMENTS = {
-    "maxdeg": _exp_maxdeg,
-    "triangles": _exp_triangles,
-    "arrival": _exp_arrival,
-    "cliquegrowth": _exp_cliquegrowth,
+    "maxdeg": (_exp_maxdeg, {"snapshot_times": ()}),
+    "triangles": (_exp_triangles, {"snapshot_times": ()}),
+    "arrival": (_exp_arrival, {"vertex": 2}),
+    "cliquegrowth": (_exp_cliquegrowth, {"t_values": (), **community.CLIQUE_DEFAULTS}),
 }
 
 
@@ -99,16 +101,15 @@ class EnsembleConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {sorted(EXPERIMENTS)}"
             )
-        if not self.p_grid:
-            raise ConfigError("empty p grid")
-        if any(not (0.0 <= p <= 1.0) for p in self.p_grid):
-            raise ConfigError(f"p grid outside [0, 1]: {self.p_grid}")
+        defaults = EXPERIMENTS[self.experiment][1]
+        unread = sorted(set(self.params) - set(defaults))
+        if unread:
+            raise ConfigError(f"experiment {self.experiment!r} does not read "
+                              f"{', '.join(unread)}; it reads {', '.join(defaults)}")
+        if not self.p_grid or len(set(self.p_grid)) != len(self.p_grid):
+            raise ConfigError(f"p grid must be non-empty without repeats, got {list(self.p_grid)}")
         if self.steps < 1 or self.replicas < 1 or self.width < 1:
             raise ConfigError("steps, replicas and width must be >= 1")
-        if self.steps > process.MAX_STEPS:
-            raise ConfigError(
-                f"steps={self.steps} exceeds the 32-bit id budget ({process.MAX_STEPS})"
-            )
         if not (0 <= self.base_seed <= 2**64 - self.replicas):
             raise ConfigError(
                 f"base_seed must lie in [0, 2**64 - replicas] so that every "
@@ -116,24 +117,21 @@ class EnsembleConfig:
             )
         if not (0.0 < self.min_success <= 1.0):
             raise ConfigError(f"min_success must lie in (0, 1], got {self.min_success}")
-        times = tuple(self.params.get("snapshot_times", ()))
-        increasing = all(a < b for a, b in zip(times, times[1:]))
-        if not increasing or not all(0 <= t <= self.steps for t in times):
-            raise ConfigError(
-                f"snapshot times must be strictly increasing and lie in "
-                f"[0, {self.steps}], got {list(times)}"
-            )
-        vertex = self.params.get("vertex", ARRIVAL_VERTEX)
-        if not (1 <= vertex <= self.steps + 1):
-            raise ConfigError(f"vertex must lie in [1, {self.steps + 1}], got {vertex}")
+        kw = {**defaults, **self.params}
+        try:
+            for p in self.p_grid:
+                process.ProcessParams(p, self.steps, self.base_seed, kw.get("snapshot_times", ()))
+        except (ParameterError, CapacityError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if "vertex" in kw and not (1 <= kw["vertex"] <= self.steps + 1):
+            raise ConfigError(f"vertex must lie in [1, {self.steps + 1}], got {kw['vertex']}")
         if self.experiment == "cliquegrowth":
-            ts = tuple(self.params.get("t_values", ())) or (self.steps // 2,)
+            ts = tuple(kw["t_values"]) or (self.steps // 2,)
             if self.steps != 2 * max(ts) or min(ts) < 1:
                 raise ConfigError(
                     f"cliquegrowth needs t_values >= 1 and steps == 2 * max(t_values), "
                     f"got steps={self.steps} and t_values={list(ts)}"
                 )
-            kw = {**community.CLIQUE_DEFAULTS, **self.params}
             for name in ("m", "topk"):
                 if kw[name] < 1:
                     raise ConfigError(f"{name} must be >= 1, got {kw[name]}")
@@ -198,10 +196,10 @@ class EnsembleReport:
 
 def _run_task(task):
     experiment, p, steps, seed, params = task
-    fn = EXPERIMENTS[experiment]
+    fn, defaults = EXPERIMENTS[experiment]
     try:
         graph = process.run(process.ProcessParams(p=p, steps=steps, seed=seed)).graph
-        rows = fn(graph, **params)
+        rows = fn(graph, **{**defaults, **params})
         return (p, seed, [(int(t), str(m), float(v)) for t, m, v in rows], None)
     except Exception as exc:  # noqa: BLE001 (replica isolation is the point)
         return (p, seed, None, f"{type(exc).__name__}: {exc}")
@@ -288,19 +286,28 @@ def write_report(report: EnsembleReport, path) -> None:
         fh.write("\n")
 
 
-_ROW_TYPES = {"p": (int, float), "seed": int, "t": int, "metric": str, "value": (int, float)}
+_REAL = (int, float)
+# The fields that ``read_report`` checks in each part of a report, with the
+# exact types each may load as: a JSON ``true`` is a ``bool``, not an ``int``.
+_FIELDS = {
+    "row": {"p": _REAL, "seed": (int,), "t": (int,), "metric": (str,), "value": _REAL},
+    "failure": {"p": _REAL, "seed": (int,), "error": (str,)},
+    "config": {"p_grid": (list,), "replicas": (int,), "min_success": _REAL},
+    "aggregate": {},
+}
 
 
-def _read_row(path, r) -> MetricRow:
-    try:
-        row = MetricRow(**r)
-    except TypeError as exc:
-        raise ParseError(f"{path}: malformed row ({exc})") from exc
-    for name, types in _ROW_TYPES.items():
-        v = getattr(row, name)
-        if isinstance(v, bool) or not isinstance(v, types):
-            raise ParseError(f"{path}: row field {name!r} has type {type(v).__name__}")
-    return row
+def _checked(path, kind: str, obj) -> dict:
+    """``obj``, once it is a JSON object whose ``_FIELDS[kind]`` are present
+    with their types; raises ``ParseError`` otherwise."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: {kind} is not a JSON object, got {type(obj).__name__}")
+    for name, types in _FIELDS[kind].items():
+        if name not in obj:
+            raise ParseError(f"{path}: {kind} field {name!r} is missing")
+        if type(obj[name]) not in types:
+            raise ParseError(f"{path}: {kind} field {name!r} has type {type(obj[name]).__name__}")
+    return obj
 
 
 def read_report(path) -> EnsembleReport:
@@ -323,17 +330,23 @@ def read_report(path) -> EnsembleReport:
             raise ParseError(f"{path}: field {key!r} is not a list")
     if doc["schema"] != SCHEMA:
         raise ParseError(f"{path}: schema {doc['schema']!r}, expected {SCHEMA!r}")
-    rows = tuple(_read_row(path, r) for r in doc["rows"])
-    if not all(isinstance(a, dict) for a in doc["aggregates"]):
-        raise ParseError(f"{path}: an aggregate is not a JSON object")
+    try:
+        rows = tuple(MetricRow(**_checked(path, "row", r)) for r in doc["rows"])
+    except TypeError as exc:  # a field that a row does not have
+        raise ParseError(f"{path}: malformed row ({exc})") from exc
+    config = _checked(path, "config", doc["config"])
+    if not config["p_grid"] or any(type(p) not in _REAL for p in config["p_grid"]):
+        raise ParseError(f"{path}: config field 'p_grid' is not a non-empty list of reals")
+    if config["replicas"] < 1:
+        raise ParseError(f"{path}: config field 'replicas' is below 1")
     return EnsembleReport(
         schema=doc["schema"],
         version=doc["version"],
         experiment=doc["experiment"],
-        config=doc["config"],
+        config=config,
         rows=rows,
-        failures=tuple(doc["failures"]),
-        aggregates=tuple(doc["aggregates"]),
+        failures=tuple(_checked(path, "failure", f) for f in doc["failures"]),
+        aggregates=tuple(_checked(path, "aggregate", a) for a in doc["aggregates"]),
     )
 
 

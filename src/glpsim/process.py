@@ -94,11 +94,11 @@ class ProcessParams:
             )
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError(f"seed must be a 64-bit natural, got {self.seed!r}")
-        times = tuple(int(t) for t in self.snapshot_times)
-        if any(t < 0 or t > self.steps for t in times):
-            raise ParameterError("snapshot times must lie in [0, steps]")
-        if any(b >= a for a, b in zip(times[1:], times)):
-            raise ParameterError("snapshot times must be strictly increasing")
+        times = list(self.snapshot_times)
+        increasing = all(a < b for a, b in zip(times, times[1:]))
+        if not increasing or not all(0 <= t <= self.steps for t in times):
+            raise ParameterError(f"snapshot times must be strictly increasing and lie in "
+                                 f"[0, {self.steps}], got {times}")
 
 
 @dataclass(frozen=True)

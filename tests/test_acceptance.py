@@ -203,17 +203,14 @@ def test_criterion_08_arrival_moments():
 
 def test_criterion_09_clique_growth():
     times = (10**4, 10**5, 10**6)
-    rows = g.clique_growth_experiment(
-        0.5, times, seeds=10, base_seed=0, m=10, eps=0.1, eps_prime=0.05, topk=64
-    )
-    frac = {}
-    topk = {}
-    for t in times:
-        sub = [r for r in rows if r.t == t]
-        frac[t] = float(np.mean([r.pair_fraction for r in sub]))
-        topk[t] = float(np.mean([r.topk_clique_size for r in sub]))
-    fseq = [frac[t] for t in times]
-    kseq = [topk[t] for t in times]
+    rep = g.run_ensemble(g.EnsembleConfig(
+        "cliquegrowth", p_grid=(0.5,), steps=2 * 10**6, replicas=10,
+        params={"t_values": times, "m": 10, "eps": 0.1, "eps_prime": 0.05, "topk": 64},
+    ))
+    assert not rep.failures
+    mean = {(a["t"], a["metric"]): a["mean"] for a in rep.aggregates}
+    fseq = [mean[t, "pair_fraction"] for t in times]
+    kseq = [mean[t, "topk_clique_size"] for t in times]
     ok_mono = all(a <= b + 1e-12 for a, b in zip(fseq, fseq[1:]))
     ok_level = fseq[-1] >= 0.9
     ok_topk = all(a <= b + 1e-12 for a, b in zip(kseq, kseq[1:]))

@@ -131,6 +131,8 @@ _REQUIRED = {
         (["ensemble", "--experiment", "cliquegrowth", "--steps", "1000"],
          "t-values = -5,500\n"),
         (["ensemble", "--steps", "3000000000"], ""),
+        (["ensemble", "--p-grid", ","], ""),
+        (["ensemble", "--p-grid", "0.5,0.5"], ""),
     ],
     ids=["grid-inf", "grid-inf-config", "grid-fraction", "replicas-negative",
          "dom-samples-negative", "snapshots-inf", "snapshots-nan-config",
@@ -139,7 +141,8 @@ _REQUIRED = {
          "t-values-mismatch", "t-values-default-odd", "eps-nan", "eps-prime-nan",
          "eps-prime-inf", "gamma-default-p1", "cliquegrowth-eps-nan",
          "cliquegrowth-eps-prime-inf", "cliquegrowth-topk-zero", "cliquegrowth-m-zero-config",
-         "cliquegrowth-no-leader-window", "cliquegrowth-t-negative", "steps-beyond-capacity"],
+         "cliquegrowth-no-leader-window", "cliquegrowth-t-negative", "steps-beyond-capacity",
+         "p-grid-empty", "p-grid-repeated"],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
@@ -150,6 +153,7 @@ def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     )
     assert code == 2
     assert "error" in err
+    assert not (tmp_path / "ens").exists()
 
 
 @pytest.mark.parametrize(
@@ -195,6 +199,15 @@ def test_readme_commands_resolve():
     assert len(commands) >= 6
     for argv in commands:
         cli._resolve(cli.build_parser().parse_args(argv), {})
+
+
+def test_readme_library_quick_start(capsys):
+    """The README's "Library quick start" block runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == code.count("print(")
 
 
 # ----------------------------------------------------------------------
@@ -418,16 +431,14 @@ def test_clique_matches_community_module(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    row = g.clique_growth_experiment(
-        0.5, (1000,), seeds=1, base_seed=7, m=10, eps=0.1, eps_prime=0.05, topk=64
-    )[0]
+    graph = g.run(g.ProcessParams(p=0.5, steps=2000, seed=7)).graph
+    (row,) = g.clique_growth_rows(graph, (1000,), m=10, eps=0.1, eps_prime=0.05, topk=64)
     assert doc["pair_fraction"] == row.pair_fraction
     assert doc["clique_size"] == row.clique_size
     assert doc["topk_clique_size"] == row.topk_clique_size
     assert doc["j_lo"] == row.j_lo and doc["j_hi"] == row.j_hi
     assert doc["leader_count"] == row.leader_count
     assert doc["t"] == 1000
-    graph = g.run(g.ProcessParams(p=0.5, steps=2000, seed=7)).graph
     assert doc["triangles"] == g.count_triangles(graph)
 
 

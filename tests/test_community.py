@@ -337,9 +337,10 @@ def test_simple_edges_canonical_unique():
 
 
 def test_growth_experiment_rows():
-    rows = g.clique_growth_experiment(
-        0.5, (1000, 2000), seeds=2, base_seed=0, m=5, topk=16
-    )
+    rows = []
+    for seed in range(2):
+        graph = g.run(g.ProcessParams(p=0.5, steps=4000, seed=seed)).graph
+        rows += g.clique_growth_rows(graph, (1000, 2000), m=5, eps=0.1, eps_prime=0.05, topk=16)
     assert len(rows) == 4
     for r in rows:
         assert r.p == 0.5

@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
+from glpsim import cli
+from glpsim.ensemble import EXPERIMENTS
 from glpsim.errors import BatchError, ConfigError, ParseError
 from glpsim.process import MAX_STEPS
 
@@ -30,6 +32,8 @@ def test_config_validation():
         maxdeg_config(experiment="nope")
     with pytest.raises(ConfigError):
         maxdeg_config(p_grid=())
+    with pytest.raises(ConfigError, match="repeats"):
+        maxdeg_config(p_grid=(0.5, 0.25, 0.5))
     with pytest.raises(ConfigError):
         maxdeg_config(replicas=0)
     with pytest.raises(ConfigError):
@@ -147,6 +151,34 @@ def test_read_report_diagnostics(tmp_path):
     with pytest.raises(ParseError, match="aggregate"):
         g.read_report(bad)
 
+    failure = {"p": 0.5, "seed": 1, "error": "E: x"}
+    for part, value, match in [
+        ("failures", [7], "failure is not a JSON object"),
+        ("failures", [{"p": 0.5, "seed": 1}], "failure field 'error' is missing"),
+        ("failures", [{**failure, "seed": 1.0}], "failure field 'seed'"),
+        ("failures", [{**failure, "p": None}], "failure field 'p'"),
+        ("config", [1], "config is not a JSON object"),
+        ("p_grid", 0.5, "config field 'p_grid'"),
+        ("p_grid", [], "config field 'p_grid'"),
+        ("p_grid", ["0.5"], "config field 'p_grid'"),
+        ("replicas", 0, "config field 'replicas'"),
+        ("replicas", True, "config field 'replicas'"),
+        ("min_success", "1", "config field 'min_success'"),
+    ]:
+        doc5 = json.loads(text)
+        if part in doc5:
+            doc5[part] = value
+        else:
+            doc5["config"][part] = value
+        bad.write_text(json.dumps(doc5))
+        with pytest.raises(ParseError, match=match):
+            g.read_report(bad)
+    doc5 = json.loads(text)
+    del doc5["config"]["replicas"]
+    bad.write_text(json.dumps(doc5))
+    with pytest.raises(ParseError, match="config field 'replicas' is missing"):
+        g.read_report(bad)
+
     for text in ("5", "[]", '"x"'):
         scalar = tmp_path / "scalar.json"
         scalar.write_text(text)
@@ -175,7 +207,8 @@ _JSON_VALUES = st.recursive(
 def test_read_report_fuzz(tmp_path, report_text, data):
     """Malformed reports raise ``ParseError`` and nothing else."""
     text = report_text
-    kind = data.draw(st.sampled_from(["truncate", "bytes", "field", "row", "aggregate"]))
+    kind = data.draw(st.sampled_from(
+        ["truncate", "bytes", "field", "row", "aggregate", "failure", "config"]))
     if kind == "truncate":
         raw = text[: data.draw(st.integers(0, len(text)))].encode()
     elif kind == "bytes":
@@ -188,7 +221,9 @@ def test_read_report_fuzz(tmp_path, report_text, data):
         raw = json.dumps(doc).encode()
     else:
         doc = json.loads(text)
-        target = doc if kind == "field" else doc["rows"][0]
+        doc["failures"] = [{"p": 0.5, "seed": 1, "error": "E: x"}]
+        target = {"field": doc, "row": doc["rows"][0], "failure": doc["failures"][0],
+                  "config": doc["config"]}[kind]
         key = data.draw(st.sampled_from(sorted(target)))
         if data.draw(st.booleans()):
             del target[key]
@@ -206,6 +241,10 @@ def test_read_report_fuzz(tmp_path, report_text, data):
                          (r.value, (int, float))]:
             assert isinstance(v, types) and not isinstance(v, bool)
     assert all(isinstance(a, dict) for a in rep.aggregates)
+    for f in rep.failures:
+        assert isinstance(f["p"], (int, float)) and type(f["seed"]) is int
+        assert isinstance(f["error"], str)
+    assert isinstance(rep.gate_passed(), bool)
 
 
 def test_failure_isolation_and_gate():
@@ -271,3 +310,22 @@ def test_cliquegrowth_experiment_steps_contract():
             experiment="cliquegrowth", p_grid=(0.5,), steps=999, replicas=1,
             params={"t_values": (200, 500), "m": 5, "topk": 8},
         )
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [("maxdeg", "vertex"), ("maxdeg", "m"), ("triangles", "t_values"),
+     ("arrival", "snapshot_times"), ("cliquegrowth", "vertex"), ("maxdeg", "bogus")],
+)
+def test_unread_params_rejected(experiment, key):
+    """A parameter the experiment does not read fails at construction, not
+    in every replica."""
+    with pytest.raises(ConfigError, match=f"does not read {key}"):
+        g.EnsembleConfig(experiment=experiment, p_grid=(0.5,), steps=100, replicas=2,
+                         params={key: 3})
+
+
+def test_cli_flags_reach_every_experiment_parameter():
+    params = {name for _, defaults in EXPERIMENTS.values() for name in defaults}
+    assert sorted(cli._PARAM.values()) == sorted(params)
+    assert set(cli._PARAM) <= set(cli._COMMANDS["ensemble"][1])
