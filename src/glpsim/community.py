@@ -212,8 +212,10 @@ def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
         raise ParameterError(f"k must be >= 1, got {k}")
     deg = graph.degrees
     k = min(k, deg.size)
-    order = np.lexsort((np.arange(1, deg.size + 1), -deg))
-    ids = np.sort(order[:k] + 1).astype(np.int64)
+    kth = np.partition(deg, deg.size - k)[deg.size - k]  # the k-th largest degree
+    above = np.flatnonzero(deg > kth)
+    ties = np.flatnonzero(deg == kth)[: k - above.size]  # smallest ids first
+    ids = np.sort(np.concatenate((above, ties))).astype(np.int64) + 1
     mask = _max_clique_mask(_induced_masks(graph, ids))
     return tuple(int(ids[i]) for i in range(k) if mask >> i & 1)
 
@@ -222,11 +224,17 @@ def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
 # triangles
 
 
+# Rows of the oriented adjacency per block of the triangle product.
+_TRIANGLE_ROWS = 2**16
+
+
 def count_triangles(graph: process.GlpGraph) -> int:
     """Triangle count of the simple projection.
 
     Edges are oriented from lower to higher simple degree (ids break ties),
     which keeps the sparse path-counting product small on skewed graphs.
+    The product is taken ``_TRIANGLE_ROWS`` rows at a time, so its memory
+    is bounded by one block of rows, not by the whole graph.
     """
     edges = simple_edges(graph)
     if edges.shape[0] == 0:
@@ -243,7 +251,11 @@ def count_triangles(graph: process.GlpGraph) -> int:
     b = sparse.csr_matrix(
         (np.ones(lo.size, dtype=np.int64), (lo, hi)), shape=(n, n)
     )
-    return int((b @ b).multiply(b).sum())
+    total = 0
+    for a in range(0, n, _TRIANGLE_ROWS):
+        rows = b[a : a + _TRIANGLE_ROWS]
+        total += int((rows @ b).multiply(rows).sum())
+    return total
 
 
 # ----------------------------------------------------------------------

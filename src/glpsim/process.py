@@ -152,7 +152,7 @@ class GlpGraph:
         if ep.min() < 1:
             raise ParameterError("vertex ids must be >= 1")
         nv = int(ep.max())
-        deg = np.bincount(ep, minlength=nv + 1).astype(np.int64)
+        deg = _count_degrees(ep, nv)
         if (deg[1:] == 0).any():
             raise ParameterError("vertex ids must form a contiguous range 1..V")
         # In first-appearance order each new id is one above the largest
@@ -228,9 +228,24 @@ class GlpGraph:
             return self
         if not (0 <= t <= self.t):
             raise ParameterError(f"time {t} outside [0, {self.t}]")
+        # ``_arr`` is sorted with a 0 in front: the vertices present at time
+        # ``t`` are the ids whose arrival is at most ``t``.
+        nv = int(np.searchsorted(self._arr, t, side="right")) - 1
         ep = self._ep[: 2 * (t + 1)]
-        deg = np.bincount(ep)
-        return GlpGraph._from_arrays(self.p, self.seed, ep, deg, self._arr[: deg.size])
+        deg = _count_degrees(ep, nv)
+        return GlpGraph._from_arrays(self.p, self.seed, ep, deg, self._arr[: nv + 1])
+
+
+def _count_degrees(endpoints: np.ndarray, nv: int) -> np.ndarray:
+    """int64 degrees indexed by id ``0..nv`` of an endpoint sequence whose
+    ids lie in ``[1, nv]``.
+
+    ``np.add.at`` reads the int32 endpoints in place: no intp copy of
+    them (8 bytes per slot) is made.
+    """
+    degrees = np.zeros(nv + 1, dtype=np.int64)
+    np.add.at(degrees, endpoints, 1)
+    return degrees
 
 
 def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
@@ -306,6 +321,16 @@ def _generate(p: float, steps: int, seed: int):
     final slot or a new-vertex root; one gather then fills the block.  A
     block is at most as long as the prefix, so fewer than half of its
     pointers land inside it, and no working array outgrows one block.
+
+    After the fill, the arrivals are read from the kind flags a chunk of
+    ``_MAX_BLOCK`` steps at a time, the flags are freed, and the degrees
+    are counted straight from the int32 endpoints.  At the peak, during
+    that count, only the three arrays the graph keeps are alive: the
+    endpoints at 8 bytes per step, and the int64 degrees and arrivals at
+    8 bytes per vertex each, about 4 per step each at ``p = 0.5``.  Before
+    it, the kind flags (1 byte per step) sit beside the endpoints, with one
+    block's temporaries during the fill and the arrivals and one chunk's
+    temporaries after it.
     """
     n = int(steps)
     rng = make_rng(seed)
@@ -323,11 +348,15 @@ def _generate(p: float, steps: int, seed: int):
         nv = _fill_block(endpoints, z, rng, lo, hi, nv)
         lo, hi = hi, min(nslots, 2 * hi, hi + _MAX_BLOCK)
 
-    degrees = np.bincount(endpoints, minlength=nv + 1)
-    arrivals = np.empty(nv + 1, dtype=np.int64)
-    arrivals[0] = 0
-    arrivals[1] = 0
-    arrivals[2:] = np.flatnonzero(z) + 1
+    # Vertex ``j + 1`` arrives at the (1-based) step of the ``j``-th vertex-step.
+    arrivals = np.zeros(nv + 1, dtype=np.int64)
+    i = 2
+    for a in range(0, n, _MAX_BLOCK):
+        vsteps = np.flatnonzero(z[a : a + _MAX_BLOCK]) + a + 1
+        arrivals[i : i + vsteps.size] = vsteps
+        i += vsteps.size
+    del z
+    degrees = _count_degrees(endpoints, nv)
     return endpoints, degrees, arrivals
 
 

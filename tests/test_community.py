@@ -265,6 +265,24 @@ def test_max_clique_exact_above_128_candidates():
     assert g.is_clique(gr, ids).largest_clique_size == len(got)
 
 
+def test_topk_ties_at_the_cut_go_to_the_smallest_ids():
+    """On a complete graph every top-k set is a clique, so the result is
+    exactly the selected ids; loops set the degrees, with many ties at
+    every cut."""
+    loops = [3, 0, 1, 1, 0, 1, 2, 1, 0, 1, 1, 2, 0, 1]
+    n = len(loops)
+    kn = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    ep = [x for u, v in kn for x in (u, v)]
+    for v, count in enumerate(loops, start=1):
+        ep += [v, v] * count
+    gr = g.GlpGraph.from_endpoints(np.array(ep), p=0.5, seed=0)
+    deg = gr.degrees
+    assert np.array_equal(deg, n - 1 + 2 * np.array(loops))
+    for k in range(1, n + 3):
+        order = np.lexsort((np.arange(1, n + 1), -deg))[:k]
+        assert g.max_clique_topk(gr, k) == tuple(sorted(int(v) + 1 for v in order))
+
+
 # ----------------------------------------------------------------------
 # triangles
 
@@ -310,6 +328,16 @@ def test_triangles_match_networkx(p, steps, seed):
     full.add_nodes_from(range(1, gr.num_vertices + 1))
     full.add_edges_from(g.simple_edges(gr).tolist())
     assert g.count_triangles(gr) == sum(nx.triangles(full).values()) // 3
+
+
+def test_triangles_across_row_blocks():
+    """A path with a chord (i, i+2) at every third i has exactly one
+    triangle per chord; its 70,000 degree-2 vertices, the lowest-ranked
+    corner of each triangle, fill more than one row block."""
+    n = 210_000
+    chords = [(i, i + 2) for i in range(1, n - 1, 3)]
+    gr = graph_from_simple_edges(n, chords)
+    assert g.count_triangles(gr) == len(chords)
 
 
 def test_triangles_prefix_time():

@@ -149,17 +149,36 @@ def test_scalar_replay_matches_run(p, seed, steps):
     assert np.array_equal(got, scalar_replay(p, steps, seed))
 
 
+@pytest.mark.parametrize(
+    "p, steps",
+    [(p, steps) for p in (0.0, 0.5, 1.0)
+     for steps in BLOCK_EDGE_STEPS + (3 * process._MAX_BLOCK + 5,)],
+)
+def test_degrees_and_arrivals_match_the_endpoints(p, steps):
+    # the last size spans four chunks of kind flags in the arrival fill
+    gr = g.run(g.ProcessParams(p=p, steps=steps, seed=9)).graph
+    for graph in (gr, gr.at(steps // 2)):
+        ep = graph.endpoints
+        assert graph.degrees.dtype == graph.arrival_times.dtype == np.int64
+        assert np.array_equal(graph.degrees, np.bincount(ep)[1:])
+        ids, first_slot = np.unique(ep, return_index=True)
+        assert np.array_equal(ids, np.arange(1, graph.num_vertices + 1))
+        assert np.array_equal(graph.arrival_times, first_slot // 2)
+
+
 def test_generation_peak_bytes_per_step():
-    # Working arrays stay within one block; the peak is the int32 endpoints,
-    # the step kinds and np.bincount's intp copy of the endpoints.
-    steps = 2**18
+    # Working arrays stay within one block or chunk, so at this size the
+    # peak is the three arrays the graph keeps: the int32 endpoints
+    # (8 B/step) and the int64 degrees and arrivals (about 4 B/step each at
+    # p = 0.5).
+    steps = 2**21
     tracemalloc.start()
     try:
         g.run(g.ProcessParams(p=0.5, steps=steps, seed=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / steps <= 48
+    assert peak / steps <= 18
 
 
 # ----------------------------------------------------------------------
