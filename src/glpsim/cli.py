@@ -277,15 +277,27 @@ def _cmd_hitting(opts: dict) -> int:
     }
     _dump_json(doc, opts["out"])
     if opts["csv"]:
+        # the rows ``csv.writer`` would write: no field needs quoting
         with open(opts["csv"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["source", "p", "m", "j", "k", "replica", "hit_time"])
-            for i, v in enumerate(report.empirical_times):
-                w.writerow(["empirical", repr(p), m, j, k, i,
-                            "censored" if math.isinf(v) else int(v)])
-            for i, v in enumerate(report.dominating_times):
-                w.writerow(["dominating", repr(p), m, j, k, i, repr(float(v))])
+            fh.write("source,p,m,j,k,replica,hit_time\r\n")
+            hits = ["censored" if math.isinf(v) else int(v)
+                    for v in report.empirical_times.tolist()]
+            _write_rows(fh, f"empirical,{p!r},{m},{j},{k},%d,%s\r\n", hits)
+            _write_rows(fh, f"dominating,{p!r},{m},{j},{k},%d,%r\r\n",
+                        report.dominating_times.tolist())
     return 0 if report.passed else 1
+
+
+# Rows per formatted write: bounds the temporary string at any sample count.
+_WRITE_CHUNK = 2**16
+
+
+def _write_rows(fh, row: str, values: list) -> None:
+    """Write ``row % (i, values[i])`` for every ``i``, a chunk at a time."""
+    for a in range(0, len(values), _WRITE_CHUNK):
+        chunk = values[a : a + _WRITE_CHUNK]
+        fields = [x for pair in zip(range(a, a + len(chunk)), chunk) for x in pair]
+        fh.write(row * len(chunk) % tuple(fields))
 
 
 def _cmd_clique(opts: dict) -> int:

@@ -39,7 +39,9 @@ def _edge_keys(graph: process.GlpGraph, ids: np.ndarray | None = None) -> np.nda
     projection; with ``ids`` given, only the edges with both ends in it."""
     pairs = graph.endpoints.reshape(-1, 2)
     if ids is not None:
-        pairs = pairs[np.isin(pairs[:, 0], ids) & np.isin(pairs[:, 1], ids)]
+        member = np.zeros(graph.num_vertices + 1, dtype=bool)
+        member[ids] = True
+        pairs = pairs[member[pairs[:, 0]] & member[pairs[:, 1]]]
     pairs = pairs.astype(np.int64)
     u = pairs.min(axis=1)
     v = pairs.max(axis=1)

@@ -71,11 +71,16 @@ def block_degree_curve(graph: process.GlpGraph, block: BlockSpec) -> np.ndarray:
 
 def crossing_times(graph: process.GlpGraph, block: BlockSpec) -> tuple[int | None, ...]:
     """First time the block degree reaches each of the block's thresholds in
-    a finished run (None if never)."""
-    curve = block_degree_curve(graph, block)
-    ks = np.asarray(block.thresholds, dtype=np.int64)
-    idx = np.searchsorted(curve, ks)  # curve is nondecreasing
-    return tuple(int(i) if i < curve.size else None for i in idx)
+    a finished run (None if never).
+
+    The degree reaches ``k`` at the step that writes the ``k``-th slot
+    holding a member, and slot ``s`` is written at step ``s // 2``.
+    """
+    lo, hi = block.vertex_range
+    ep = graph.endpoints
+    slots = np.flatnonzero((ep >= lo) & (ep <= hi))
+    return tuple(int(slots[k - 1]) // 2 if k <= slots.size else None
+                 for k in block.thresholds)
 
 
 # ----------------------------------------------------------------------

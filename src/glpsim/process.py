@@ -261,15 +261,82 @@ def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
 # Slot blocks of the resolver: the first block ends at ``_FIRST_BLOCK``;
 # every later block at most doubles the resolved prefix and holds at most
 # ``_MAX_BLOCK`` slots.  ``_MAX_BLOCK`` is also the chunk of kind uniforms.
+# Blocks ending at most ``_DRAW_CUTOFF`` slots draw their slot indices with
+# ``_slot_draws``; above it Lemire rejections (about one per 2**33 / bound
+# draws) restart its windows so often that ``rng.integers`` is faster.
 _FIRST_BLOCK = 2**16
 _MAX_BLOCK = 2**18
+_DRAW_CUTOFF = 2**19
+
+# ``_slot_draws`` works through the uint32 stream this many draws at a time,
+# so its uint64 temporaries stay in cache.
+_DRAW_WINDOW = 2**14
+_EVEN = np.arange(_DRAW_WINDOW + 1, dtype=np.uint64) & np.uint64(2**64 - 2)
+_LOW32 = np.uint64(2**32 - 1)
+
+
+def _slot_draws(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+    """``rng.integers(0, np.arange(lo, hi) & ~1)``, values and stream alike,
+    for ``2 <= lo < hi < 2**32``.
+
+    numpy draws a bound ``b < 2**32`` by Lemire's method: a uint32 ``x``
+    gives ``m = x * b`` and the value ``m >> 32``, and the draw takes the
+    next uint32 instead while ``m % 2**32 < 2**32 % b``.  Each PCG64 output
+    supplies two uint32, low half first; an unused high half waits in the
+    state (``has_uint32``, ``uinteger``).  Here a window of draws is
+    computed at once and only its rare candidates (``m % 2**32 < b``) get the
+    modulo.  A rejection restarts the window at the rejected draw, one
+    uint32 further on.  Raw outputs are taken only as they are needed, and
+    the buffered half is written back at the end, so the generator's state
+    ends exactly where numpy's would.
+    """
+    bg = rng.bit_generator
+    state = bg.state
+    last = state["uinteger"]
+    carry = np.array([last] if state["has_uint32"] else [], dtype=np.uint32)
+    out = np.empty(hi - lo, dtype=np.int64)
+    bounds = np.empty(_DRAW_WINDOW, dtype=np.uint64)
+    m = np.empty(_DRAW_WINDOW, dtype=np.uint64)
+    low = np.empty(_DRAW_WINDOW, dtype=np.uint64)
+    small = np.empty(_DRAW_WINDOW, dtype=bool)
+    i = lo
+    while i < hi:
+        w = min(_DRAW_WINDOW, hi - i)
+        need = w - carry.size
+        if need > 0:
+            raw = bg.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
+            x = np.concatenate((carry, raw)) if carry.size else raw
+        else:
+            x = carry
+        odd = i & 1
+        bw, mw, lw = bounds[:w], m[:w], low[:w]
+        np.add(_EVEN[odd : odd + w], i - odd, out=bw)  # (i + k) & ~1
+        np.multiply(x[:w], bw, out=mw)
+        np.bitwise_and(mw, _LOW32, out=lw)
+        cand = np.flatnonzero(np.less(lw, bw, out=small[:w]))
+        rejected = cand[lw[cand] < np.uint64(2**32) % bw[cand]]
+        n = int(rejected[0]) if rejected.size else w
+        np.right_shift(mw[:n], 32, out=out[i - lo : i - lo + n].view(np.uint64))
+        carry = x[n + (n < w) :]
+        last = x[-1]
+        i += n
+    # Every uint32 drawn but ``carry`` is used; the stream's last element
+    # is a high half, which numpy keeps in ``uinteger`` even once it is used.
+    state = bg.state
+    state["has_uint32"] = int(carry.size)
+    state["uinteger"] = int(last)
+    bg.state = state
+    return out
 
 
 def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     """Draw the slot indices of slots ``[lo, hi)``, resolve them against the
     final prefix ``endpoints[:lo]`` and write them; return the vertex count."""
     # slot s belongs to step s//2 - 1 and copies slot ptr[s - lo] < s & ~1
-    ptr = rng.integers(0, np.arange(lo, hi) & ~1)
+    if hi <= _DRAW_CUTOFF:
+        ptr = _slot_draws(rng, lo, hi)
+    else:
+        ptr = rng.integers(0, np.arange(lo, hi) & ~1)
     # roots: the odd slots of vertex-steps, which hold a brand-new vertex
     roots = lo + 1 + 2 * np.flatnonzero(z[lo // 2 - 1 : hi // 2 - 1])
     ptr[roots - lo] = roots
@@ -310,7 +377,10 @@ def _generate(p: float, steps: int, seed: int):
 
     Both draws are taken in pieces, which leaves the stream unchanged: the
     kind uniforms in chunks of ``_MAX_BLOCK``, the slot indices block by
-    block as the endpoints are resolved.
+    block as the endpoints are resolved.  ``rng.integers`` defines the slot
+    draws.  Blocks ending at most ``_DRAW_CUTOFF`` slots take them from
+    ``_slot_draws``, which reproduces its values and its generator state
+    exactly; ``tests/test_process.py`` checks that against ``rng.integers``.
 
     Every non-root slot holds a copy of an earlier slot, so the sequence is
     resolved block by block, streaming through the slots.  The first block,

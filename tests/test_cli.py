@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import math
 import shlex
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -410,6 +412,32 @@ def test_hitting_json_and_csv(tmp_path, capsys):
         "censored" if math.isinf(v) else str(int(v)) for v in emp
     ]
     assert [float(r[6]) for r in rows[51:]] == dom.tolist()
+
+
+def test_hitting_csv_bytes_match_csv_writer(tmp_path, capsys, monkeypatch):
+    # 4096 steps leave most replicas short of k = 8: censored rows; a
+    # small chunk makes both sections span several formatted writes
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
+    csv_path = tmp_path / "hits.csv"
+    code, out, _ = run_cli(
+        capsys, "hitting", "--p", "0.5", "--j", "260", "--m", "4", "--k", "8",
+        "--grid", "256,4096", "--replicas", "40", "--dom-samples", "300",
+        "--seed", "3", "--csv", str(csv_path),
+    )
+    assert code in (0, 1)
+    emp = g.empirical_hit_times(0.5, 4096, g.BlockSpec(260, 4, (8,)), 8, 40, 3)
+    assert np.isinf(emp).any() and np.isfinite(emp).any()
+    law = g.DominatingLawParams(p=0.5, m=4, j=260, k=8, gamma=json.loads(out)["gamma"])
+    dom = g.sample_dominating(law, g.make_rng(3 + 40), size=300)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["source", "p", "m", "j", "k", "replica", "hit_time"])
+    for i, v in enumerate(emp):
+        w.writerow(["empirical", repr(0.5), 4, 260, 8, i,
+                    "censored" if math.isinf(v) else int(v)])
+    for i, v in enumerate(dom):
+        w.writerow(["dominating", repr(0.5), 4, 260, 8, i, repr(float(v))])
+    assert csv_path.read_bytes() == ref.getvalue().encode()
 
 
 def test_hitting_precondition_exit(capsys):

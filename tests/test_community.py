@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
+from glpsim.community import _edge_keys
 from glpsim.errors import ParameterError
 
 
@@ -362,6 +363,20 @@ def test_simple_edges_canonical_unique():
         again.extend([u, v])
     gr2 = g.GlpGraph.from_endpoints(np.array(again), p=0.5, seed=0)
     assert g.simple_edges(gr2).tolist() == edges.tolist()
+
+
+@pytest.mark.parametrize("p, steps, seed", [(0.5, 3000, 1), (0.2, 800, 2), (0.9, 400, 3)])
+def test_edge_keys_match_isin_filter(p, steps, seed):
+    gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
+    nv = gr.num_vertices
+    rng = np.random.default_rng(seed)
+    pairs = gr.endpoints.reshape(-1, 2)
+    for size in (1, 2, 5, min(64, nv)):
+        ids = np.unique(np.concatenate(([1, nv], rng.integers(1, nv + 1, size))))
+        kept = pairs[np.isin(pairs[:, 0], ids) & np.isin(pairs[:, 1], ids)].astype(np.int64)
+        u, v = kept.min(axis=1), kept.max(axis=1)
+        want = np.unique(u[u != v] * (nv + 1) + v[u != v])
+        assert np.array_equal(_edge_keys(gr, ids), want)
 
 
 def test_growth_experiment_rows():

@@ -50,6 +50,22 @@ def test_block_degree_curve_matches_direct_sum():
     assert (np.diff(curve) >= 0).all()
 
 
+def test_crossing_times_match_the_degree_curve():
+    rng = np.random.default_rng(5)
+    for seed in range(12):
+        p = float(rng.choice([0.1, 0.5, 0.9]))
+        gr = g.run(g.ProcessParams(p=p, steps=int(rng.integers(0, 4000)), seed=seed)).graph
+        for _ in range(4):
+            m = int(rng.integers(1, 6))
+            j = int(rng.integers(1, max(2, gr.num_vertices // m + 2)))
+            ks = tuple(sorted(set(rng.integers(1, 60, size=5).tolist())))
+            block = g.BlockSpec(j=j, m=m, thresholds=ks)
+            curve = g.block_degree_curve(gr, block)
+            idx = np.searchsorted(curve, ks)
+            want = tuple(int(i) if i < curve.size else None for i in idx)
+            assert g.crossing_times(gr, block) == want
+
+
 def test_crossings_are_monotone_in_k_per_replica():
     thresholds = (4, 6, 10, 14)
     for seed in range(20):

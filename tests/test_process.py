@@ -130,10 +130,47 @@ def test_replicas_are_runs_at_consecutive_seeds():
         assert np.array_equal(gr.endpoints, ref.endpoints)
 
 
+def _assert_slot_draws_match(seed, lo, hi, pre_draw):
+    ours, ref = g.make_rng(seed), g.make_rng(seed)
+    if pre_draw:  # leaves a buffered high half in both states
+        ours.integers(0, np.array([10]))
+        ref.integers(0, np.array([10]))
+    got = process._slot_draws(ours, lo, hi)
+    want = ref.integers(0, np.arange(lo, hi) & ~1)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert ours.bit_generator.state == ref.bit_generator.state
+    # the streams go on alike, through both kinds of later draw
+    bounds = np.arange(lo, hi) & ~1
+    assert np.array_equal(ours.integers(0, bounds), ref.integers(0, bounds))
+    assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("pre_draw", [False, True])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(2, 2**15), (2**16, 2**17 + 7),
+     (3 * 2**30, 3 * 2**30 + 3001),  # about 25% of draws rejected
+     (2**31 + 1, 2**31 + 9001),  # about 50%
+     (2**32 - 5000, 2**32 - 1), (2, 3)],
+)
+def test_slot_draws_match_numpy(lo, hi, pre_draw):
+    for seed in (0, 1, 2):
+        _assert_slot_draws_match(seed, lo, hi, pre_draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), lo=st.integers(2, 2**32 - 2),
+       length=st.integers(1, 3 * process._DRAW_WINDOW), pre_draw=st.booleans())
+def test_slot_draws_property(seed, lo, length, pre_draw):
+    _assert_slot_draws_match(seed, lo, min(lo + length, 2**32 - 1), pre_draw)
+
+
 # Step counts on the resolver's block edges: the tiny runs, either side of
-# the end of the first block (2**16 slots), and a run whose tail spans
-# several blocks capped at 2**18 slots.
-BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 2**19 + 3)
+# the end of the first block (2**16 slots), either side of the last block
+# that ``_slot_draws`` fills (ending at 2**19 slots), and a run whose tail
+# spans several blocks capped at 2**18 slots.
+BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 2**18 - 1, 2**18,
+                    2**19 + 3)
 
 
 @pytest.mark.parametrize(
