@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from . import process
 from .errors import FitError, ParameterError, StatisticsError
@@ -87,6 +86,8 @@ def phi(t: int, p: float) -> float:
     if t <= _PHI_PRODUCT_LIMIT:
         s = np.arange(1, t, dtype=np.float64)
         return float(np.prod(1.0 + cp / s)) if s.size else 1.0
+    from scipy import special
+
     return float(
         math.exp(special.gammaln(t + cp) - special.gammaln(t) - special.gammaln(1 + cp))
     )
@@ -342,6 +343,7 @@ def fit_power_law(hist: DegreeHistogram, x_min: int = 10) -> ExponentFit:
     if vals.size < 2:
         raise FitError("tail is concentrated on a single degree value")
     log_sum = float(np.dot(cnts, np.log(vals)))
+    from scipy import optimize, special
 
     def nll(a: float) -> float:
         return n * math.log(special.zeta(a, x_min)) + a * log_sum

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import process
 from .errors import ParameterError
@@ -241,6 +240,8 @@ def count_triangles(graph: process.GlpGraph) -> int:
     edges = simple_edges(graph)
     if edges.shape[0] == 0:
         return 0
+    from scipy import sparse
+
     n = graph.num_vertices + 1
     sdeg = np.bincount(edges.ravel(), minlength=n)
     rank = np.lexsort((np.arange(n), sdeg))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -234,6 +233,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
         for r in range(config.replicas)
     ]
     if config.width > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.width) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=8))
     else:

@@ -146,7 +146,7 @@ class GlpGraph:
         Ids must form a contiguous range 1..V ordered by first appearance;
         arrival times are reconstructed from first appearances.
         """
-        ep = np.asarray(endpoints, dtype=np.int32)
+        ep = np.array(endpoints, dtype=np.int32)
         if ep.ndim != 1 or ep.size < 2 or ep.size % 2:
             raise ParameterError("endpoint sequence must be flat with even length >= 2")
         if ep.min() < 1:
@@ -156,14 +156,21 @@ class GlpGraph:
         if (deg[1:] == 0).any():
             raise ParameterError("vertex ids must form a contiguous range 1..V")
         # In first-appearance order each new id is one above the largest
-        # id seen so far, so the running maximum rises by at most 1 a slot.
-        r = np.maximum.accumulate(ep)
-        if ep[0] != 1 or (np.diff(r) > 1).any():
-            raise ParameterError("vertex ids must be ordered by first appearance")
+        # id seen so far, so the running maximum (0 before slot 0) rises by
+        # at most 1 a slot.  It is carried across ``_MAX_BLOCK``-slot chunks.
         arr = np.zeros(nv + 1, dtype=np.int64)
-        # first slots of ids 1..V; edge index == step of first appearance
-        arr[1:] = np.flatnonzero(np.diff(r, prepend=0)) // 2
-        return cls._from_arrays(p, seed, ep.copy(), deg, arr)
+        top = 0
+        for a in range(0, ep.size, _MAX_BLOCK):
+            r = np.maximum.accumulate(ep[a : a + _MAX_BLOCK])
+            np.maximum(r, top, out=r)
+            rise = np.diff(r, prepend=top)
+            if (rise > 1).any():
+                raise ParameterError("vertex ids must be ordered by first appearance")
+            # first slots of the chunk's new ids; edge index == step of first appearance
+            first = np.flatnonzero(rise) + a
+            arr[top + 1 : top + 1 + first.size] = first // 2
+            top = int(r[-1])
+        return cls._from_arrays(p, seed, ep, deg, arr)
 
     # ------------------------------------------------------------------
     # queries

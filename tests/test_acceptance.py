@@ -202,6 +202,16 @@ def test_criterion_08_arrival_moments():
 
 
 def test_criterion_09_clique_growth():
+    """Leader pair fraction at t = 10^4/10^5/10^6 (p = 0.5, 10 seeds).
+
+    The 0.9 level fails, and it is kept as stated. For the latest leaders,
+    the pair intensity grows like t^{eps(1-p)}, which is t^0.05 at p = 0.5
+    and eps = 0.1. ROADMAP's re-anchor measurements on these runs: over
+    (t, 2t] the mean gain per pair matches the exact compensator Lambda
+    (0.113/0.185/0.240 against 0.121/0.178/0.237). Counting pairs joined at
+    t as 1 and the others as 1 - exp(-Lambda) predicts fractions of
+    0.269/0.350/0.389 against the observed 0.263/0.350/0.393.
+    """
     times = (10**4, 10**5, 10**6)
     rep = g.run_ensemble(g.EnsembleConfig(
         "cliquegrowth", p_grid=(0.5,), steps=2 * 10**6, replicas=10,

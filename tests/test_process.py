@@ -218,6 +218,21 @@ def test_generation_peak_bytes_per_step():
     assert peak / steps <= 18
 
 
+def test_from_endpoints_peak_bytes_per_step():
+    # One int32 copy of the input (8 B/step), the int64 degrees and
+    # arrivals (about 4 B/step each at p = 0.5), and one chunk of the
+    # first-appearance check.
+    steps = 2**20
+    ep = g.run(g.ProcessParams(p=0.5, steps=steps, seed=0)).graph.endpoints.copy()
+    tracemalloc.start()
+    try:
+        g.GlpGraph.from_endpoints(ep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 26
+
+
 # ----------------------------------------------------------------------
 # step kinds at the deterministic ends
 
@@ -366,6 +381,22 @@ def test_from_endpoints_validation():
         g.GlpGraph.from_endpoints([2, 2, 1, 1])  # not ordered by first appearance
     with pytest.raises(ParameterError):
         g.GlpGraph.from_endpoints([0, 1])
+    # a skipped id right after the first chunk of the first-appearance check
+    head = np.ones(process._MAX_BLOCK, dtype=np.int32)
+    with pytest.raises(ParameterError, match="first appearance"):
+        g.GlpGraph.from_endpoints(np.concatenate([head, [3, 2]]))
+
+
+@pytest.mark.parametrize("steps", [process._MAX_BLOCK // 2 - 1, process._MAX_BLOCK // 2,
+                                   process._MAX_BLOCK + 5])
+def test_from_endpoints_across_chunks(steps):
+    gr = g.run(g.ProcessParams(p=0.5, steps=steps, seed=3)).graph
+    back = g.GlpGraph.from_endpoints(gr.endpoints)
+    assert back.endpoints.dtype == np.int32
+    assert not np.shares_memory(back.endpoints, gr.endpoints)
+    assert np.array_equal(back.endpoints, gr.endpoints)
+    assert np.array_equal(back.degrees, gr.degrees)
+    assert np.array_equal(back.arrival_times, gr.arrival_times)
 
 
 @settings(max_examples=30, deadline=None)
