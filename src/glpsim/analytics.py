@@ -38,6 +38,9 @@ __all__ = [
 # phi switches from the literal product to log-Gamma differences here.
 _PHI_PRODUCT_LIMIT = 1000
 
+# A conditioned martingale check gives up after this many runs per replica.
+_MAX_ATTEMPTS_FACTOR = 200
+
 
 def c_p(p: float) -> float:
     """Degree growth exponent ``1 - p/2``."""
@@ -143,7 +146,6 @@ def martingale_check(
     base_seed: int = 0,
     vertex: int = 1,
     arrival_step: int | None = None,
-    max_attempts_factor: int = 200,
 ) -> MartingaleReport:
     """Estimate ``E[d_t(vertex)] / phi_tilde(t)`` at each checkpoint.
 
@@ -172,7 +174,7 @@ def martingale_check(
     steps = max(checkpoints[-1], 1)
     degs = np.empty((replicas, len(checkpoints)), dtype=np.float64)
     accepted = 0
-    budget = max_attempts_factor * replicas
+    budget = _MAX_ATTEMPTS_FACTOR * replicas
     for g in process.replicas(p, steps, int(base_seed), budget):
         if vertex > 1:
             if g.num_vertices < vertex or g.arrival_time(vertex) != arrival_step:

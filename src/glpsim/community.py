@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import process
+from .analytics import derived_constants
 from .errors import ParameterError
 
 __all__ = [
@@ -280,12 +281,10 @@ class GrowthRow:
 
 def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[int, int]:
     """Block index window ``[ceil(t**eps_prime), floor(t**alpha)]`` where
-    ``alpha = (1 - eps) * (1 - p) / (2 - p)``."""
-    if not (0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    ``alpha`` is the clique exponent of ``derived_constants(p, eps)``."""
+    alpha = derived_constants(p, eps).clique_exponent
     if not (0.0 <= eps_prime < math.inf):
         raise ParameterError(f"eps_prime must be finite and >= 0, got {eps_prime}")
-    alpha = (1.0 - eps) * (1.0 - p) / (2.0 - p)
     j_lo = max(1, math.ceil(t**eps_prime))
     j_hi = math.floor(t**alpha)
     if j_hi < j_lo:

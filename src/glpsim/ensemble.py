@@ -47,12 +47,12 @@ SCHEMA = "glp-report/1"
 
 
 def _exp_maxdeg(graph, snapshot_times):
-    times = tuple(snapshot_times) or (graph.t,)
+    times = tuple(map(int, snapshot_times)) or (graph.t,)
     return [(t, "max_degree", float(graph.at(t).max_degree())) for t in times]
 
 
 def _exp_triangles(graph, snapshot_times):
-    times = tuple(snapshot_times) or (graph.t,)
+    times = tuple(map(int, snapshot_times)) or (graph.t,)
     return [(t, "triangles", float(community.count_triangles(graph.at(t)))) for t in times]
 
 
@@ -61,7 +61,7 @@ def _exp_arrival(graph, vertex):
 
 
 def _exp_cliquegrowth(graph, t_values, **kw):
-    ts = tuple(t_values) or (graph.t // 2,)
+    ts = tuple(map(int, t_values)) or (graph.t // 2,)
     out = []
     for r in community.clique_growth_rows(graph, ts, **kw):
         out.append((r.t, "pair_fraction", float(r.pair_fraction)))
@@ -122,13 +122,14 @@ class EnsembleConfig:
                 process.ProcessParams(p, self.steps, self.base_seed, kw.get("snapshot_times", ()))
         except (ParameterError, CapacityError) as exc:
             raise ConfigError(str(exc)) from exc
-        if "vertex" in kw and not (1 <= kw["vertex"] <= self.steps + 1):
-            raise ConfigError(f"vertex must lie in [1, {self.steps + 1}], got {kw['vertex']}")
+        v = kw.get("vertex")
+        if v is not None and (not 1 <= v <= self.steps + 1 or int(v) != v):
+            raise ConfigError(f"vertex must be an integer in [1, {self.steps + 1}], got {v}")
         if self.experiment == "cliquegrowth":
             ts = tuple(kw["t_values"]) or (self.steps // 2,)
-            if self.steps != 2 * max(ts) or min(ts) < 1:
+            if self.steps != 2 * max(ts) or any(not 1 <= t or int(t) != t for t in ts):
                 raise ConfigError(
-                    f"cliquegrowth needs t_values >= 1 and steps == 2 * max(t_values), "
+                    f"cliquegrowth needs integer t_values >= 1 and steps == 2 * max(t_values), "
                     f"got steps={self.steps} and t_values={list(ts)}"
                 )
             for name in ("m", "topk"):

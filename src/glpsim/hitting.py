@@ -260,10 +260,11 @@ def domination_test(
 
 
 def empirical_hit_times(
-    p: float, steps: int, block: BlockSpec, k: int, replicas: int, base_seed: int
+    p: float, steps: int, j: int, m: int, k: int, replicas: int, base_seed: int
 ) -> np.ndarray:
-    """Hit times of block degree ``k`` over independent runs (inf if censored)."""
-    spec = BlockSpec(j=block.j, m=block.m, thresholds=(int(k),))
+    """Hit times of degree ``k`` by block ``j`` of size ``m`` over independent
+    runs (inf if censored)."""
+    spec = BlockSpec(j=j, m=m, thresholds=(int(k),))
     out = np.empty(replicas, dtype=np.float64)
     for r, graph in enumerate(process.replicas(p, steps, base_seed, replicas)):
         hit = crossing_times(graph, spec)[0]
@@ -308,9 +309,7 @@ def domination_experiment(
     steps = grid[-1] if steps is None else int(steps)
     if steps < grid[-1]:
         raise ParameterError("steps must reach the last grid point")
-    emp = empirical_hit_times(
-        p, steps, BlockSpec(j=j, m=m, thresholds=(k,)), k, replicas, base_seed
-    )
+    emp = empirical_hit_times(p, steps, j, m, k, replicas, base_seed)
     dom_rng = process.make_rng(base_seed + replicas)
     dom = sample_dominating(params, dom_rng, size=dominating_samples)
     return domination_test(params, emp, dom, grid)

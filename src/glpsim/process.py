@@ -96,8 +96,8 @@ class ProcessParams:
             raise ParameterError(f"seed must be a 64-bit natural, got {self.seed!r}")
         times = list(self.snapshot_times)
         increasing = all(a < b for a, b in zip(times, times[1:]))
-        if not increasing or not all(0 <= t <= self.steps for t in times):
-            raise ParameterError(f"snapshot times must be strictly increasing and lie in "
+        if not increasing or not all(0 <= t <= self.steps and int(t) == t for t in times):
+            raise ParameterError(f"snapshot times must be strictly increasing integers in "
                                  f"[0, {self.steps}], got {times}")
 
 
@@ -121,30 +121,29 @@ class GlpGraph:
     pairs appear in creation order, so the prefix of the first ``2*(t+1)``
     slots is exactly the state of this run at time ``t``, which ``at(t)``
     returns as a graph.  Vertex ids are 1-based and assigned in arrival
-    order.
+    order, so a vertex arrives at the step of its first slot and the largest
+    id of a prefix is its vertex count.
     """
 
-    __slots__ = ("p", "seed", "_ep", "_deg", "_arr")
+    __slots__ = ("p", "seed", "_ep", "_deg")
 
     # ------------------------------------------------------------------
     # construction helpers
 
     @classmethod
-    def _from_arrays(cls, p, seed, endpoints, degrees, arrivals) -> "GlpGraph":
+    def _from_arrays(cls, p, seed, endpoints, degrees) -> "GlpGraph":
         g = cls.__new__(cls)
         g.p = _check_p(p)
         g.seed = int(seed)
         g._ep = endpoints
         g._deg = degrees
-        g._arr = arrivals
         return g
 
     @classmethod
     def from_endpoints(cls, endpoints, p: float = 0.5, seed: int = 0) -> "GlpGraph":
         """Wrap an explicit endpoint sequence (analysis helper and importer).
 
-        Ids must form a contiguous range 1..V ordered by first appearance;
-        arrival times are reconstructed from first appearances.
+        Ids must form a contiguous range 1..V ordered by first appearance.
         """
         ep = np.array(endpoints, dtype=np.int32)
         if ep.ndim != 1 or ep.size < 2 or ep.size % 2:
@@ -158,19 +157,14 @@ class GlpGraph:
         # In first-appearance order each new id is one above the largest
         # id seen so far, so the running maximum (0 before slot 0) rises by
         # at most 1 a slot.  It is carried across ``_MAX_BLOCK``-slot chunks.
-        arr = np.zeros(nv + 1, dtype=np.int64)
         top = 0
         for a in range(0, ep.size, _MAX_BLOCK):
             r = np.maximum.accumulate(ep[a : a + _MAX_BLOCK])
             np.maximum(r, top, out=r)
-            rise = np.diff(r, prepend=top)
-            if (rise > 1).any():
+            if (np.diff(r, prepend=top) > 1).any():
                 raise ParameterError("vertex ids must be ordered by first appearance")
-            # first slots of the chunk's new ids; edge index == step of first appearance
-            first = np.flatnonzero(rise) + a
-            arr[top + 1 : top + 1 + first.size] = first // 2
             top = int(r[-1])
-        return cls._from_arrays(p, seed, ep, deg, arr)
+        return cls._from_arrays(p, seed, ep, deg)
 
     # ------------------------------------------------------------------
     # queries
@@ -198,20 +192,18 @@ class GlpGraph:
         view.flags.writeable = False
         return view
 
-    @property
-    def arrival_times(self) -> np.ndarray:
-        view = self._arr[1:]
-        view.flags.writeable = False
-        return view
-
     def edges(self) -> np.ndarray:
         """Edge list as an (E, 2) array in creation order."""
         return self.endpoints.reshape(-1, 2)
 
+    def _vertex(self, j) -> int:
+        """``j`` as an int, or ``UnknownVertexError`` if it is no vertex id."""
+        if not (1 <= j <= self.num_vertices) or int(j) != j:
+            raise UnknownVertexError(j)
+        return int(j)
+
     def degree(self, v: int) -> int:
-        if not (1 <= v <= self.num_vertices):
-            raise UnknownVertexError(v)
-        return int(self._deg[v])
+        return int(self._deg[self._vertex(v)])
 
     def total_degree(self) -> int:
         return self._ep.size
@@ -220,10 +212,18 @@ class GlpGraph:
         return int(self._deg[1:].max())
 
     def arrival_time(self, j: int) -> int:
-        """Step at which vertex ``j`` was created; vertex 1 arrives at 0."""
-        if not (1 <= j <= self.num_vertices):
-            raise UnknownVertexError(j)
-        return int(self._arr[j])
+        """Step at which vertex ``j`` was created; vertex 1 arrives at 0.
+
+        That is the index of the edge that holds ``j``'s first slot (edge
+        ``i`` is made at step ``i``), found a ``_MAX_BLOCK``-slot chunk at a
+        time.
+        """
+        j = self._vertex(j)
+        for a in range(0, self._ep.size, _MAX_BLOCK):
+            hit = self._ep[a : a + _MAX_BLOCK] == j
+            i = int(hit.argmax())
+            if hit[i]:
+                return (a + i) // 2
 
     def at(self, t: int) -> "GlpGraph":
         """The graph as it stood at time ``t`` of this run.
@@ -233,14 +233,11 @@ class GlpGraph:
         """
         if t == self.t:
             return self
-        if not (0 <= t <= self.t):
-            raise ParameterError(f"time {t} outside [0, {self.t}]")
-        # ``_arr`` is sorted with a 0 in front: the vertices present at time
-        # ``t`` are the ids whose arrival is at most ``t``.
-        nv = int(np.searchsorted(self._arr, t, side="right")) - 1
-        ep = self._ep[: 2 * (t + 1)]
-        deg = _count_degrees(ep, nv)
-        return GlpGraph._from_arrays(self.p, self.seed, ep, deg, self._arr[: nv + 1])
+        if not (0 <= t <= self.t) or int(t) != t:
+            raise ParameterError(f"time {t} outside the integers 0..{self.t}")
+        ep = self._ep[: 2 * (int(t) + 1)]
+        nv = int(ep.max())
+        return GlpGraph._from_arrays(self.p, self.seed, ep, _count_degrees(ep, nv))
 
 
 def _count_degrees(endpoints: np.ndarray, nv: int) -> np.ndarray:
@@ -399,15 +396,12 @@ def _generate(p: float, steps: int, seed: int):
     block is at most as long as the prefix, so fewer than half of its
     pointers land inside it, and no working array outgrows one block.
 
-    After the fill, the arrivals are read from the kind flags a chunk of
-    ``_MAX_BLOCK`` steps at a time, the flags are freed, and the degrees
-    are counted straight from the int32 endpoints.  At the peak, during
-    that count, only the three arrays the graph keeps are alive: the
-    endpoints at 8 bytes per step, and the int64 degrees and arrivals at
-    8 bytes per vertex each, about 4 per step each at ``p = 0.5``.  Before
-    it, the kind flags (1 byte per step) sit beside the endpoints, with one
-    block's temporaries during the fill and the arrivals and one chunk's
-    temporaries after it.
+    After the fill the kind flags are freed and the degrees are counted
+    straight from the int32 endpoints.  At large sizes the peak comes
+    during that count, when only the two arrays the graph keeps are alive:
+    the endpoints at 8 bytes per step and the int64 degrees at 8 bytes per
+    vertex, about 4 per step at ``p = 0.5``.  During the fill the kind flags
+    (1 byte per step) and one block's temporaries sit beside the endpoints.
     """
     n = int(steps)
     rng = make_rng(seed)
@@ -424,17 +418,8 @@ def _generate(p: float, steps: int, seed: int):
     while lo < hi:
         nv = _fill_block(endpoints, z, rng, lo, hi, nv)
         lo, hi = hi, min(nslots, 2 * hi, hi + _MAX_BLOCK)
-
-    # Vertex ``j + 1`` arrives at the (1-based) step of the ``j``-th vertex-step.
-    arrivals = np.zeros(nv + 1, dtype=np.int64)
-    i = 2
-    for a in range(0, n, _MAX_BLOCK):
-        vsteps = np.flatnonzero(z[a : a + _MAX_BLOCK]) + a + 1
-        arrivals[i : i + vsteps.size] = vsteps
-        i += vsteps.size
     del z
-    degrees = _count_degrees(endpoints, nv)
-    return endpoints, degrees, arrivals
+    return endpoints, _count_degrees(endpoints, nv)
 
 
 def run(params: ProcessParams) -> RunResult:
@@ -444,8 +429,8 @@ def run(params: ProcessParams) -> RunResult:
     ``(p, steps, seed)`` produce bit-identical endpoint sequences; see
     ``_generate`` for the exact stream layout.
     """
-    endpoints, degrees, arrivals = _generate(params.p, params.steps, params.seed)
-    graph = GlpGraph._from_arrays(params.p, params.seed, endpoints, degrees, arrivals)
+    endpoints, degrees = _generate(params.p, params.steps, params.seed)
+    graph = GlpGraph._from_arrays(params.p, params.seed, endpoints, degrees)
 
     snapshots = [
         Snapshot(t=int(t), max_degree=graph.at(t).max_degree())

@@ -405,7 +405,7 @@ def test_hitting_json_and_csv(tmp_path, capsys):
     assert sources == {"empirical", "dominating"}
     assert len(rows) - 1 == 50 + 500
     # the CSV carries the very samples of the experiment, seeded as documented
-    emp = g.empirical_hit_times(0.5, 4096, g.BlockSpec(260, 4, (8,)), 8, 50, 0)
+    emp = g.empirical_hit_times(0.5, 4096, 260, 4, 8, 50, 0)
     law = g.DominatingLawParams(p=0.5, m=4, j=260, k=8, gamma=doc["gamma"])
     dom = g.sample_dominating(law, g.make_rng(0 + 50), size=500)
     assert [r[6] for r in rows[1:51]] == [
@@ -425,7 +425,7 @@ def test_hitting_csv_bytes_match_csv_writer(tmp_path, capsys, monkeypatch):
         "--seed", "3", "--csv", str(csv_path),
     )
     assert code in (0, 1)
-    emp = g.empirical_hit_times(0.5, 4096, g.BlockSpec(260, 4, (8,)), 8, 40, 3)
+    emp = g.empirical_hit_times(0.5, 4096, 260, 4, 8, 40, 3)
     assert np.isinf(emp).any() and np.isfinite(emp).any()
     law = g.DominatingLawParams(p=0.5, m=4, j=260, k=8, gamma=json.loads(out)["gamma"])
     dom = g.sample_dominating(law, g.make_rng(3 + 40), size=300)

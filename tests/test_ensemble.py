@@ -47,6 +47,13 @@ def test_config_validation():
             maxdeg_config(base_seed=seed)
     with pytest.raises(ConfigError, match="32-bit"):
         maxdeg_config(steps=MAX_STEPS + 1, params={})
+    # times and ids must be integers, as steps must
+    with pytest.raises(ConfigError, match="integers"):
+        maxdeg_config(params={"snapshot_times": (2.5,)})
+    with pytest.raises(ConfigError, match="integer t_values"):
+        maxdeg_config(experiment="cliquegrowth", steps=1001, params={"t_values": (500.5,)})
+    with pytest.raises(ConfigError, match="integer in"):
+        maxdeg_config(experiment="arrival", params={"vertex": 2.5})
 
 
 def test_single_replica_aggregate_identity():

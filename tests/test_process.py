@@ -33,6 +33,23 @@ def scalar_replay(p, steps, seed):
     return np.array(ep, dtype=np.int32)
 
 
+def kind_arrivals(p, steps, seed):
+    """Arrival step of each vertex from the documented kind stream alone:
+    vertex 1 at 0, then one vertex at each (1-based) vertex-step."""
+    z = g.make_rng(seed).random(steps) < p
+    return np.concatenate(([0], np.flatnonzero(z) + 1))
+
+
+def probe_ids(first_slot):
+    """1-based ids to probe for ``first_slot`` (each id's first slot, in id
+    order): 1, 2, the last, and the ids whose first slot sits either side of
+    each ``_MAX_BLOCK`` slot edge, the chunk edges of the arrival search."""
+    edges = np.arange(0, first_slot[-1] + 1, process._MAX_BLOCK)
+    after = np.searchsorted(first_slot, edges)
+    picks = np.concatenate(([0, 1, first_slot.size - 1], after, after - 1))
+    return np.unique(picks.clip(0, first_slot.size - 1)) + 1
+
+
 # ----------------------------------------------------------------------
 # initial graph and parameter validation
 
@@ -65,6 +82,11 @@ def test_param_validation():
         g.ProcessParams(p=0.5, steps=10, seed=0, snapshot_times=(5, 20))
     with pytest.raises(ParameterError):
         g.ProcessParams(p=0.5, steps=10, seed=0, snapshot_times=(7, 7))
+    with pytest.raises(ParameterError, match="integers"):
+        g.ProcessParams(p=0.5, steps=10, seed=0, snapshot_times=(2.5,))
+    # an integral float is a time, as it is a step count
+    whole = g.run(g.ProcessParams(p=0.5, steps=10, seed=0, snapshot_times=(5.0,)))
+    assert whole.snapshots == g.run(g.ProcessParams(0.5, 10, 0, (5,))).snapshots
 
 
 def test_unknown_vertex():
@@ -75,6 +97,11 @@ def test_unknown_vertex():
         gr.degree(gr.num_vertices + 1)
     with pytest.raises(UnknownVertexError):
         gr.arrival_time(gr.num_vertices + 1)
+    for query in (gr.degree, gr.arrival_time):
+        for bad in (2.5, float("nan")):
+            with pytest.raises(UnknownVertexError):
+                query(bad)
+        assert query(2.0) == query(2)
 
 
 # ----------------------------------------------------------------------
@@ -96,11 +123,9 @@ def test_conservation_property(p, steps, seed):
     seen = np.unique(gr.endpoints)
     assert seen[0] == 1 and seen[-1] == gr.num_vertices
     assert seen.size == gr.num_vertices
-    # arrivals: vertex 1 at 0, later vertices strictly ordered, within [0, t]
-    arr = gr.arrival_times
-    assert arr[0] == 0
-    assert (np.diff(arr) > 0).all() or arr.size == 1
-    assert arr[-1] <= steps
+    # arrivals: vertex 1 at 0, then one vertex per vertex-step of the kind stream
+    arr = [gr.arrival_time(j) for j in range(1, gr.num_vertices + 1)]
+    assert arr == kind_arrivals(p, steps, seed).tolist()
 
 
 def test_vertex_count_matches_kind_stream():
@@ -192,22 +217,28 @@ def test_scalar_replay_matches_run(p, seed, steps):
      for steps in BLOCK_EDGE_STEPS + (3 * process._MAX_BLOCK + 5,)],
 )
 def test_degrees_and_arrivals_match_the_endpoints(p, steps):
-    # the last size spans four chunks of kind flags in the arrival fill
+    # the last size spans four chunks of the arrival search
     gr = g.run(g.ProcessParams(p=p, steps=steps, seed=9)).graph
+    ids, first_slot = np.unique(gr.endpoints, return_index=True)
+    assert np.array_equal(ids, np.arange(1, gr.num_vertices + 1))
+    arrivals = first_slot // 2
+    assert np.array_equal(arrivals, kind_arrivals(p, steps, 9))
     for graph in (gr, gr.at(steps // 2)):
-        ep = graph.endpoints
-        assert graph.degrees.dtype == graph.arrival_times.dtype == np.int64
-        assert np.array_equal(graph.degrees, np.bincount(ep)[1:])
-        ids, first_slot = np.unique(ep, return_index=True)
-        assert np.array_equal(ids, np.arange(1, graph.num_vertices + 1))
-        assert np.array_equal(graph.arrival_times, first_slot // 2)
+        assert graph.degrees.dtype == np.int64
+        assert np.array_equal(graph.degrees, np.bincount(graph.endpoints)[1:])
+        assert graph.num_vertices == np.count_nonzero(arrivals <= graph.t)
+        for j in probe_ids(first_slot[: graph.num_vertices]):
+            assert graph.arrival_time(j) == arrivals[j - 1]
+    # vertex counts either side of each chunk edge
+    for edge in range(process._MAX_BLOCK, 2 * steps + 2, process._MAX_BLOCK):
+        for t in (edge // 2 - 1, edge // 2):
+            assert gr.at(t).num_vertices == np.count_nonzero(arrivals <= t)
 
 
 def test_generation_peak_bytes_per_step():
     # Working arrays stay within one block or chunk, so at this size the
-    # peak is the three arrays the graph keeps: the int32 endpoints
-    # (8 B/step) and the int64 degrees and arrivals (about 4 B/step each at
-    # p = 0.5).
+    # peak is the two arrays the graph keeps: the int32 endpoints
+    # (8 B/step) and the int64 degrees (about 4 B/step at p = 0.5).
     steps = 2**21
     tracemalloc.start()
     try:
@@ -215,13 +246,12 @@ def test_generation_peak_bytes_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / steps <= 18
+    assert peak / steps <= 13
 
 
 def test_from_endpoints_peak_bytes_per_step():
-    # One int32 copy of the input (8 B/step), the int64 degrees and
-    # arrivals (about 4 B/step each at p = 0.5), and one chunk of the
-    # first-appearance check.
+    # One int32 copy of the input (8 B/step), the int64 degrees (about
+    # 4 B/step at p = 0.5), and one chunk of the first-appearance check.
     steps = 2**20
     ep = g.run(g.ProcessParams(p=0.5, steps=steps, seed=0)).graph.endpoints.copy()
     tracemalloc.start()
@@ -230,7 +260,7 @@ def test_from_endpoints_peak_bytes_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / steps <= 26
+    assert peak / steps <= 18
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +311,8 @@ def test_interarrival_gaps_are_geometric():
 
     p = 0.5
     gr = g.run(g.ProcessParams(p=p, steps=4000, seed=21)).graph
-    gaps = np.diff(gr.arrival_times[2:])  # between consecutive vertex-steps
+    # between consecutive vertex-steps
+    gaps = np.diff([gr.arrival_time(j) for j in range(3, gr.num_vertices + 1)])
     kmax = 8
     obs = np.bincount(np.minimum(gaps, kmax), minlength=kmax + 1)[1:]
     probs = np.array(
@@ -299,6 +330,7 @@ def test_snapshots_match_prefix_views():
     params = g.ProcessParams(p=0.5, steps=1000, seed=8, snapshot_times=(0, 10, 500, 1000))
     res = g.run(params)
     gr = res.graph
+    arrivals = kind_arrivals(0.5, 1000, 8)
     assert [s.t for s in res.snapshots] == [0, 10, 500, 1000]
     for s in res.snapshots:
         past = gr.at(s.t)
@@ -306,13 +338,15 @@ def test_snapshots_match_prefix_views():
         assert past.t == s.t
         assert np.array_equal(past.endpoints, ref.endpoints)
         assert np.array_equal(past.degrees, ref.degrees)
-        assert np.array_equal(past.arrival_times, ref.arrival_times)
-        assert past.num_vertices == ref.num_vertices
+        assert past.num_vertices == ref.num_vertices == np.count_nonzero(arrivals <= s.t)
+        arr = [past.arrival_time(j) for j in range(1, past.num_vertices + 1)]
+        assert arr == arrivals[: past.num_vertices].tolist()
         assert s.max_degree == past.max_degree() == ref.degrees.max()
         assert past.degrees.sum() == 2 * (s.t + 1)
     assert gr.at(0).num_vertices == 1
     assert gr.at(1000) is gr
-    for bad in (-1, gr.t + 1):
+    assert np.array_equal(gr.at(500.0).endpoints, gr.at(500).endpoints)
+    for bad in (-1, gr.t + 1, 2.5):
         with pytest.raises(ParameterError, match=f"time {bad} outside"):
             gr.at(bad)
 
@@ -341,7 +375,8 @@ def test_export_read_round_trip(tmp_path):
     assert np.array_equal(process._load_pairs(body, gr.t), gr.endpoints)
     assert np.array_equal(back.endpoints, gr.endpoints)
     assert np.array_equal(back.degrees, gr.degrees)
-    assert np.array_equal(back.arrival_times, gr.arrival_times)
+    arr = [back.arrival_time(j) for j in range(1, back.num_vertices + 1)]
+    assert arr == kind_arrivals(0.75, 333, 4).tolist()
 
 
 def test_read_edges_diagnostics(tmp_path):
@@ -396,7 +431,11 @@ def test_from_endpoints_across_chunks(steps):
     assert not np.shares_memory(back.endpoints, gr.endpoints)
     assert np.array_equal(back.endpoints, gr.endpoints)
     assert np.array_equal(back.degrees, gr.degrees)
-    assert np.array_equal(back.arrival_times, gr.arrival_times)
+    arrivals = kind_arrivals(0.5, steps, 3)
+    assert back.num_vertices == arrivals.size
+    _, first_slot = np.unique(gr.endpoints, return_index=True)
+    for j in probe_ids(first_slot):
+        assert back.arrival_time(j) == arrivals[j - 1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -409,7 +448,8 @@ def test_from_endpoints_rebuilds_run_output(p, steps, seed):
     gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
     back = g.GlpGraph.from_endpoints(gr.endpoints, p=p, seed=seed)
     assert np.array_equal(back.degrees, gr.degrees)
-    assert np.array_equal(back.arrival_times, gr.arrival_times)
+    arr = [back.arrival_time(j) for j in range(1, back.num_vertices + 1)]
+    assert arr == kind_arrivals(p, steps, seed).tolist()
 
 
 # Edge counts either side of the export chunk (``2**16`` edges) and of two.
