@@ -10,7 +10,7 @@ sequence, which is what the martingale check estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ __all__ = [
 # phi switches from the literal product to log-Gamma differences here.
 _PHI_PRODUCT_LIMIT = 1000
 
-# A conditioned martingale check gives up after this many runs per replica.
+# A conditioned martingale check gives up after this many seeds per replica.
 _MAX_ATTEMPTS_FACTOR = 200
 
 
@@ -156,8 +156,8 @@ def martingale_check(
     on the arrival pattern, so ``baseline`` reports the first checkpoint's
     estimate instead of 2.
 
-    Replica ``r`` uses seed ``base_seed + r`` (accepted replicas count, when
-    conditioning).
+    Replica ``r`` uses seed ``base_seed + r`` (accepted replicas count when
+    conditioning, and seeds are screened on their kind draws before a run).
     """
     checkpoints = sorted(int(t) for t in set(checkpoints))
     if not checkpoints or checkpoints[0] < 0:
@@ -168,17 +168,19 @@ def martingale_check(
         raise ParameterError(f"vertex must be >= 1, got {vertex}")
     if vertex > 1 and arrival_step is None:
         raise ParameterError("conditioning on a later vertex requires arrival_step")
-    if vertex > 1 and arrival_step > checkpoints[0]:
-        raise ParameterError("first checkpoint must be >= arrival_step")
+    if vertex > 1 and not (0 <= arrival_step <= checkpoints[0] and int(arrival_step) == arrival_step):
+        raise ParameterError("arrival_step must be an integer in [0, first checkpoint]")
 
-    steps = max(checkpoints[-1], 1)
+    params = process.ProcessParams(p, max(checkpoints[-1], 1), int(base_seed))
     degs = np.empty((replicas, len(checkpoints)), dtype=np.float64)
     accepted = 0
     budget = _MAX_ATTEMPTS_FACTOR * replicas
-    for g in process.replicas(p, steps, int(base_seed), budget):
-        if vertex > 1:
-            if g.num_vertices < vertex or g.arrival_time(vertex) != arrival_step:
+    for seed in range(params.seed, params.seed + budget):
+        if vertex > 1:  # it arrives there iff that step is its (vertex - 1)-th vertex-step
+            z = process.step_kinds(process.make_rng(seed), p, int(arrival_step))
+            if not (z.size and z[-1] and np.count_nonzero(z) == vertex - 1):
                 continue
+        g = process.run(replace(params, seed=seed)).graph
         degs[accepted] = _degree_history(g.endpoints, vertex, checkpoints)
         accepted += 1
         if accepted == replicas:

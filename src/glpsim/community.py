@@ -2,7 +2,7 @@
 
 Everything here works on the simple projection of the multigraph: loops are
 dropped and parallel edges collapse to one.  Adjacency is built on demand
-for the vertex sets under study, never as a global matrix.
+for the vertex sets under study, never as a global (sparse) matrix.
 
 Leaders are per-block maximum-degree vertices (ties broken toward the
 smaller id).  Every function reads the graph it is given; to select leaders
@@ -34,20 +34,24 @@ __all__ = [
 ]
 
 
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct keys ``lo*n + hi`` (``lo < hi < n``) of the non-loop
+    pairs ``(u[i], v[i])``."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keep = lo != hi
+    key = np.sort(lo[keep] * np.int64(n) + hi[keep])
+    return key[np.diff(key, prepend=-1) != 0]
+
+
 def _edge_keys(graph: process.GlpGraph, ids: np.ndarray | None = None) -> np.ndarray:
     """Sorted distinct keys ``u*(V+1) + v`` (``u < v``) of the simple
     projection; with ``ids`` given, only the edges with both ends in it."""
-    pairs = graph.endpoints.reshape(-1, 2)
+    pairs = graph.edges()
     if ids is not None:
         member = np.zeros(graph.num_vertices + 1, dtype=bool)
         member[ids] = True
         pairs = pairs[member[pairs[:, 0]] & member[pairs[:, 1]]]
-    pairs = pairs.astype(np.int64)
-    u = pairs.min(axis=1)
-    v = pairs.max(axis=1)
-    keep = u != v
-    key = np.sort(u[keep] * (graph.num_vertices + 1) + v[keep])
-    return key[np.diff(key, prepend=-1) != 0]
+    return _pair_keys(pairs[:, 0], pairs[:, 1], graph.num_vertices + 1)
 
 
 def simple_edges(graph: process.GlpGraph) -> np.ndarray:
@@ -226,39 +230,39 @@ def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
 # triangles
 
 
-# Rows of the oriented adjacency per block of the triangle product.
-_TRIANGLE_ROWS = 2**16
+# Wedges tested per chunk of the triangle count; bounds its temporaries.
+_WEDGE_CHUNK = 2**16
 
 
 def count_triangles(graph: process.GlpGraph) -> int:
-    """Triangle count of the simple projection.
+    """Triangle count of the simple projection, by wedge enumeration.
 
-    Edges are oriented from lower to higher simple degree (ids break ties),
-    which keeps the sparse path-counting product small on skewed graphs.
-    The product is taken ``_TRIANGLE_ROWS`` rows at a time, so its memory
-    is bounded by one block of rows, not by the whole graph.
+    Vertices are ranked by degree (a stable sort: ties go to the smaller id)
+    and each edge is a row entry of its lower-ranked end.  Each triangle is
+    then counted once, at its lowest-ranked corner: two entries ``a < b`` of
+    a row form a wedge, which closes when ``(a, b)`` is an edge.  Any order
+    gives the same count; the degree order keeps the wedges few on skewed
+    graphs.  Wedges are tested ``_WEDGE_CHUNK`` at a time.
     """
-    edges = simple_edges(graph)
-    if edges.shape[0] == 0:
-        return 0
-    from scipy import sparse
-
-    n = graph.num_vertices + 1
-    sdeg = np.bincount(edges.ravel(), minlength=n)
-    rank = np.lexsort((np.arange(n), sdeg))
-    pos = np.empty(n, dtype=np.int64)
-    pos[rank] = np.arange(n)
-    ru = pos[edges[:, 0]]
-    rv = pos[edges[:, 1]]
-    lo = np.minimum(ru, rv)
-    hi = np.maximum(ru, rv)
-    b = sparse.csr_matrix(
-        (np.ones(lo.size, dtype=np.int64), (lo, hi)), shape=(n, n)
-    )
-    total = 0
-    for a in range(0, n, _TRIANGLE_ROWS):
-        rows = b[a : a + _TRIANGLE_ROWS]
-        total += int((rows @ b).multiply(rows).sum())
+    n = graph.num_vertices
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[1:][np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int32)
+    pairs = graph.edges()
+    keys = _pair_keys(rank[pairs[:, 0]], rank[pairs[:, 1]], n)
+    lo, hi = np.divmod(keys, n)
+    # Edge e forms a wedge with each later edge of its row; ends[e] counts
+    # the wedges of edges 0..e.
+    ends = np.cumsum(np.cumsum(np.bincount(lo, minlength=n))[lo] - np.arange(1, lo.size + 1))
+    total = a = done = 0
+    while a < keys.size:
+        b = max(a + 1, int(np.searchsorted(ends, done + _WEDGE_CHUNK, side="right")))
+        c = np.diff(ends[a:b], prepend=done)
+        # wedge w of the chunk pairs edge e with edge w + jump[e]
+        jump = np.arange(a + 1, b + 1) - (ends[a:b] - c - done)
+        q = np.repeat(hi[a:b] * n, c) + hi[np.arange(ends[b - 1] - done) + np.repeat(jump, c)]
+        at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        total += int(np.count_nonzero(keys[at] == q))
+        a, done = b, int(ends[b - 1])
     return total
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "RunResult",
     "GlpGraph",
     "make_rng",
+    "step_kinds",
     "sample_endpoint",
     "run",
     "replicas",
@@ -86,12 +87,12 @@ class ProcessParams:
 
     def __post_init__(self):
         _check_p(self.p)
-        if int(self.steps) != self.steps or self.steps < 0:
-            raise ParameterError(f"steps must be a non-negative integer, got {self.steps!r}")
-        if self.steps > MAX_STEPS:
+        if self.steps > MAX_STEPS:  # also inf
             raise CapacityError(
                 f"steps={self.steps} exceeds the 32-bit id budget ({MAX_STEPS})"
             )
+        if not self.steps >= 0 or int(self.steps) != self.steps:  # NaN fails before int()
+            raise ParameterError(f"steps must be a non-negative integer, got {self.steps!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError(f"seed must be a 64-bit natural, got {self.seed!r}")
         times = list(self.snapshot_times)
@@ -368,6 +369,17 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     return nv + roots.size
 
 
+def step_kinds(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """Kinds of ``n`` steps drawn from ``rng``, ``True`` at a vertex-step:
+    ``rng.random(n) < p``, ``_MAX_BLOCK`` uniforms at a time.  A double uses
+    one raw output, so these are the first ``n`` kinds of any longer run."""
+    z = np.empty(n, dtype=bool)
+    for a in range(0, n, _MAX_BLOCK):
+        b = min(n, a + _MAX_BLOCK)
+        np.less(rng.random(b - a), p, out=z[a:b])
+    return z
+
+
 def _generate(p: float, steps: int, seed: int):
     """Vectorized endpoint-sequence generation.
 
@@ -405,11 +417,7 @@ def _generate(p: float, steps: int, seed: int):
     """
     n = int(steps)
     rng = make_rng(seed)
-    z = np.empty(n, dtype=bool)
-    for a in range(0, n, _MAX_BLOCK):
-        b = min(n, a + _MAX_BLOCK)
-        np.less(rng.random(b - a), p, out=z[a:b])
-
+    z = step_kinds(rng, p, n)
     nslots = 2 * (n + 1)
     endpoints = np.empty(nslots, dtype=np.int32)
     endpoints[:2] = 1

@@ -113,6 +113,27 @@ def test_martingale_conditioned_vertex_two():
         assert abs(row.ratio - rep.baseline) < 4 * row.ci95
 
 
+def test_martingale_conditioning_matches_generated_runs():
+    """Seeds are screened on their kind draws before any run; the check must
+    average exactly the first runs, in seed order, whose generated graph has
+    the vertex arrive at the step."""
+    for p, v, s in ((0.2, 2, 1), (0.5, 3, 2), (0.5, 7, 12), (0.8, 5, 4)):
+        kept, seed = [], 0
+        while len(kept) < 6:
+            gr = g.run(g.ProcessParams(p=p, steps=40, seed=seed)).graph
+            if v <= gr.num_vertices and gr.arrival_time(v) == s:
+                kept.append([gr.at(t).degree(v) for t in (s, 40)])
+            seed += 1
+        rep = g.martingale_check(p, (s, 40), replicas=6, vertex=v, arrival_step=s)
+        means = np.mean(kept, axis=0) / [g.phi_tilde(t, p) for t in (s, 40)]
+        assert [row.ratio for row in rep.rows] == pytest.approx(means, rel=1e-12)
+    with pytest.raises(StatisticsError, match="0/2 replicas after 400 attempts"):
+        g.martingale_check(0.5, (5, 10), replicas=2, vertex=3, arrival_step=0)
+    for bad in (2.5, -1, 6):
+        with pytest.raises(ParameterError, match="arrival_step"):
+            g.martingale_check(0.5, (5, 10), replicas=2, vertex=3, arrival_step=bad)
+
+
 def test_martingale_needs_replicas():
     with pytest.raises(StatisticsError):
         g.martingale_check(0.5, (10,), replicas=1)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
+from glpsim import community
 from glpsim.community import _edge_keys
 from glpsim.errors import ParameterError
 
@@ -333,12 +336,34 @@ def test_triangles_match_networkx(p, steps, seed):
 
 def test_triangles_across_row_blocks():
     """A path with a chord (i, i+2) at every third i has exactly one
-    triangle per chord; its 70,000 degree-2 vertices, the lowest-ranked
-    corner of each triangle, fill more than one row block."""
+    triangle per chord; its 70,000 wedges, one at each triangle's
+    lowest-ranked corner, fill more than one wedge chunk."""
     n = 210_000
     chords = [(i, i + 2) for i in range(1, n - 1, 3)]
     gr = graph_from_simple_edges(n, chords)
     assert g.count_triangles(gr) == len(chords)
+
+
+def test_triangles_in_tiny_wedge_chunks(monkeypatch):
+    gr = g.run(g.ProcessParams(p=0.5, steps=50_000, seed=4)).graph
+    whole = g.count_triangles(gr)
+    monkeypatch.setattr(community, "_WEDGE_CHUNK", 7)
+    assert g.count_triangles(gr) == whole > 0
+
+
+def test_triangles_peak_bytes_per_step():
+    # The sorted edge keys with their rows, columns and running wedge counts
+    # (8 B each per simple edge) and the key sort's temporaries; one chunk of
+    # wedges is fixed memory.  Measured 51 B/step.
+    steps = 200_000
+    gr = g.run(g.ProcessParams(p=0.5, steps=steps, seed=0)).graph
+    tracemalloc.start()
+    try:
+        g.count_triangles(gr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 60
 
 
 def test_triangles_prefix_time():

@@ -47,6 +47,10 @@ def test_config_validation():
             maxdeg_config(base_seed=seed)
     with pytest.raises(ConfigError, match="32-bit"):
         maxdeg_config(steps=MAX_STEPS + 1, params={})
+    with pytest.raises(ConfigError, match="32-bit"):
+        maxdeg_config(steps=float("inf"), params={})
+    with pytest.raises(ConfigError, match="non-negative integer"):
+        maxdeg_config(steps=float("nan"), params={})
     # times and ids must be integers, as steps must
     with pytest.raises(ConfigError, match="integers"):
         maxdeg_config(params={"snapshot_times": (2.5,)})

@@ -76,6 +76,11 @@ def test_param_validation():
         g.ProcessParams(p=0.5, steps=-1, seed=0)
     with pytest.raises(CapacityError):
         g.ProcessParams(p=0.5, steps=2**31, seed=0)
+    with pytest.raises(CapacityError):
+        g.ProcessParams(p=0.5, steps=float("inf"), seed=0)
+    for bad in (float("nan"), float("-inf"), 2.5):
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            g.ProcessParams(p=0.5, steps=bad, seed=0)
     with pytest.raises(ParameterError):
         g.ProcessParams(p=0.5, steps=10, seed=-1)
     with pytest.raises(ParameterError):
@@ -126,6 +131,14 @@ def test_conservation_property(p, steps, seed):
     # arrivals: vertex 1 at 0, then one vertex per vertex-step of the kind stream
     arr = [gr.arrival_time(j) for j in range(1, gr.num_vertices + 1)]
     assert arr == kind_arrivals(p, steps, seed).tolist()
+
+
+def test_step_kinds_are_the_documented_kind_draw():
+    n = process._MAX_BLOCK + 3
+    for p in (0.0, 0.3, 1.0):
+        rng, ref = g.make_rng(5), g.make_rng(5)
+        assert np.array_equal(process.step_kinds(rng, p, n), ref.random(n) < p)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_vertex_count_matches_kind_stream():

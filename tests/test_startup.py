@@ -1,5 +1,6 @@
-"""Start-up cost: ``import glpsim`` and ``glp generate`` load neither scipy nor
-the process pool; the calls that need them load them on first use.
+"""Start-up cost: ``import glpsim``, ``glp generate`` and ``count_triangles``
+load neither scipy nor the process pool; the calls that need them load them on
+first use.
 
 pytest has already imported scipy in this process, so each check runs in a
 fresh interpreter.
@@ -51,6 +52,17 @@ def test_import_and_generate_load_no_scipy_or_pool(tmp_path):
     assert lines[0] == "[]"
     assert json.loads("\n".join(lines[1:-1]))["t"] == 2000
     assert lines[-1] == "[]"
+
+
+def test_count_triangles_loads_no_scipy():
+    proc = _fresh(
+        "import glpsim as g; gr = g.run(g.ProcessParams(p=0.5, steps=5000, seed=2)).graph; "
+        f"print(g.count_triangles(gr)); {_LOADED}"
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, loaded = proc.stdout.splitlines()
+    assert int(count) > 0
+    assert loaded == "[]"
 
 
 def test_stats_in_fresh_interpreter_matches_in_process(tmp_path, capsys):
