@@ -260,6 +260,7 @@ def count_triangles(graph: process.GlpGraph) -> int:
         # wedge w of the chunk pairs edge e with edge w + jump[e]
         jump = np.arange(a + 1, b + 1) - (ends[a:b] - c - done)
         q = np.repeat(hi[a:b] * n, c) + hi[np.arange(ends[b - 1] - done) + np.repeat(jump, c)]
+        q.sort()  # sorted queries walk ``keys`` in order: fewer cache misses
         at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
         total += int(np.count_nonzero(keys[at] == q))
         a, done = b, int(ends[b - 1])

@@ -124,19 +124,25 @@ class GlpGraph:
     returns as a graph.  Vertex ids are 1-based and assigned in arrival
     order, so a vertex arrives at the step of its first slot and the largest
     id of a prefix is its vertex count.
+
+    The graph keeps the int32 endpoints (8 bytes per step) and its vertex
+    count.  Its int64 degrees (8 bytes per vertex) are counted the first
+    time ``degrees``, ``degree`` or ``max_degree`` reads them and kept from
+    then on, so a caller that reads only the endpoints never pays for them.
     """
 
-    __slots__ = ("p", "seed", "_ep", "_deg")
+    __slots__ = ("p", "seed", "_ep", "_nv", "_deg")
 
     # ------------------------------------------------------------------
     # construction helpers
 
     @classmethod
-    def _from_arrays(cls, p, seed, endpoints, degrees) -> "GlpGraph":
+    def _from_arrays(cls, p, seed, endpoints, nv: int, degrees=None) -> "GlpGraph":
         g = cls.__new__(cls)
         g.p = _check_p(p)
         g.seed = int(seed)
         g._ep = endpoints
+        g._nv = nv
         g._deg = degrees
         return g
 
@@ -165,7 +171,7 @@ class GlpGraph:
             if (np.diff(r, prepend=top) > 1).any():
                 raise ParameterError("vertex ids must be ordered by first appearance")
             top = int(r[-1])
-        return cls._from_arrays(p, seed, ep, deg)
+        return cls._from_arrays(p, seed, ep, nv, deg)
 
     # ------------------------------------------------------------------
     # queries
@@ -177,7 +183,13 @@ class GlpGraph:
 
     @property
     def num_vertices(self) -> int:
-        return self._deg.size - 1
+        return self._nv
+
+    def _degrees(self) -> np.ndarray:
+        """Degrees indexed by id ``0..V``, counted on first use."""
+        if self._deg is None:
+            self._deg = _count_degrees(self._ep, self._nv)
+        return self._deg
 
     @property
     def endpoints(self) -> np.ndarray:
@@ -189,7 +201,7 @@ class GlpGraph:
     @property
     def degrees(self) -> np.ndarray:
         """Degrees indexed by vertex: ``degrees[j-1]`` is vertex ``j``, read-only."""
-        view = self._deg[1:]
+        view = self._degrees()[1:]
         view.flags.writeable = False
         return view
 
@@ -204,13 +216,13 @@ class GlpGraph:
         return int(j)
 
     def degree(self, v: int) -> int:
-        return int(self._deg[self._vertex(v)])
+        return int(self._degrees()[self._vertex(v)])
 
     def total_degree(self) -> int:
         return self._ep.size
 
     def max_degree(self) -> int:
-        return int(self._deg[1:].max())
+        return int(self._degrees()[1:].max())
 
     def arrival_time(self, j: int) -> int:
         """Step at which vertex ``j`` was created; vertex 1 arrives at 0.
@@ -230,15 +242,15 @@ class GlpGraph:
         """The graph as it stood at time ``t`` of this run.
 
         Its endpoint sequence is a view of this graph's first ``2*(t+1)``
-        slots; its degrees are counted afresh.  ``at(self.t)`` is ``self``.
+        slots; its vertex count is the largest id there, and its degrees are
+        counted afresh when first read.  ``at(self.t)`` is ``self``.
         """
         if t == self.t:
             return self
         if not (0 <= t <= self.t) or int(t) != t:
             raise ParameterError(f"time {t} outside the integers 0..{self.t}")
         ep = self._ep[: 2 * (int(t) + 1)]
-        nv = int(ep.max())
-        return GlpGraph._from_arrays(self.p, self.seed, ep, _count_degrees(ep, nv))
+        return GlpGraph._from_arrays(self.p, self.seed, ep, int(ep.max()))
 
 
 def _count_degrees(endpoints: np.ndarray, nv: int) -> np.ndarray:
@@ -349,13 +361,17 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
 
     if lo == 2:
         # No final prefix yet: pointer doubling over slots [0, hi), in which
-        # slots 0 and 1 and the roots point at themselves.
+        # slots 0 and 1 and the roots point at themselves.  Each pass gathers
+        # into the other of two buffers.  Every index is in range, so mode
+        # "wrap" never wraps; unlike the default "raise", it writes straight
+        # into ``out`` instead of a buffered copy.
         ptr = np.concatenate(([0, 1], ptr))
+        nxt = np.empty_like(ptr)
         while True:
-            nxt = ptr[ptr]
+            ptr.take(ptr, out=nxt, mode="wrap")
             if np.array_equal(nxt, ptr):
                 break
-            ptr = nxt
+            ptr, nxt = nxt, ptr
         ptr = ptr[2:]
     else:
         # Jump only the pointers that land inside the block.
@@ -365,7 +381,7 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
             nxt = ptr[cur - lo]
             ptr[act] = nxt
             act = act[(nxt >= lo) & (nxt != cur)]  # nxt == cur only at a root
-    endpoints[lo:hi] = endpoints[ptr]
+    endpoints.take(ptr, out=endpoints[lo:hi], mode="wrap")  # in range, as above
     return nv + roots.size
 
 
@@ -408,12 +424,11 @@ def _generate(p: float, steps: int, seed: int):
     block is at most as long as the prefix, so fewer than half of its
     pointers land inside it, and no working array outgrows one block.
 
-    After the fill the kind flags are freed and the degrees are counted
-    straight from the int32 endpoints.  At large sizes the peak comes
-    during that count, when only the two arrays the graph keeps are alive:
-    the endpoints at 8 bytes per step and the int64 degrees at 8 bytes per
-    vertex, about 4 per step at ``p = 0.5``.  During the fill the kind flags
-    (1 byte per step) and one block's temporaries sit beside the endpoints.
+    Returns the endpoints and the vertex count; the degrees are left to
+    ``GlpGraph``, which counts them when first read.  The peak therefore
+    comes during the fill, when the endpoints (8 bytes per step), the kind
+    flags (1 byte per step) and one block's temporaries are alive: about
+    12.5 bytes per step at ``2**21`` steps and 10.7 at ``4 * 10**6``.
     """
     n = int(steps)
     rng = make_rng(seed)
@@ -426,8 +441,7 @@ def _generate(p: float, steps: int, seed: int):
     while lo < hi:
         nv = _fill_block(endpoints, z, rng, lo, hi, nv)
         lo, hi = hi, min(nslots, 2 * hi, hi + _MAX_BLOCK)
-    del z
-    return endpoints, _count_degrees(endpoints, nv)
+    return endpoints, nv
 
 
 def run(params: ProcessParams) -> RunResult:
@@ -437,8 +451,8 @@ def run(params: ProcessParams) -> RunResult:
     ``(p, steps, seed)`` produce bit-identical endpoint sequences; see
     ``_generate`` for the exact stream layout.
     """
-    endpoints, degrees = _generate(params.p, params.steps, params.seed)
-    graph = GlpGraph._from_arrays(params.p, params.seed, endpoints, degrees)
+    endpoints, nv = _generate(params.p, params.steps, params.seed)
+    graph = GlpGraph._from_arrays(params.p, params.seed, endpoints, nv)
 
     snapshots = [
         Snapshot(t=int(t), max_degree=graph.at(t).max_degree())

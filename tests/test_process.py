@@ -236,9 +236,17 @@ def test_degrees_and_arrivals_match_the_endpoints(p, steps):
     assert np.array_equal(ids, np.arange(1, gr.num_vertices + 1))
     arrivals = first_slot // 2
     assert np.array_equal(arrivals, kind_arrivals(p, steps, 9))
-    for graph in (gr, gr.at(steps // 2)):
+    for t in (steps // 2, steps):
+        want = np.bincount(gr.endpoints[: 2 * (t + 1)])[1:]
+        # Degrees are counted on first read, so each read below but the
+        # last two runs on a graph that has not counted them yet: ``at(t)``
+        # is a new graph for t < steps, and ``gr`` has counted nothing.
+        assert gr.at(t).degree(want.size) == want[-1]
+        assert gr.at(t).max_degree() == want.max()
+        graph = gr.at(t)
+        assert np.array_equal(graph.degrees, want)
         assert graph.degrees.dtype == np.int64
-        assert np.array_equal(graph.degrees, np.bincount(graph.endpoints)[1:])
+        assert graph.degree(1) == want[0]
         assert graph.num_vertices == np.count_nonzero(arrivals <= graph.t)
         for j in probe_ids(first_slot[: graph.num_vertices]):
             assert graph.arrival_time(j) == arrivals[j - 1]
@@ -248,10 +256,43 @@ def test_degrees_and_arrivals_match_the_endpoints(p, steps):
             assert gr.at(t).num_vertices == np.count_nonzero(arrivals <= t)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Vertex counts passed to ``process._count_degrees`` from here on."""
+    calls = []
+    real = process._count_degrees
+
+    def counted(endpoints, nv):
+        calls.append(nv)
+        return real(endpoints, nv)
+
+    monkeypatch.setattr(process, "_count_degrees", counted)
+    return calls
+
+
+def test_degrees_are_counted_once_on_first_read(count_calls):
+    steps = 5000
+    gr = g.run(g.ProcessParams(p=0.4, steps=steps, seed=3)).graph
+    kinds = process.step_kinds(g.make_rng(3), 0.4, steps)
+    assert gr.num_vertices == 1 + np.count_nonzero(kinds)
+    assert gr.at(steps // 2).num_vertices == 1 + np.count_nonzero(kinds[: steps // 2])
+    assert count_calls == []
+    first = gr.degrees
+    assert np.array_equal(gr.degrees, first)
+    assert count_calls == [gr.num_vertices]
+
+
+def test_endpoint_readers_count_no_degrees(count_calls):
+    g.empirical_hit_times(0.5, 2**10, j=20, m=4, k=4, replicas=5, base_seed=0)
+    g.martingale_check(0.5, (10, 100, 1000), replicas=5, vertex=1)
+    assert count_calls == []
+
+
 def test_generation_peak_bytes_per_step():
-    # Working arrays stay within one block or chunk, so at this size the
-    # peak is the two arrays the graph keeps: the int32 endpoints
-    # (8 B/step) and the int64 degrees (about 4 B/step at p = 0.5).
+    # Working arrays stay within one block or chunk and the degrees are not
+    # counted, so the peak sits inside the fill: the int32 endpoints
+    # (8 B/step), the kind flags (1 B/step) and one block's temporaries,
+    # about 12.5 B/step at this size.
     steps = 2**21
     tracemalloc.start()
     try:
