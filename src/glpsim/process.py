@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,14 +478,58 @@ _HEADER = "# glp v1 p={p} steps={steps} seed={seed}"
 _MAX_ID = 2**31 - 1
 
 
-# Edges per formatted write: bounds the temporary string at any ``t``.
-_WRITE_CHUNK = 2**16
+# Edges per formatted write and bytes of whole lines per parse.  Each bounds
+# the temporaries at any ``t``, and keeps them small enough for the cache.
+_WRITE_CHUNK = 2**14
+_READ_CHUNK = 2**16
+
+# A uint32 id has at most 10 digits; the writer's buffer starts with one pad
+# byte per digit column (see ``_format_edges``).
+_DIGITS = 10
+# The two separator bytes of an edge line read as one native uint16.
+_SEP_PAIR = np.frombuffer(b" \n", dtype=np.uint16)[0]
+
+
+def _format_edges(flat: np.ndarray) -> str:
+    r"""``"%d %d\n" * (flat.size // 2) % tuple(flat)`` for ids in
+    ``[0, 2**32)``, formatted as ASCII bytes in numpy.
+
+    Each id ends at its separator byte, whose position is a running sum of
+    digit counts plus one.  Digit column ``k`` (``k = 0`` the units) of every
+    id is written ``k + 1`` bytes before its separator, highest column
+    first.  An id shorter than ``k + 1`` digits writes its spare zero over an
+    earlier byte, which that byte's owner rewrites with a lower column or
+    its separator later; the first id's spares land in the pad.
+    """
+    x = flat.astype(np.uint32)
+    ncol = len(str(int(x.max())))
+    width = np.full(x.size, 2, dtype=np.uint8)  # digits + separator
+    for k in range(1, ncol):
+        width += x >= 10**k
+    sep = np.cumsum(width, dtype=np.int64)
+    sep += _DIGITS - 1
+    buf = np.empty(int(sep[-1]) + 1, dtype=np.uint8)
+    cols = []
+    for _ in range(ncol):
+        q = x // 10
+        x -= q * 10
+        x += ord("0")
+        cols.append(x.astype(np.uint8))
+        x = q
+    at = np.empty_like(sep)
+    for k in reversed(range(ncol)):
+        np.subtract(sep, k + 1, out=at)
+        buf[at] = cols[k]
+    buf[sep[0::2]] = ord(" ")
+    buf[sep[1::2]] = ord("\n")
+    return buf[_DIGITS:].tobytes().decode("ascii")
 
 
 def export_edges(graph: GlpGraph, sink) -> None:
     """Write the edge list in creation order: a header line then ``u v`` lines.
 
-    The body is formatted a chunk of edges at a time, byte-identical to
+    The body is formatted ``_WRITE_CHUNK`` edges at a time by
+    :func:`_format_edges`, byte-identical to
     ``np.savetxt(fh, graph.edges(), fmt="%d")``.
     """
     own = isinstance(sink, (str, bytes, os.PathLike))
@@ -495,29 +538,77 @@ def export_edges(graph: GlpGraph, sink) -> None:
         fh.write(_HEADER.format(p=repr(graph.p), steps=graph.t, seed=graph.seed) + "\n")
         flat = graph.endpoints
         for a in range(0, flat.size, 2 * _WRITE_CHUNK):
-            chunk = flat[a : a + 2 * _WRITE_CHUNK].tolist()
-            fh.write(("%d %d\n" * (len(chunk) // 2)) % tuple(chunk))
+            fh.write(_format_edges(flat[a : a + 2 * _WRITE_CHUNK]))
     finally:
         if own:
             fh.close()
 
 
-def _load_pairs(body: str, steps: int) -> np.ndarray | None:
-    """Parse the edge-list body in one ``np.loadtxt`` call.
+def _parse_ids(chunk: np.ndarray) -> np.ndarray | None:
+    r"""The ids of ``chunk``, ASCII bytes of whole ``u v\n`` lines with ids
+    of 1 to 10 digits, or ``None`` if it is anything else.
 
-    Returns the flat endpoints, or ``None`` when the body is not exactly
-    ``steps + 1`` lines of two ids in ``[1, _MAX_ID]``.  Whatever this
-    accepts, :func:`_scan_pairs` accepts with the same values.
+    The separators are the bytes that are not digits; they must alternate
+    ``' '``, ``'\n'`` and end the chunk.  An id's ``k``-th digit from the
+    right sits ``k`` bytes before its separator; an id shorter than ``k``
+    digits reads the separator before it instead, zeroed.
+    """
+    d = chunk - np.uint8(ord("0"))  # wraps, so every non-digit is >= 10
+    sep = np.flatnonzero(d >= 10)
+    if (not sep.size or sep.size % 2 or sep[-1] != chunk.size - 1
+            or not (chunk[sep].view(np.uint16) == _SEP_PAIR).all()):
+        return None
+    prev = np.empty_like(sep)
+    prev[0] = -1  # reads d[-1], the chunk's last separator, zeroed below
+    prev[1:] = sep[:-1]
+    at = sep - prev  # digits + 1
+    if at.min() < 2 or at.max() > _DIGITS + 1:
+        return None
+    ncol = int(at.max()) - 1
+    d[sep] = 0
+    kind = np.int64 if ncol == _DIGITS else np.uint32  # nine digits fit 32 bits
+    ids = np.zeros(sep.size, dtype=kind)
+    digit = np.empty(sep.size, dtype=np.uint8)
+    for k in range(ncol):
+        np.subtract(sep, k + 1, out=at)
+        np.maximum(at, prev, out=at)
+        d.take(at, out=digit)
+        ids += digit * kind(10**k)
+    return ids
+
+
+def _load_pairs(body: str, steps: int) -> np.ndarray | None:
+    r"""Parse the edge-list body as ASCII bytes, about ``_READ_CHUNK`` bytes
+    of whole lines at a time.
+
+    Accepts only the form :func:`export_edges` writes: exactly
+    ``steps + 1`` lines of ``u v\n`` with ids of 1 to 10 digits in
+    ``[1, _MAX_ID]``.  Returns the flat int32 endpoints, or ``None`` for any
+    other body (non-ASCII, a tab, ``\r``, a blank line, no final newline),
+    which :func:`_scan_pairs` then reads or words the error for.  Whatever
+    this accepts, :func:`_scan_pairs` accepts with the same values.  Arrays
+    are sized from the body's line count, never from ``steps``.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body
-            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
+        text = body.encode("ascii")
+    except UnicodeEncodeError:
         return None
-    if pairs.shape != (steps + 1, 2) or pairs.min() < 1 or pairs.max() > _MAX_ID:
+    data = np.frombuffer(text, dtype=np.uint8)
+    lines = int(np.count_nonzero(data == ord("\n")))
+    if lines != steps + 1:
         return None
-    return pairs.ravel().astype(np.int32)
+    flat = np.empty(2 * lines, dtype=np.int32)
+    a = n = 0
+    while a < data.size:
+        b = text.find(b"\n", a + _READ_CHUNK) + 1 or data.size
+        ids = _parse_ids(data[a:b])
+        if ids is None or ids.min() < 1 or ids.max() > _MAX_ID:
+            return None
+        # each whole line holds two ids, so the lines fill ``flat`` exactly
+        flat[n : n + ids.size] = ids
+        n += ids.size
+        a = b
+    return flat
 
 
 def _scan_pairs(body: str, steps: int) -> np.ndarray:
@@ -547,8 +638,9 @@ def _scan_pairs(body: str, steps: int) -> np.ndarray:
 def read_edges(source) -> GlpGraph:
     """Parse a file produced by :func:`export_edges` back into a graph.
 
-    The body is parsed in bulk; only a body that the bulk parse rejects is
-    scanned line by line, to word the error.
+    The body is parsed in bulk when it is in the form ``export_edges``
+    writes; any other body is scanned line by line, which reads other
+    spellings of the same ids (tabs, signs, blank lines) and words the error.
     """
     own = isinstance(source, (str, bytes, os.PathLike))
     fh = open(source, "r") if own else source
@@ -574,6 +666,7 @@ def read_edges(source) -> GlpGraph:
     flat = _load_pairs(body, steps)
     if flat is None:
         flat = _scan_pairs(body, steps)
+    del body  # free the text before the graph copies the ids
     try:
         return GlpGraph.from_endpoints(flat, p=p, seed=seed)
     except ParameterError as exc:

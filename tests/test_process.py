@@ -317,6 +317,22 @@ def test_from_endpoints_peak_bytes_per_step():
     assert peak / steps <= 18
 
 
+def test_read_edges_peak_bytes_per_step(tmp_path):
+    # The text (about 10 B/step here), then the int32 ids (8 B/step) and
+    # one parse chunk; the text is freed before ``from_endpoints``, whose own
+    # peak (copy, degrees and one chunk of its check) is the highest.
+    steps = 2 * 10**5
+    path = tmp_path / "edges.txt"
+    g.export_edges(g.run(g.ProcessParams(p=0.5, steps=steps, seed=0)).graph, path)
+    tracemalloc.start()
+    try:
+        g.read_edges(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 50
+
+
 # ----------------------------------------------------------------------
 # step kinds at the deterministic ends
 
@@ -461,6 +477,19 @@ def test_read_edges_diagnostics(tmp_path):
         g.read_edges(path)
 
 
+def test_read_edges_sizes_nothing_from_the_header(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("# glp v1 p=0.5 steps=1000000000000 seed=0\n1 1\n1 2\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="does not match header"):
+            g.read_edges(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_from_endpoints_validation():
     with pytest.raises(ParameterError):
         g.GlpGraph.from_endpoints([1, 1, 3, 3])  # id 2 missing
@@ -506,8 +535,9 @@ def test_from_endpoints_rebuilds_run_output(p, steps, seed):
     assert arr == kind_arrivals(p, steps, seed).tolist()
 
 
-# Edge counts either side of the export chunk (``2**16`` edges) and of two.
-_CHUNK_EDGE_STEPS = (2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1)
+# Edge counts either side of the export chunk (``_WRITE_CHUNK`` edges) and of two.
+_W = process._WRITE_CHUNK
+_CHUNK_EDGE_STEPS = (_W - 2, _W - 1, _W, 2 * _W - 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -518,18 +548,40 @@ _CHUNK_EDGE_STEPS = (2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1)
 )
 @example(p=0.0, steps=0, seed=0)
 @example(p=1.0, steps=0, seed=0)
-@example(p=0.0, steps=2**16 - 1, seed=1)
-@example(p=1.0, steps=2**16, seed=2)
-@example(p=0.5, steps=2**17 - 1, seed=3)
+@example(p=0.0, steps=_W - 1, seed=1)
+@example(p=1.0, steps=_W, seed=2)
+@example(p=0.5, steps=2 * _W - 1, seed=3)
 def test_export_matches_savetxt(p, steps, seed):
     gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
     got = io.StringIO()
     g.export_edges(gr, got)
-    header, _ = got.getvalue().split("\n", 1)
+    header, body = got.getvalue().split("\n", 1)
     ref = io.StringIO()
     ref.write(header + "\n")
     np.savetxt(ref, gr.edges(), fmt="%d")
     assert got.getvalue() == ref.getvalue()
+    # the larger bodies span several parse chunks
+    assert np.array_equal(process._load_pairs(body, steps), gr.endpoints)
+
+
+# Either side of each digit count, up to the largest id.
+_BOUNDARY_IDS = [1] + [v for n in range(1, 10) for v in (10**n - 1, 10**n)] + [2**31 - 1]
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+@pytest.mark.parametrize("top", [10**9 - 1, 2**31 - 1])
+def test_format_and_parse_at_digit_boundaries(order, top):
+    """Ids of every width side by side in one chunk, written as ``%d`` writes
+    them and read back, with and without ten-digit ids."""
+    ids = np.array([v for v in _BOUNDARY_IDS if v <= top], dtype=np.int32)
+    if order == "falling":
+        ids = ids[::-1]
+    elif order == "shuffled":
+        ids = np.random.default_rng(0).permutation(np.repeat(ids, 3))
+    ids = ids[: ids.size // 2 * 2]
+    text = process._format_edges(ids)
+    assert text == ("%d %d\n" * (ids.size // 2)) % tuple(ids.tolist())
+    assert np.array_equal(process._load_pairs(text, ids.size // 2 - 1), ids)
 
 
 def _read_outcome(text):
@@ -542,8 +594,8 @@ def _read_outcome(text):
     return ("graph", gr.p, gr.seed, gr.endpoints.tolist())
 
 
-_TOKENS = ("#", "", "+", "+1", "1.0", "-1", "0", str(2**31), "1_0", "\uff11",
-           "\t", "\r", "\r\n", "\x00", "1 2 3")
+_TOKENS = ("#", "", "+", "+1", "1.0", "-1", "0", str(2**31), str(2**31 - 1), "0" * 10 + "1",
+           "1_0", "\uff11", "\t", "\r", "\r\n", "\x00", "\x0b", "\x1c", "\xa0", "1 2 3")
 
 _RESPELL = (
     lambda line: "+" + line,
