@@ -477,12 +477,17 @@ def test_read_edges_diagnostics(tmp_path):
         g.read_edges(path)
 
 
-def test_read_edges_sizes_nothing_from_the_header(tmp_path):
+@pytest.mark.parametrize("text, error", [
+    ("# glp v1 p=0.5 steps=1000000000000 seed=0\n1 1\n1 2\n", "does not match header"),
+    # two slots cannot hold ids 1..2**31 - 1, so no 2**31 degrees are counted
+    (f"# glp v1 p=0.0 steps=0 seed=0\n{2**31 - 1} 1\n", "contiguous range"),
+], ids=["header-steps", "largest-id"])
+def test_read_edges_sizes_nothing_from_the_file(tmp_path, text, error):
     path = tmp_path / "huge.txt"
-    path.write_text("# glp v1 p=0.5 steps=1000000000000 seed=0\n1 1\n1 2\n")
+    path.write_text(text)
     tracemalloc.start()
     try:
-        with pytest.raises(ParseError, match="does not match header"):
+        with pytest.raises(ParseError, match=error):
             g.read_edges(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
