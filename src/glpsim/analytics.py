@@ -159,19 +159,20 @@ def martingale_check(
     Replica ``r`` uses seed ``base_seed + r`` (accepted replicas count when
     conditioning, and seeds are screened on their kind draws before a run).
     """
-    checkpoints = sorted(int(t) for t in set(checkpoints))
-    if not checkpoints or checkpoints[0] < 0:
-        raise ParameterError("checkpoints must be non-negative times")
+    checkpoints = sorted(set(checkpoints))
+    if not checkpoints or not all(process._integral(t) for t in checkpoints):
+        raise ParameterError(f"checkpoints must be non-negative integer times, got {checkpoints}")
+    checkpoints = [int(t) for t in checkpoints]
     if replicas < 2:
         raise StatisticsError("at least 2 replicas are needed for a confidence interval")
     if vertex < 1:
         raise ParameterError(f"vertex must be >= 1, got {vertex}")
     if vertex > 1 and arrival_step is None:
         raise ParameterError("conditioning on a later vertex requires arrival_step")
-    if vertex > 1 and not (0 <= arrival_step <= checkpoints[0] and int(arrival_step) == arrival_step):
+    if vertex > 1 and not process._integral(arrival_step, 0, checkpoints[0] + 1):
         raise ParameterError("arrival_step must be an integer in [0, first checkpoint]")
 
-    params = process.ProcessParams(p, max(checkpoints[-1], 1), int(base_seed))
+    params = process.ProcessParams(p, max(checkpoints[-1], 1), base_seed)
     degs = np.empty((replicas, len(checkpoints)), dtype=np.float64)
     accepted = 0
     budget = _MAX_ATTEMPTS_FACTOR * replicas

@@ -122,6 +122,7 @@ class EnsembleConfig:
                 process.ProcessParams(p, self.steps, self.base_seed, kw.get("snapshot_times", ()))
         except (ParameterError, CapacityError) as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "base_seed", int(self.base_seed))  # rows' seeds are ints
         v = kw.get("vertex")
         if v is not None and (not 1 <= v <= self.steps + 1 or int(v) != v):
             raise ConfigError(f"vertex must be an integer in [1, {self.steps + 1}], got {v}")

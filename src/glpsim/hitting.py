@@ -51,10 +51,10 @@ class BlockSpec:
     def __post_init__(self):
         if self.j < 1 or self.m < 1:
             raise ParameterError(f"block indices must be >= 1, got j={self.j}, m={self.m}")
-        ks = tuple(int(k) for k in self.thresholds)
-        if not ks or any(k < 1 for k in ks) or list(ks) != sorted(set(ks)):
+        ks = tuple(self.thresholds)
+        if not ks or not all(process._integral(k, 1) for k in ks) or list(ks) != sorted(set(ks)):
             raise ParameterError("thresholds must be strictly increasing naturals")
-        object.__setattr__(self, "thresholds", ks)
+        object.__setattr__(self, "thresholds", tuple(int(k) for k in ks))
 
     @property
     def vertex_range(self) -> tuple[int, int]:
@@ -98,8 +98,7 @@ def sample_arrival(j: int, m: int, p: float, rng: np.random.Generator, size=None
     """
     if j < 1 or m < 1:
         raise ParameterError(f"block indices must be >= 1, got j={j}, m={m}")
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"p must lie in [0, 1], got {p!r}")
+    process._check_p(p)
     waits = j * m - 1
     if waits == 0:
         return 1 if size is None else np.ones(size, dtype=np.int64)
@@ -179,7 +178,8 @@ def survival_curve(samples: np.ndarray, t_grid) -> tuple[np.ndarray, np.ndarray]
     if samples.size == 0:
         raise ParameterError("no samples")
     grid = np.asarray(t_grid, dtype=np.float64)
-    surv = (samples[None, :] > grid[:, None]).mean(axis=1)
+    # a count per grid point: O(samples) memory, the same count / n as a mask's mean
+    surv = np.array([np.count_nonzero(samples > t) for t in grid]) / samples.size
     se = np.sqrt(surv * (1.0 - surv) / samples.size)
     return surv, se
 
@@ -220,6 +220,13 @@ class DominationReport:
         return all(r.ok for r in self.rows)
 
 
+def _time_grid(t_grid) -> list[int]:
+    grid = sorted(t_grid)
+    if not grid or not all(process._integral(t) for t in grid):
+        raise ParameterError(f"time grid must be non-empty non-negative integers, got {grid}")
+    return [int(t) for t in grid]
+
+
 def domination_test(
     params: DominatingLawParams,
     empirical_times: np.ndarray,
@@ -232,9 +239,7 @@ def domination_test(
     must therefore not exceed the run length that produced them.  Each grid
     point checks ``empirical <= dominating + 3 * combined standard error``.
     """
-    grid = sorted(int(t) for t in t_grid)
-    if not grid:
-        raise ParameterError("empty time grid")
+    grid = _time_grid(t_grid)
     empirical_times = np.asarray(empirical_times, dtype=np.float64)
     dominating_samples = np.asarray(dominating_samples, dtype=np.float64)
     emp, emp_se = survival_curve(empirical_times, grid)
@@ -284,15 +289,13 @@ def domination_experiment(
     gamma: float | None = None,
     steps: int | None = None,
 ) -> DominationReport:
-    """Full comparison: simulate hit times, sample the dominating law, compare.
+    """Full comparison: sample the dominating law, simulate hit times, compare.
 
     Replica ``r`` uses seed ``base_seed + r``; the dominating sampler uses
     the next seed after the last replica.  ``steps`` defaults to the last
     grid point.
     """
-    grid = sorted(int(t) for t in t_grid)
-    if not grid:
-        raise ParameterError("empty time grid")
+    grid = _time_grid(t_grid)
     if replicas < 1 or dominating_samples < 1:
         raise ParameterError(
             f"replicas and dominating samples must be >= 1, "
@@ -301,15 +304,10 @@ def domination_experiment(
     if gamma is None:
         gamma = default_gamma(p)
     params = DominatingLawParams(p=p, m=m, j=j, k=k, gamma=gamma)
-    if j < params.min_block_index():
-        raise PreconditionError(
-            f"block j={j} is too early for the dominating bound; "
-            f"need j >= {params.min_block_index():.6g} at m={m}, p={p}"
-        )
-    steps = grid[-1] if steps is None else int(steps)
+    # drawn first, so that a block too early for the bound fails before any run
+    dom = sample_dominating(params, process.make_rng(base_seed + replicas), dominating_samples)
+    steps = grid[-1] if steps is None else steps
     if steps < grid[-1]:
         raise ParameterError("steps must reach the last grid point")
     emp = empirical_hit_times(p, steps, j, m, k, replicas, base_seed)
-    dom_rng = process.make_rng(base_seed + replicas)
-    dom = sample_dominating(params, dom_rng, size=dominating_samples)
     return domination_test(params, emp, dom, grid)

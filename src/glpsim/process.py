@@ -22,6 +22,7 @@ so identical ``(p, steps, seed)`` reproduce identical endpoint sequences.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -48,11 +49,21 @@ __all__ = [
 MAX_STEPS = 2**31 - 3
 
 
+def _integral(x, lo=0, hi=math.inf) -> bool:
+    """Whether ``x`` is an integer, ``4.0`` included, in ``[lo, hi)``; NaN and
+    the infinities fail the range test before ``int()``."""
+    return lo <= x < hi and int(x) == x
+
+
+def _check_seed(seed) -> int:
+    if not _integral(seed, 0, 2**64):
+        raise ParameterError(f"seed must be a 64-bit natural, got {seed!r}")
+    return int(seed)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package-wide generator: PCG64 seeded with ``seed``."""
-    if not (0 <= int(seed) < 2**64):
-        raise ParameterError(f"seed must be a 64-bit natural, got {seed!r}")
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(_check_seed(seed)))
 
 
 def _check_p(p: float) -> float:
@@ -87,16 +98,13 @@ class ProcessParams:
     def __post_init__(self):
         _check_p(self.p)
         if self.steps > MAX_STEPS:  # also inf
-            raise CapacityError(
-                f"steps={self.steps} exceeds the 32-bit id budget ({MAX_STEPS})"
-            )
-        if not self.steps >= 0 or int(self.steps) != self.steps:  # NaN fails before int()
+            raise CapacityError(f"steps={self.steps} exceeds the 32-bit id budget ({MAX_STEPS})")
+        if not _integral(self.steps):
             raise ParameterError(f"steps must be a non-negative integer, got {self.steps!r}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ParameterError(f"seed must be a 64-bit natural, got {self.seed!r}")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         times = list(self.snapshot_times)
         increasing = all(a < b for a, b in zip(times, times[1:]))
-        if not increasing or not all(0 <= t <= self.steps and int(t) == t for t in times):
+        if not increasing or not all(_integral(t, 0, self.steps + 1) for t in times):
             raise ParameterError(f"snapshot times must be strictly increasing integers in "
                                  f"[0, {self.steps}], got {times}")
 
@@ -124,10 +132,10 @@ class GlpGraph:
     order, so a vertex arrives at the step of its first slot and the largest
     id of a prefix is its vertex count.
 
-    The graph keeps the int32 endpoints (8 bytes per step) and its vertex
-    count.  Its int64 degrees (8 bytes per vertex) are counted the first
-    time ``degrees``, ``degree`` or ``max_degree`` reads them and kept from
-    then on, so a caller that reads only the endpoints never pays for them.
+    Every graph, however built, keeps its int32 endpoints (8 bytes per
+    step) and vertex count.  Its int64 degrees (8 bytes per vertex) are
+    counted when ``degrees``, ``degree`` or ``max_degree`` first reads them
+    and kept, so a caller that reads only the endpoints never pays for them.
     """
 
     __slots__ = ("p", "seed", "_ep", "_nv", "_deg")
@@ -136,43 +144,39 @@ class GlpGraph:
     # construction helpers
 
     @classmethod
-    def _from_arrays(cls, p, seed, endpoints, nv: int, degrees=None) -> "GlpGraph":
+    def _from_arrays(cls, p, seed, endpoints, nv: int) -> "GlpGraph":
         g = cls.__new__(cls)
-        g.p = _check_p(p)
-        g.seed = int(seed)
-        g._ep = endpoints
-        g._nv = nv
-        g._deg = degrees
+        g.p, g.seed, g._ep, g._nv, g._deg = _check_p(p), _check_seed(seed), endpoints, nv, None
         return g
 
     @classmethod
     def from_endpoints(cls, endpoints, p: float = 0.5, seed: int = 0) -> "GlpGraph":
         """Wrap an explicit endpoint sequence (analysis helper and importer).
 
-        Ids must form a contiguous range 1..V ordered by first appearance.
+        Ids must be int32 values that form a contiguous range 1..V ordered by
+        first appearance.  The graph keeps an int32 copy of them.
         """
-        ep = np.array(endpoints, dtype=np.int32)
-        if ep.ndim != 1 or ep.size < 2 or ep.size % 2:
+        src = np.asarray(endpoints)
+        if src.ndim != 1 or src.size < 2 or src.size % 2:
             raise ParameterError("endpoint sequence must be flat with even length >= 2")
-        if ep.min() < 1:
+        if src.min() < 1:
             raise ParameterError("vertex ids must be >= 1")
-        nv = int(ep.max())
-        if nv > ep.size:  # V ids fill at least V slots; checked before counting
-            raise ParameterError("vertex ids must form a contiguous range 1..V")
-        deg = _count_degrees(ep, nv)
-        if (deg[1:] == 0).any():
-            raise ParameterError("vertex ids must form a contiguous range 1..V")
-        # In first-appearance order each new id is one above the largest
-        # id seen so far, so the running maximum (0 before slot 0) rises by
-        # at most 1 a slot.  It is carried across ``_MAX_BLOCK``-slot chunks.
+        ep = src.astype(np.int32)
+        # In first-appearance order the running maximum (0 before slot 0)
+        # rises by at most 1 a slot.  That is enough: each rise is at a slot
+        # holding the new maximum, so all ids 1..V appear (V the last maximum)
+        # and V <= slots.  The int32 diffs skip ``np.diff``'s int64 prepend.
         top = 0
         for a in range(0, ep.size, _MAX_BLOCK):
+            if not np.array_equal(ep[a : a + _MAX_BLOCK], src[a : a + _MAX_BLOCK]):
+                raise ParameterError("vertex ids must be integers below 2**31")
             r = np.maximum.accumulate(ep[a : a + _MAX_BLOCK])
             np.maximum(r, top, out=r)
-            if (np.diff(r, prepend=top) > 1).any():
-                raise ParameterError("vertex ids must be ordered by first appearance")
+            if r[0] > top + 1 or (r[1:] - r[:-1] > 1).any():
+                raise ParameterError(
+                    "vertex ids must form a contiguous range 1..V ordered by first appearance")
             top = int(r[-1])
-        return cls._from_arrays(p, seed, ep, nv, deg)
+        return cls._from_arrays(p, seed, ep, top)
 
     # ------------------------------------------------------------------
     # queries
@@ -212,7 +216,7 @@ class GlpGraph:
 
     def _vertex(self, j) -> int:
         """``j`` as an int, or ``UnknownVertexError`` if it is no vertex id."""
-        if not (1 <= j <= self.num_vertices) or int(j) != j:
+        if not _integral(j, 1, self._nv + 1):
             raise UnknownVertexError(j)
         return int(j)
 
@@ -228,9 +232,8 @@ class GlpGraph:
     def arrival_time(self, j: int) -> int:
         """Step at which vertex ``j`` was created; vertex 1 arrives at 0.
 
-        That is the index of the edge that holds ``j``'s first slot (edge
-        ``i`` is made at step ``i``), found a ``_MAX_BLOCK``-slot chunk at a
-        time.
+        That is the index of the edge that holds ``j``'s first slot (edge ``i``
+        is made at step ``i``), found a ``_MAX_BLOCK``-slot chunk at a time.
         """
         j = self._vertex(j)
         for a in range(0, self._ep.size, _MAX_BLOCK):
@@ -248,19 +251,15 @@ class GlpGraph:
         """
         if t == self.t:
             return self
-        if not (0 <= t <= self.t) or int(t) != t:
+        if not _integral(t, 0, self.t + 1):
             raise ParameterError(f"time {t} outside the integers 0..{self.t}")
         ep = self._ep[: 2 * (int(t) + 1)]
         return GlpGraph._from_arrays(self.p, self.seed, ep, int(ep.max()))
 
 
 def _count_degrees(endpoints: np.ndarray, nv: int) -> np.ndarray:
-    """int64 degrees indexed by id ``0..nv`` of an endpoint sequence whose
-    ids lie in ``[1, nv]``.
-
-    ``np.add.at`` reads the int32 endpoints in place: no intp copy of
-    them (8 bytes per slot) is made.
-    """
+    """int64 degrees indexed by id ``0..nv`` of endpoints in ``[1, nv]``;
+    ``np.add.at`` reads the int32 endpoints in place, with no intp copy."""
     degrees = np.zeros(nv + 1, dtype=np.int64)
     np.add.at(degrees, endpoints, 1)
     return degrees

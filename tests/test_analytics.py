@@ -139,6 +139,18 @@ def test_martingale_needs_replicas():
         g.martingale_check(0.5, (10,), replicas=1)
 
 
+def test_martingale_checkpoints_and_seed_are_integers():
+    for bad in ([100.5, 200], [float("nan"), 200], [float("inf")], [-1, 5], []):
+        with pytest.raises(ParameterError, match="checkpoints"):
+            g.martingale_check(0.5, bad, 3)
+    with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
+        g.martingale_check(0.5, (10, 20), 3, base_seed=1.5)
+    # integral floats are times and seeds
+    whole = g.martingale_check(0.5, (10.0, 20), 3, base_seed=1.0)
+    assert whole == g.martingale_check(0.5, (10, 20), 3, base_seed=1)
+    assert [row.t for row in whole.rows] == [10, 20]
+
+
 # ----------------------------------------------------------------------
 # degree envelope
 

@@ -45,6 +45,12 @@ def test_config_validation():
     for seed in (-5, 2**64 - replicas + 1):
         with pytest.raises(ConfigError, match="base_seed"):
             maxdeg_config(base_seed=seed)
+    # a seed is an integer: 1.5 would run as 1 while its rows said 1.5
+    for seed in (1.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="seed"):
+            maxdeg_config(base_seed=seed)
+    # an integral float is a seed, and the rows' seeds stay ints for read_report
+    assert type(maxdeg_config(base_seed=2.0).base_seed) is int
     with pytest.raises(ConfigError, match="32-bit"):
         maxdeg_config(steps=MAX_STEPS + 1, params={})
     with pytest.raises(ConfigError, match="32-bit"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,12 @@ def test_block_spec_validation():
         g.BlockSpec(j=1, m=1, thresholds=())
     with pytest.raises(ParameterError):
         g.BlockSpec(j=1, m=1, thresholds=(4, 2))  # not sorted
-    b = g.BlockSpec(j=3, m=4, thresholds=(5, 9))
+    for bad in ((2.5,), (float("nan"),), (float("inf"),), (0,)):
+        with pytest.raises(ParameterError, match="thresholds"):
+            g.BlockSpec(j=1, m=1, thresholds=bad)
+    b = g.BlockSpec(j=3, m=4, thresholds=(5, 9.0))
     assert b.vertex_range == (9, 12)
+    assert b.thresholds == (5, 9) and type(b.thresholds[1]) is int
 
 
 def test_initial_loop_hits_immediately():
@@ -212,6 +217,37 @@ def test_survival_curve_exact_small_case():
     # censored values (inf) survive every finite time
     surv2, _ = g.survival_curve(np.array([1.0, math.inf]), np.array([10.0]))
     assert surv2 == pytest.approx([0.5])
+
+
+def test_survival_curve_memory_is_linear_in_samples():
+    # a grid x samples mask would take 50 B/sample here
+    samples = g.make_rng(3).exponential(100.0, size=10**6)
+    samples[::7] = math.inf
+    grid = np.linspace(0.0, 500.0, 50)
+    tracemalloc.start()
+    try:
+        surv, _ = g.survival_curve(samples, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / samples.size <= 2
+    small = samples[:1000]
+    mask_mean = (small[None, :] > grid[:, None]).mean(axis=1)
+    assert np.array_equal(g.survival_curve(small, grid)[0], mask_mean)
+    assert surv[0] == 1.0 and (np.diff(surv) <= 0).all()
+
+
+def test_time_grids_must_be_integers():
+    law = g.DominatingLawParams(p=0.5, m=4, j=260, k=16, gamma=0.3)
+    for bad in ([10.7, 20], [float("nan")], [float("inf")], [-1, 20], []):
+        with pytest.raises(ParameterError, match="time grid"):
+            g.domination_experiment(p=0.5, m=4, j=260, k=16, t_grid=bad,
+                                    replicas=2, dominating_samples=2)
+        with pytest.raises(ParameterError, match="time grid"):
+            g.domination_test(law, np.ones(2), np.ones(2), bad)
+    with pytest.raises(ParameterError, match="steps must be a non-negative integer"):
+        g.domination_experiment(p=0.5, m=4, j=260, k=16, t_grid=[10, 20],
+                                replicas=2, dominating_samples=2, steps=20.5)
 
 
 def test_domination_trivial_pass():

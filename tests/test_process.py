@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -81,8 +82,13 @@ def test_param_validation():
     for bad in (float("nan"), float("-inf"), 2.5):
         with pytest.raises(ParameterError, match="non-negative integer"):
             g.ProcessParams(p=0.5, steps=bad, seed=0)
-    with pytest.raises(ParameterError):
-        g.ProcessParams(p=0.5, steps=10, seed=-1)
+    # the range test comes before ``int()``, and the seed must be integral
+    for bad in (-1, 2**64, float("nan"), float("inf"), 1.5):
+        with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
+            g.ProcessParams(p=0.5, steps=10, seed=bad)
+        with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
+            g.make_rng(bad)
+    assert g.ProcessParams(p=0.5, steps=10, seed=3.0).seed == 3
     with pytest.raises(ParameterError):
         g.ProcessParams(p=0.5, steps=10, seed=0, snapshot_times=(5, 20))
     with pytest.raises(ParameterError):
@@ -288,6 +294,19 @@ def test_endpoint_readers_count_no_degrees(count_calls):
     assert count_calls == []
 
 
+def test_imported_graphs_count_no_degrees_until_read(count_calls, tmp_path):
+    gr = g.run(g.ProcessParams(p=0.5, steps=3000, seed=2)).graph
+    path = tmp_path / "edges.txt"
+    g.export_edges(gr, path)
+    back = g.GlpGraph.from_endpoints(gr.endpoints)
+    read = g.read_edges(path)
+    assert back.num_vertices == read.num_vertices == gr.num_vertices
+    assert count_calls == []
+    assert np.array_equal(back.degrees, np.bincount(gr.endpoints)[1:])
+    assert read.max_degree() == back.max_degree()
+    assert count_calls == [gr.num_vertices] * 2
+
+
 def test_generation_peak_bytes_per_step():
     # Working arrays stay within one block or chunk and the degrees are not
     # counted, so the peak sits inside the fill: the int32 endpoints
@@ -304,8 +323,8 @@ def test_generation_peak_bytes_per_step():
 
 
 def test_from_endpoints_peak_bytes_per_step():
-    # One int32 copy of the input (8 B/step), the int64 degrees (about
-    # 4 B/step at p = 0.5), and one chunk of the first-appearance check.
+    # One int32 copy of the input (8 B/step) and one chunk of the
+    # first-appearance check; the degrees are not counted until read.
     steps = 2**20
     ep = g.run(g.ProcessParams(p=0.5, steps=steps, seed=0)).graph.endpoints.copy()
     tracemalloc.start()
@@ -314,13 +333,13 @@ def test_from_endpoints_peak_bytes_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / steps <= 18
+    assert peak / steps <= 11
 
 
 def test_read_edges_peak_bytes_per_step(tmp_path):
-    # The text (about 10 B/step here), then the int32 ids (8 B/step) and
-    # one parse chunk; the text is freed before ``from_endpoints``, whose own
-    # peak (copy, degrees and one chunk of its check) is the highest.
+    # The text (about 10 B/step here), the int32 ids (8 B/step) and one
+    # parse chunk set the peak; the text is freed before ``from_endpoints``,
+    # whose int32 copy and check chunk stay below it.
     steps = 2 * 10**5
     path = tmp_path / "edges.txt"
     g.export_edges(g.run(g.ProcessParams(p=0.5, steps=steps, seed=0)).graph, path)
@@ -330,7 +349,7 @@ def test_read_edges_peak_bytes_per_step(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / steps <= 50
+    assert peak / steps <= 35
 
 
 # ----------------------------------------------------------------------
@@ -476,6 +495,11 @@ def test_read_edges_diagnostics(tmp_path):
     with pytest.raises(ParseError, match="text"):
         g.read_edges(path)
 
+    for seed in (-1, 10**23):
+        path.write_text(f"# glp v1 p=0.5 steps=1 seed={seed}\n1 1\n1 2\n")
+        with pytest.raises(ParseError, match="seed must be a 64-bit natural"):
+            g.read_edges(path)
+
 
 @pytest.mark.parametrize("text, error", [
     ("# glp v1 p=0.5 steps=1000000000000 seed=0\n1 1\n1 2\n", "does not match header"),
@@ -496,7 +520,7 @@ def test_read_edges_sizes_nothing_from_the_file(tmp_path, text, error):
 
 
 def test_from_endpoints_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="contiguous range"):
         g.GlpGraph.from_endpoints([1, 1, 3, 3])  # id 2 missing
     with pytest.raises(ParameterError):
         g.GlpGraph.from_endpoints([1, 1, 2])  # odd length
@@ -504,10 +528,70 @@ def test_from_endpoints_validation():
         g.GlpGraph.from_endpoints([2, 2, 1, 1])  # not ordered by first appearance
     with pytest.raises(ParameterError):
         g.GlpGraph.from_endpoints([0, 1])
+    # ids that the int32 copy would change
+    for bad in (np.array([1, 2**32 + 1]), np.array([1.0, 1.9]), [1, 2**32 + 1]):
+        with pytest.raises(ParameterError, match="integers below 2"):
+            g.GlpGraph.from_endpoints(bad)
+    assert g.GlpGraph.from_endpoints(np.array([1.0, 2.0])).num_vertices == 2
+    with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
+        g.GlpGraph.from_endpoints([1, 1], seed=-1)
     # a skipped id right after the first chunk of the first-appearance check
     head = np.ones(process._MAX_BLOCK, dtype=np.int32)
     with pytest.raises(ParameterError, match="first appearance"):
         g.GlpGraph.from_endpoints(np.concatenate([head, [3, 2]]))
+
+
+def first_appearance_count(seq):
+    """V if ``seq`` is a flat sequence of even length >= 2 whose ids are
+    1..V in order of first appearance, else None: the rule, one slot at a
+    time in pure Python."""
+    if len(seq) < 2 or len(seq) % 2:
+        return None
+    seen = 0
+    for x in seq:
+        if x == seen + 1:
+            seen += 1
+        elif not 1 <= x <= seen:
+            return None
+    return seen
+
+
+def check_against_the_rule(seq, rule_of=None):
+    """``from_endpoints`` accepts ``seq`` iff the rule does (applied to
+    ``rule_of``, an equivalent short sequence, when given), with the rule's
+    vertex count and ``np.bincount``'s degrees."""
+    want = first_appearance_count(seq if rule_of is None else rule_of)
+    if want is None:
+        with pytest.raises(ParameterError):
+            g.GlpGraph.from_endpoints(seq)
+        return
+    gr = g.GlpGraph.from_endpoints(seq)
+    assert gr.num_vertices == want
+    assert np.array_equal(gr.degrees, np.bincount(seq)[1:])
+
+
+def test_from_endpoints_follows_the_first_appearance_rule():
+    # every sequence of length 2, 4 and 6 over the ids 0..4
+    for n in (2, 4, 6):
+        for seq in itertools.product(range(5), repeat=n):
+            check_against_the_rule(np.array(seq))
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        # a sequence the rule accepts, then in half the cases one id moved
+        # by -1, 0 or +1; a few lengths are odd
+        n = int(rng.integers(1, 13))
+        seq = [1]
+        while len(seq) < n:
+            top = max(seq)
+            seq.append(top + 1 if rng.random() < 0.4 else int(rng.integers(1, top + 1)))
+        if rng.random() < 0.5:
+            seq[rng.integers(0, n)] += int(rng.integers(-1, 2))
+        check_against_the_rule(np.array(seq))
+    # across the edge of the check's first chunk: a prefix of ones acts
+    # as the loop ``1 1`` before the tail
+    head = np.ones(process._MAX_BLOCK - 2, dtype=np.int64)
+    for tail in itertools.product(range(4), repeat=4):
+        check_against_the_rule(np.concatenate([head, tail]), rule_of=(1, 1) + tail)
 
 
 @pytest.mark.parametrize("steps", [process._MAX_BLOCK // 2 - 1, process._MAX_BLOCK // 2,
