@@ -44,9 +44,7 @@ _MAX_ATTEMPTS_FACTOR = 200
 
 def c_p(p: float) -> float:
     """Degree growth exponent ``1 - p/2``."""
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"p must lie in [0, 1], got {p!r}")
-    return 1.0 - p / 2.0
+    return 1.0 - process._check_p(p) / 2.0
 
 
 @dataclass(frozen=True)
@@ -80,12 +78,11 @@ def phi(t: int, p: float) -> float:
 
     Equal to ``Gamma(t + c_p) / (Gamma(1 + c_p) * Gamma(t))`` and asymptotic
     to ``t**c_p / Gamma(1 + c_p)``.  Small ``t`` uses the literal product,
-    large ``t`` the log-Gamma form.
+    large ``t`` the log-Gamma form.  ``t`` must be an integer ``>= 1``
+    (``4.0`` included); any other value raises ``ParameterError``.
     """
     cp = c_p(p)
-    t = int(t)
-    if t < 1:
-        raise ParameterError(f"phi needs t >= 1, got {t}")
+    t = process._check_int(t, "phi's t")
     if t <= _PHI_PRODUCT_LIMIT:
         s = np.arange(1, t, dtype=np.float64)
         return float(np.prod(1.0 + cp / s)) if s.size else 1.0
@@ -102,11 +99,9 @@ def phi_tilde(t: int, p: float) -> float:
     This is the product the process obeys exactly: the expected degree of
     vertex 1 equals ``2 * phi_tilde(t)`` at every time, because each step
     multiplies expected degrees by ``1 + c_p/(t+1)``.  Identically equal to
-    ``phi(t + 1)``.
+    ``phi(t + 1)``, for an integer ``t >= 0``.
     """
-    if int(t) < 0:
-        raise ParameterError(f"phi_tilde needs t >= 0, got {t}")
-    return phi(int(t) + 1, p)
+    return phi(process._check_int(t, "phi_tilde's t", 0) + 1, p)
 
 
 # ----------------------------------------------------------------------
@@ -158,15 +153,15 @@ def martingale_check(
 
     Replica ``r`` uses seed ``base_seed + r`` (accepted replicas count when
     conditioning, and seeds are screened on their kind draws before a run).
+    Checkpoints, ``replicas``, ``vertex`` and ``arrival_step`` must be
+    integers (``4.0`` included), else ``ParameterError``; fewer than 2
+    replicas raise ``StatisticsError``.
     """
-    checkpoints = sorted(set(checkpoints))
-    if not checkpoints or not all(process._integral(t) for t in checkpoints):
-        raise ParameterError(f"checkpoints must be non-negative integer times, got {checkpoints}")
-    checkpoints = [int(t) for t in checkpoints]
+    checkpoints = process._time_grid(set(checkpoints), "checkpoints")
+    replicas = process._check_int(replicas, "replicas", 0)
     if replicas < 2:
         raise StatisticsError("at least 2 replicas are needed for a confidence interval")
-    if vertex < 1:
-        raise ParameterError(f"vertex must be >= 1, got {vertex}")
+    vertex = process._check_int(vertex, "vertex")
     if vertex > 1 and arrival_step is None:
         raise ParameterError("conditioning on a later vertex requires arrival_step")
     if vertex > 1 and not process._integral(arrival_step, 0, checkpoints[0] + 1):
@@ -236,7 +231,6 @@ def upper_bound_check(graph: process.GlpGraph, c1: float) -> np.ndarray:
 class ExponentFit:
     estimate: float
     stderr: float
-    points: tuple[tuple[float, float], ...] = ()
 
 
 def max_degree_series(snapshot_sets) -> list[tuple[int, float]]:
@@ -283,9 +277,7 @@ def fit_exponent(series) -> ExponentFit:
     resid = y - slope * x - intercept
     sigma2 = float(np.dot(resid, resid)) / max(n - 2, 1)
     stderr = math.sqrt(sigma2 / float(np.dot(xc, xc)))
-    return ExponentFit(
-        estimate=slope, stderr=stderr, points=tuple(zip(x.tolist(), y.tolist()))
-    )
+    return ExponentFit(estimate=slope, stderr=stderr)
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +326,11 @@ def fit_power_law(hist: DegreeHistogram, x_min: int = 10) -> ExponentFit:
     Maximizes the zeta-distribution likelihood on the tail ``x >= x_min``
     (Hurwitz zeta normalizer, no continuous approximation).  The standard
     error comes from the observed Fisher information.  Raises
+    ``ParameterError`` unless ``x_min`` is an integer ``>= 1``,
     ``StatisticsError`` with fewer than 100 tail samples and ``FitError``
     when the tail is degenerate.
     """
-    if x_min < 1:
-        raise ParameterError(f"x_min must be >= 1, got {x_min}")
+    x_min = process._check_int(x_min, "x_min")
     mask = hist.values >= x_min
     vals = hist.values[mask].astype(np.float64)
     cnts = hist.counts[mask].astype(np.float64)
@@ -364,5 +356,4 @@ def fit_power_law(hist: DegreeHistogram, x_min: int = 10) -> ExponentFit:
         + math.log(special.zeta(a_hat - h, x_min))
     ) / h**2
     stderr = float("inf") if info <= 0 else 1.0 / math.sqrt(n * info)
-    pts = tuple(zip(np.log(vals).tolist(), np.log(cnts).tolist()))
-    return ExponentFit(estimate=a_hat, stderr=stderr, points=pts)
+    return ExponentFit(estimate=a_hat, stderr=stderr)

@@ -29,7 +29,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     ``1.5``, ``inf`` and ``nan`` are not."""
     try:
         vals = [float(tok) for tok in str(text).split(",") if tok.strip()]
-        if all(v.is_integer() for v in vals):
+        if all(process._integral(abs(v)) for v in vals):
             return tuple(int(v) for v in vals)
     except ValueError:
         pass
@@ -262,17 +262,7 @@ def _cmd_hitting(opts: dict) -> int:
         "command": "hitting",
         "config": opts,
         "gamma": report.params.gamma,
-        "rows": [
-            {
-                "t": r.t,
-                "empirical": r.empirical,
-                "empirical_se": r.empirical_se,
-                "dominating": r.dominating,
-                "dominating_se": r.dominating_se,
-                "ok": r.ok,
-            }
-            for r in report.rows
-        ],
+        "rows": [{**dataclasses.asdict(r), "ok": r.ok} for r in report.rows],
         "passed": report.passed,
     }
     _dump_json(doc, opts["out"])
@@ -301,25 +291,12 @@ def _write_rows(fh, row: str, values: list) -> None:
 
 
 def _cmd_clique(opts: dict) -> int:
-    p, t_ref, seed = opts["p"], opts["steps"], opts["seed"]
-    graph = process.run(process.ProcessParams(p=p, steps=2 * t_ref, seed=seed)).graph
+    t_ref = opts["steps"]
+    graph = process.run(process.ProcessParams(opts["p"], 2 * t_ref, opts["seed"])).graph
     row = community.clique_growth_rows(graph, [t_ref], **{k: opts[k] for k in _CLIQUE})[0]
     _dump_json(
-        {
-            "command": "clique",
-            "config": opts,
-            "p": p,
-            "seed": seed,
-            "t": t_ref,
-            "m": opts["m"],
-            "j_lo": row.j_lo,
-            "j_hi": row.j_hi,
-            "leader_count": row.leader_count,
-            "pair_fraction": row.pair_fraction,
-            "clique_size": row.clique_size,
-            "topk_clique_size": row.topk_clique_size,
-            "triangles": community.count_triangles(graph),
-        },
+        {"command": "clique", "config": opts, **dataclasses.asdict(row), "m": opts["m"],
+         "triangles": community.count_triangles(graph)},
         opts["out"],
     )
     return 0

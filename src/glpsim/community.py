@@ -74,12 +74,13 @@ def leaders(graph: process.GlpGraph, m: int, j_lo: int, j_hi: int) -> LeaderSet:
     """Max-degree vertex of each block ``j_lo .. j_hi`` of ``graph``.
 
     Block ``j`` covers ids ``(j-1)*m + 1 .. j*m``.  Ties go to the smaller
-    id.  Every block must be fully populated; ``t_ref`` is ``graph.t``.
+    id.  ``m``, ``j_lo`` and ``j_hi`` must be integers (``4.0`` included)
+    with ``1 <= j_lo <= j_hi``, and every block must be fully populated;
+    ``t_ref`` is ``graph.t``.
     """
-    if m < 1:
-        raise ParameterError(f"block width must be >= 1, got {m}")
-    if not (1 <= j_lo <= j_hi):
-        raise ParameterError(f"need 1 <= j_lo <= j_hi, got [{j_lo}, {j_hi}]")
+    m = process._check_int(m, "block width")
+    j_lo = process._check_int(j_lo, "j_lo")
+    j_hi = process._check_int(j_hi, "j_hi", j_lo)
     if j_hi * m > graph.num_vertices:
         raise ParameterError(
             f"block {j_hi} needs vertex {j_hi * m}, but only "
@@ -181,9 +182,15 @@ def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
 
     Every candidate pair is counted.  The report carries the size of the
     largest complete subset (exact, by branch and bound) and the first 100
-    missing pairs in lexicographic order.
+    missing pairs in lexicographic order.  Every id must be an integer
+    (``4.0`` included), else ``ParameterError``.
     """
-    ids = np.unique(np.asarray(vertices, dtype=np.int64))
+    src = np.asarray(vertices)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        ids = src.astype(np.int64)
+    if not np.array_equal(ids, src):
+        raise ParameterError("candidate ids must be integers")
+    ids = np.unique(ids)
     if ids.size < 1:
         raise ParameterError("empty candidate set")
     if ids.min() < 1 or ids.max() > graph.num_vertices:
@@ -211,13 +218,11 @@ def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
     """Largest clique among the ``k`` highest-degree vertices.
 
     Candidates are ranked by degree in ``graph`` (ties toward the smaller
-    id).  Exact branch and bound at any ``k``.  Returns the clique as a
-    sorted id tuple.
+    id).  Exact branch and bound at any ``k``, which must be an integer
+    ``>= 1``.  Returns the clique as a sorted id tuple.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
     deg = graph.degrees
-    k = min(k, deg.size)
+    k = min(process._check_int(k, "k"), deg.size)
     kth = np.partition(deg, deg.size - k)[deg.size - k]  # the k-th largest degree
     above = np.flatnonzero(deg > kth)
     ties = np.flatnonzero(deg == kth)[: k - above.size]  # smallest ids first

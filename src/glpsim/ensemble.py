@@ -85,6 +85,12 @@ EXPERIMENTS = {
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """An experiment run at each ``p`` of ``p_grid`` over ``replicas`` seeds
+    from ``base_seed``, in ``width`` processes.  Every field and parameter is
+    checked here, before any run, and a bad one raises ``ConfigError``;
+    ``steps``, ``replicas`` and ``width`` must be integers ``>= 1``, stored
+    as ints like ``base_seed`` (``4.0`` included)."""
+
     experiment: str
     p_grid: tuple[float, ...]
     steps: int
@@ -107,41 +113,41 @@ class EnsembleConfig:
                               f"{', '.join(unread)}; it reads {', '.join(defaults)}")
         if not self.p_grid or len(set(self.p_grid)) != len(self.p_grid):
             raise ConfigError(f"p grid must be non-empty without repeats, got {list(self.p_grid)}")
-        if self.steps < 1 or self.replicas < 1 or self.width < 1:
-            raise ConfigError("steps, replicas and width must be >= 1")
-        if not (0 <= self.base_seed <= 2**64 - self.replicas):
-            raise ConfigError(
-                f"base_seed must lie in [0, 2**64 - replicas] so that every "
-                f"replica seed is a 64-bit natural, got {self.base_seed}"
-            )
         if not (0.0 < self.min_success <= 1.0):
             raise ConfigError(f"min_success must lie in (0, 1], got {self.min_success}")
         kw = {**defaults, **self.params}
         try:
+            replicas = process._check_int(self.replicas, "replicas")
+            width = process._check_int(self.width, "width")
+            if not (0 <= self.base_seed <= 2**64 - replicas):
+                raise ConfigError(
+                    f"base_seed must lie in [0, 2**64 - replicas] so that every "
+                    f"replica seed is a 64-bit natural, got {self.base_seed}"
+                )
             for p in self.p_grid:
                 process.ProcessParams(p, self.steps, self.base_seed, kw.get("snapshot_times", ()))
-        except (ParameterError, CapacityError) as exc:
-            raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "base_seed", int(self.base_seed))  # rows' seeds are ints
-        v = kw.get("vertex")
-        if v is not None and (not 1 <= v <= self.steps + 1 or int(v) != v):
-            raise ConfigError(f"vertex must be an integer in [1, {self.steps + 1}], got {v}")
-        if self.experiment == "cliquegrowth":
-            ts = tuple(kw["t_values"]) or (self.steps // 2,)
-            if self.steps != 2 * max(ts) or any(not 1 <= t or int(t) != t for t in ts):
-                raise ConfigError(
-                    f"cliquegrowth needs integer t_values >= 1 and steps == 2 * max(t_values), "
-                    f"got steps={self.steps} and t_values={list(ts)}"
-                )
-            for name in ("m", "topk"):
-                if kw[name] < 1:
-                    raise ConfigError(f"{name} must be >= 1, got {kw[name]}")
-            try:
+            steps = process._check_int(self.steps, "steps")
+            v = kw.get("vertex")
+            if v is not None and not process._integral(v, 1, steps + 2):
+                raise ConfigError(f"vertex must be an integer in [1, {steps + 1}], got {v}")
+            if self.experiment == "cliquegrowth":
+                ts = tuple(kw["t_values"]) or (steps // 2,)
+                if steps != 2 * max(ts) or not all(process._integral(t, 1) for t in ts):
+                    raise ConfigError(
+                        f"cliquegrowth needs integer t_values >= 1 and "
+                        f"steps == 2 * max(t_values), got steps={steps} and t_values={list(ts)}"
+                    )
+                process._check_int(kw["m"], "m")
+                process._check_int(kw["topk"], "topk")
                 for p in self.p_grid:
                     for t in ts:
                         community.leader_block_range(t, p, kw["eps"], kw["eps_prime"])
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
+        except (ParameterError, CapacityError) as exc:
+            raise ConfigError(str(exc)) from exc
+        # stored as ints, so that rows' seeds and the echoed config are ints
+        for name, n in (("steps", steps), ("replicas", replicas), ("width", width),
+                        ("base_seed", int(self.base_seed))):
+            object.__setattr__(self, name, n)
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -275,17 +281,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
 
 
 def write_report(report: EnsembleReport, path) -> None:
-    doc = {
-        "schema": report.schema,
-        "version": report.version,
-        "experiment": report.experiment,
-        "config": report.config,
-        "rows": [asdict(r) for r in report.rows],
-        "failures": list(report.failures),
-        "aggregates": list(report.aggregates),
-    }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -40,21 +40,32 @@ __all__ = [
 ]
 
 
+def _block(j, m) -> tuple[int, int]:
+    """``(j, m)`` as ints, or ``ParameterError`` unless both are integers
+    ``>= 1`` (``4.0`` included)."""
+    if not (process._integral(j, 1) and process._integral(m, 1)):
+        raise ParameterError(f"block indices must be integers >= 1, got j={j!r}, m={m!r}")
+    return int(j), int(m)
+
+
 @dataclass(frozen=True)
 class BlockSpec:
-    """Vertex block ``(j-1)*m + 1 .. j*m`` with degree thresholds to watch."""
+    """Vertex block ``(j-1)*m + 1 .. j*m`` with degree thresholds to watch.
+
+    ``j``, ``m`` and the thresholds must be integers ``>= 1`` (``4.0``
+    included, stored as an int), the thresholds strictly increasing."""
 
     j: int
     m: int
     thresholds: tuple[int, ...]
 
     def __post_init__(self):
-        if self.j < 1 or self.m < 1:
-            raise ParameterError(f"block indices must be >= 1, got j={self.j}, m={self.m}")
+        j, m = _block(self.j, self.m)
         ks = tuple(self.thresholds)
         if not ks or not all(process._integral(k, 1) for k in ks) or list(ks) != sorted(set(ks)):
             raise ParameterError("thresholds must be strictly increasing naturals")
-        object.__setattr__(self, "thresholds", tuple(int(k) for k in ks))
+        for name, v in (("j", j), ("m", m), ("thresholds", tuple(int(k) for k in ks))):
+            object.__setattr__(self, name, v)
 
     @property
     def vertex_range(self) -> tuple[int, int]:
@@ -94,10 +105,10 @@ def sample_arrival(j: int, m: int, p: float, rng: np.random.Generator, size=None
     Stochastically dominates the true time at which the block holds degree
     ``m`` (the real block reaches it no later than when its last member
     arrives, and the leading one is a deliberate cushion).  Returns an int
-    for ``size=None``, else an int64 array.
+    for ``size=None``, else an int64 array.  ``j`` and ``m`` must be
+    integers ``>= 1``.
     """
-    if j < 1 or m < 1:
-        raise ParameterError(f"block indices must be >= 1, got j={j}, m={m}")
+    j, m = _block(j, m)
     process._check_p(p)
     waits = j * m - 1
     if waits == 0:
@@ -119,7 +130,10 @@ def default_gamma(p: float) -> float:
 
 @dataclass(frozen=True)
 class DominatingLawParams:
-    """Parameters of the dominating law for reaching block degree ``k``."""
+    """Parameters of the dominating law for reaching block degree ``k``.
+
+    ``j``, ``m`` and ``k`` must be integers (``4.0`` included, stored as an
+    int) with ``j, m >= 1`` and ``k >= m``."""
 
     p: float
     m: int
@@ -130,10 +144,10 @@ class DominatingLawParams:
     def __post_init__(self):
         if not (0.0 <= self.p < 1.0):
             raise ParameterError("dominating law needs p in [0, 1)")
-        if self.m < 1 or self.j < 1:
-            raise ParameterError(f"block indices must be >= 1, got j={self.j}, m={self.m}")
-        if self.k < self.m:
-            raise ParameterError(f"threshold k={self.k} below block width m={self.m}")
+        j, m = _block(self.j, self.m)
+        k = process._check_int(self.k, "threshold k", m)
+        for name, v in (("j", j), ("m", m), ("k", k)):
+            object.__setattr__(self, name, v)
         # The tilt exponent only has to keep every rate positive, which any
         # gamma > 0 does (each delta_i < 1).  The theoretical guarantee holds
         # for gamma < 1/c_p - 1; larger values give a thinner dominating tail
@@ -220,13 +234,6 @@ class DominationReport:
         return all(r.ok for r in self.rows)
 
 
-def _time_grid(t_grid) -> list[int]:
-    grid = sorted(t_grid)
-    if not grid or not all(process._integral(t) for t in grid):
-        raise ParameterError(f"time grid must be non-empty non-negative integers, got {grid}")
-    return [int(t) for t in grid]
-
-
 def domination_test(
     params: DominatingLawParams,
     empirical_times: np.ndarray,
@@ -238,8 +245,9 @@ def domination_test(
     ``empirical_times`` uses ``inf`` for replicas that never hit; the grid
     must therefore not exceed the run length that produced them.  Each grid
     point checks ``empirical <= dominating + 3 * combined standard error``.
+    The grid must hold non-negative integers (``4.0`` included).
     """
-    grid = _time_grid(t_grid)
+    grid = process._time_grid(t_grid, "time grid")
     empirical_times = np.asarray(empirical_times, dtype=np.float64)
     dominating_samples = np.asarray(dominating_samples, dtype=np.float64)
     emp, emp_se = survival_curve(empirical_times, grid)
@@ -268,8 +276,10 @@ def empirical_hit_times(
     p: float, steps: int, j: int, m: int, k: int, replicas: int, base_seed: int
 ) -> np.ndarray:
     """Hit times of degree ``k`` by block ``j`` of size ``m`` over independent
-    runs (inf if censored)."""
-    spec = BlockSpec(j=j, m=m, thresholds=(int(k),))
+    runs (inf if censored).  ``j``, ``m``, ``k`` and ``replicas`` must be
+    integers, else ``ParameterError``."""
+    spec = BlockSpec(j=j, m=m, thresholds=(k,))
+    replicas = process._check_int(replicas, "replicas", 0)
     out = np.empty(replicas, dtype=np.float64)
     for r, graph in enumerate(process.replicas(p, steps, base_seed, replicas)):
         hit = crossing_times(graph, spec)[0]
@@ -293,14 +303,12 @@ def domination_experiment(
 
     Replica ``r`` uses seed ``base_seed + r``; the dominating sampler uses
     the next seed after the last replica.  ``steps`` defaults to the last
-    grid point.
+    grid point.  The integer arguments reject non-integers such as ``2.5``,
+    NaN and inf with ``ParameterError`` before any run.
     """
-    grid = _time_grid(t_grid)
-    if replicas < 1 or dominating_samples < 1:
-        raise ParameterError(
-            f"replicas and dominating samples must be >= 1, "
-            f"got {replicas} and {dominating_samples}"
-        )
+    grid = process._time_grid(t_grid, "time grid")
+    replicas = process._check_int(replicas, "replicas")
+    dominating_samples = process._check_int(dominating_samples, "dominating samples")
     if gamma is None:
         gamma = default_gamma(p)
     params = DominatingLawParams(p=p, m=m, j=j, k=k, gamma=gamma)

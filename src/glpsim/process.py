@@ -55,6 +55,22 @@ def _integral(x, lo=0, hi=math.inf) -> bool:
     return lo <= x < hi and int(x) == x
 
 
+def _check_int(x, what: str, lo: int = 1) -> int:
+    """``x`` as an int, or ``ParameterError`` unless ``_integral(x, lo)``."""
+    if not _integral(x, lo):
+        raise ParameterError(f"{what} must be >= {lo} and an integer, got {x!r}")
+    return int(x)
+
+
+def _time_grid(times, what: str) -> list[int]:
+    """``times`` sorted, as ints, or ``ParameterError`` naming them ``what``
+    unless they are a non-empty collection of non-negative integers."""
+    grid = sorted(times)
+    if not grid or not all(_integral(t) for t in grid):
+        raise ParameterError(f"{what} must be non-empty non-negative integers, got {grid}")
+    return [int(t) for t in grid]
+
+
 def _check_seed(seed) -> int:
     if not _integral(seed, 0, 2**64):
         raise ParameterError(f"seed must be a 64-bit natural, got {seed!r}")
@@ -159,9 +175,12 @@ class GlpGraph:
         src = np.asarray(endpoints)
         if src.ndim != 1 or src.size < 2 or src.size % 2:
             raise ParameterError("endpoint sequence must be flat with even length >= 2")
+        if src.dtype == object:  # how numpy holds a list with an id of 2**64 or more
+            raise ParameterError("vertex ids must be integers below 2**31")
         if src.min() < 1:
             raise ParameterError("vertex ids must be >= 1")
-        ep = src.astype(np.int32)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+            ep = src.astype(np.int32)
         # In first-appearance order the running maximum (0 before slot 0)
         # rises by at most 1 a slot.  That is enough: each rise is at a slot
         # holding the new maximum, so all ids 1..V appear (V the last maximum)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -528,10 +529,14 @@ def test_from_endpoints_validation():
         g.GlpGraph.from_endpoints([2, 2, 1, 1])  # not ordered by first appearance
     with pytest.raises(ParameterError):
         g.GlpGraph.from_endpoints([0, 1])
-    # ids that the int32 copy would change
-    for bad in (np.array([1, 2**32 + 1]), np.array([1.0, 1.9]), [1, 2**32 + 1]):
-        with pytest.raises(ParameterError, match="integers below 2"):
-            g.GlpGraph.from_endpoints(bad)
+    # ids that the int32 copy would change, with no numpy warning or
+    # OverflowError on the way (numpy holds 2**70 in an object array)
+    for bad in (np.array([1, 2**32 + 1]), np.array([1.0, 1.9]), [1, 2**32 + 1], [1, 2**70],
+                [1.0, float("nan")], [1.0, float("inf")], [1.0, 1e10]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="integers below 2"):
+                g.GlpGraph.from_endpoints(bad)
     assert g.GlpGraph.from_endpoints(np.array([1.0, 2.0])).num_vertices == 2
     with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
         g.GlpGraph.from_endpoints([1, 1], seed=-1)
