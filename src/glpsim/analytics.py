@@ -218,9 +218,13 @@ def upper_bound_check(graph: process.GlpGraph, c1: float) -> np.ndarray:
     if t < 2:
         raise ParameterError("upper bound check needs t >= 2")
     cp = c_p(graph.p)
-    ids = np.arange(1, graph.num_vertices + 1, dtype=np.float64)
-    envelope = c1 * t**cp * np.sqrt(math.log(t) / ids ** (1.0 - graph.p))
-    return (np.flatnonzero(graph.degrees >= envelope) + 1).astype(np.int64)
+    # c1 * t**cp * sqrt(log t / j**(1-p)), built in place in one array
+    env = np.arange(1, graph.num_vertices + 1, dtype=np.float64)
+    env **= 1.0 - graph.p
+    np.divide(math.log(t), env, out=env)
+    np.sqrt(env, out=env)
+    env *= c1 * t**cp
+    return (np.flatnonzero(graph.degrees >= env) + 1).astype(np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -186,6 +186,8 @@ def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
     (``4.0`` included), else ``ParameterError``.
     """
     src = np.asarray(vertices)
+    if src.dtype == object:  # how numpy holds a list with an id of 2**64 or more
+        raise ParameterError("candidate ids must be integers below 2**63")
     with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
         ids = src.astype(np.int64)
     if not np.array_equal(ids, src):

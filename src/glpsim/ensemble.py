@@ -47,12 +47,12 @@ SCHEMA = "glp-report/1"
 
 
 def _exp_maxdeg(graph, snapshot_times):
-    times = tuple(map(int, snapshot_times)) or (graph.t,)
+    times = snapshot_times or (graph.t,)
     return [(t, "max_degree", float(graph.at(t).max_degree())) for t in times]
 
 
 def _exp_triangles(graph, snapshot_times):
-    times = tuple(map(int, snapshot_times)) or (graph.t,)
+    times = snapshot_times or (graph.t,)
     return [(t, "triangles", float(community.count_triangles(graph.at(t)))) for t in times]
 
 
@@ -61,7 +61,7 @@ def _exp_arrival(graph, vertex):
 
 
 def _exp_cliquegrowth(graph, t_values, **kw):
-    ts = tuple(map(int, t_values)) or (graph.t // 2,)
+    ts = t_values or (graph.t // 2,)
     out = []
     for r in community.clique_growth_rows(graph, ts, **kw):
         out.append((r.t, "pair_fraction", float(r.pair_fraction)))
@@ -89,7 +89,8 @@ class EnsembleConfig:
     from ``base_seed``, in ``width`` processes.  Every field and parameter is
     checked here, before any run, and a bad one raises ``ConfigError``;
     ``steps``, ``replicas`` and ``width`` must be integers ``>= 1``, stored
-    as ints like ``base_seed`` (``4.0`` included)."""
+    as ints like ``base_seed`` and the integer parameters ``vertex``, ``m``,
+    ``topk`` and the time lists (``4.0`` included)."""
 
     experiment: str
     p_grid: tuple[float, ...]
@@ -144,9 +145,15 @@ class EnsembleConfig:
                         community.leader_block_range(t, p, kw["eps"], kw["eps_prime"])
         except (ParameterError, CapacityError) as exc:
             raise ConfigError(str(exc)) from exc
-        # stored as ints, so that rows' seeds and the echoed config are ints
+        # stored as ints, so that rows' seeds, metric names and the echoed
+        # config are ints: vertex 2.0 names its metric arrival_time_2
+        params = dict(self.params)
+        for k in params.keys() & {"vertex", "m", "topk"}:
+            params[k] = int(params[k])
+        for k in params.keys() & {"snapshot_times", "t_values"}:
+            params[k] = tuple(map(int, params[k]))
         for name, n in (("steps", steps), ("replicas", replicas), ("width", width),
-                        ("base_seed", int(self.base_seed))):
+                        ("base_seed", int(self.base_seed)), ("params", params)):
             object.__setattr__(self, name, n)
 
     def as_dict(self) -> dict:

@@ -170,17 +170,20 @@ class DominatingLawParams:
 
 
 def sample_dominating(params: DominatingLawParams, rng: np.random.Generator, size=None):
-    """Draw from the dominating law: arrival surrogate times ``exp(sum eta_i)``."""
+    """Draw from the dominating law: arrival surrogate times ``exp(sum eta_i)``;
+    ``size``, if given, must be an integer ``>= 0`` (``4.0`` included)."""
     if params.j < params.min_block_index():
         raise PreconditionError(
             f"block j={params.j} is too early for the dominating bound; "
             f"need j >= {params.min_block_index():.6g} at m={params.m}, p={params.p}"
         )
+    if size is not None:
+        size = process._check_int(size, "size", 0)
     arrival = sample_arrival(params.j, params.m, params.p, rng, size=size)
     rates = params.rates()
     if rates.size == 0:
         return float(arrival) if size is None else arrival.astype(np.float64)
-    shape = (rates.size,) if size is None else (int(size), rates.size)
+    shape = (rates.size,) if size is None else (size, rates.size)
     stretch = np.exp(rng.exponential(1.0 / rates, size=shape).sum(axis=-1))
     out = arrival * stretch
     return float(out) if size is None else out

@@ -168,6 +168,17 @@ def test_upper_bound_monotone_in_c1():
     assert v_loose <= v_tight
 
 
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0])
+def test_upper_bound_matches_direct_envelope(p):
+    # the envelope built in place flags exactly the ids the direct expression does
+    gr = g.run(g.ProcessParams(p=p, steps=3000, seed=2)).graph
+    ids = np.arange(1, gr.num_vertices + 1, dtype=np.float64)
+    for c1 in (0.02, 0.1, 0.5, 4.0):
+        envelope = c1 * gr.t ** g.c_p(p) * np.sqrt(math.log(gr.t) / ids ** (1.0 - p))
+        want = np.flatnonzero(gr.degrees >= envelope) + 1
+        assert np.array_equal(g.upper_bound_check(gr, c1), want)
+
+
 def test_upper_bound_needs_time():
     gr = g.run(g.ProcessParams(p=0.5, steps=1, seed=0)).graph
     with pytest.raises(ParameterError):

@@ -158,6 +158,14 @@ def test_is_clique_ignores_loops_and_multiplicity():
     assert rep.pair_fraction == 1.0
 
 
+def test_is_clique_rejects_ids_beyond_int64():
+    # numpy holds a list with an id of 2**64 or more in an object array
+    gr = graph_from_simple_edges(3, [])
+    for bad in ([1, 2**70], [2**64, 1, 2]):
+        with pytest.raises(ParameterError, match="integers"):
+            g.is_clique(gr, bad)
+
+
 def test_is_clique_counts_every_pair_of_a_large_set():
     """160 candidates (12,720 pairs) are counted exactly, pair by pair."""
     gr = g.run(g.ProcessParams(p=0.5, steps=3000, seed=4)).graph

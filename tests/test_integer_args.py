@@ -15,9 +15,10 @@ HIST = g.degree_histogram(g.run(g.ProcessParams(p=0.5, steps=20000, seed=1)).gra
 
 
 def ensemble(**over):
-    """Config of a small maxdeg ensemble, or a cliquegrowth one with ``params``."""
+    """Config of a small maxdeg ensemble, or a cliquegrowth one with ``params``
+    and no ``experiment``."""
     base = dict(experiment="maxdeg", p_grid=(0.5,), steps=200, replicas=2)
-    if "params" in over:
+    if "params" in over and "experiment" not in over:
         base.update(experiment="cliquegrowth", steps=2000, replicas=1)
     base.update(over)
     return g.EnsembleConfig(**base)
@@ -62,6 +63,9 @@ CASES = [
      lambda x: g.DominatingLawParams(p=0.5, m=1, j=x, k=16, gamma=0.3), ParameterError),
     ("DominatingLawParams k",
      lambda x: g.DominatingLawParams(p=0.5, m=2, j=260, k=x, gamma=0.3), ParameterError),
+    ("sample_dominating size",
+     lambda x: g.sample_dominating(g.DominatingLawParams(p=0.5, m=4, j=260, k=8, gamma=0.3),
+                                   g.make_rng(0), size=x), ParameterError),
     ("EnsembleConfig replicas", lambda x: g.run_ensemble(ensemble(replicas=x)), ConfigError),
     ("EnsembleConfig width", lambda x: ensemble(width=x).as_dict(), ConfigError),
     ("EnsembleConfig topk",
@@ -69,6 +73,14 @@ CASES = [
      ConfigError),
     ("EnsembleConfig m",
      lambda x: g.run_ensemble(ensemble(params={"t_values": (1000,), "m": x})).rows,
+     ConfigError),
+    ("EnsembleConfig t_values",
+     lambda x: g.run_ensemble(ensemble(params={"t_values": (x * 125, 1000)})), ConfigError),
+    # the metric is named arrival_time_4 and the config echo says 4
+    ("EnsembleConfig vertex",
+     lambda x: g.run_ensemble(ensemble(experiment="arrival", params={"vertex": x})), ConfigError),
+    ("EnsembleConfig snapshot_times",
+     lambda x: g.run_ensemble(ensemble(experiment="maxdeg", params={"snapshot_times": (x, 200)})),
      ConfigError),
 ]
 

@@ -224,7 +224,9 @@ BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 2**18 - 1, 2**18,
     [pytest.param(p, seed, 500, id=f"{seed}-{p}")
      for seed in (0, 17) for p in (0.0, 0.3, 0.5, 0.75, 1.0)]
     + [pytest.param(p, 0, steps, id=f"0-{p}-steps{steps}")
-       for p in (0.0, 0.5, 1.0) for steps in BLOCK_EDGE_STEPS],
+       for p in (0.0, 0.5, 1.0) for steps in BLOCK_EDGE_STEPS]
+    # later blocks with few and with many new-vertex roots
+    + [pytest.param(p, 0, 2**19 + 3, id=f"0-{p}-steps{2**19 + 3}") for p in (0.25, 0.9)],
 )
 def test_scalar_replay_matches_run(p, seed, steps):
     got = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph.endpoints
@@ -312,7 +314,7 @@ def test_generation_peak_bytes_per_step():
     # Working arrays stay within one block or chunk and the degrees are not
     # counted, so the peak sits inside the fill: the int32 endpoints
     # (8 B/step), the kind flags (1 B/step) and one block's temporaries,
-    # about 12.5 B/step at this size.
+    # about 11.8 B/step at this size.
     steps = 2**21
     tracemalloc.start()
     try:
@@ -321,6 +323,22 @@ def test_generation_peak_bytes_per_step():
     finally:
         tracemalloc.stop()
     assert peak / steps <= 13
+
+
+def test_later_block_peak_bytes_per_step():
+    # At 2 * 10**5 steps the last block is as long as the prefix, so its
+    # temporaries weigh: the in-block pointers are found before the roots
+    # are written, and the chain loop's index arrays leave the roots out.
+    steps = 2 * 10**5
+    params = g.ProcessParams(p=0.5, steps=steps, seed=0)
+    g.run(params)
+    tracemalloc.start()
+    try:
+        g.run(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 23
 
 
 def test_from_endpoints_peak_bytes_per_step():
