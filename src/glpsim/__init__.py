@@ -56,7 +56,6 @@ from .hitting import (
     DominatingLawParams,
     DominationReport,
     DominationRow,
-    block_degree_curve,
     crossing_times,
     default_gamma,
     domination_experiment,

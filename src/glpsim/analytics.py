@@ -127,13 +127,6 @@ class MartingaleReport:
         return max(abs(r.ratio - self.baseline) / self.baseline for r in self.rows)
 
 
-def _degree_history(endpoints: np.ndarray, vertex: int, times) -> np.ndarray:
-    """Degree of ``vertex`` at each requested time, from one run's sequence."""
-    hits = np.flatnonzero(endpoints == vertex)
-    cuts = 2 * (np.asarray(times, dtype=np.int64) + 1)
-    return np.searchsorted(hits, cuts)
-
-
 def martingale_check(
     p: float,
     checkpoints,
@@ -177,7 +170,7 @@ def martingale_check(
             if not (z.size and z[-1] and np.count_nonzero(z) == vertex - 1):
                 continue
         g = process.run(replace(params, seed=seed)).graph
-        degs[accepted] = _degree_history(g.endpoints, vertex, checkpoints)
+        degs[accepted] = np.searchsorted(g.gain_steps(vertex, vertex), checkpoints, side="right")
         accepted += 1
         if accepted == replicas:
             break

@@ -1,9 +1,9 @@
 """Block hitting times and the dominating-law comparison.
 
 A block ``(j, m)`` is the contiguous vertex range ``(j-1)*m + 1 .. j*m``.
-Its degree at time ``t`` is the number of endpoint slots in the first
-``2*(t+1)`` holding a block member, so crossing times of degree thresholds
-come from a single vectorized scan of a finished run.
+Its degree at time ``t`` is the number of its degree gains up to ``t``,
+which ``GlpGraph.gain_steps`` lists in order, so the crossing times of
+degree thresholds are read straight off that list.
 
 The dominating law is a sampleable stochastic upper bound for the time at
 which a late block first reaches degree ``k``: a negative-binomial arrival
@@ -72,26 +72,12 @@ class BlockSpec:
         return ((self.j - 1) * self.m + 1, self.j * self.m)
 
 
-def block_degree_curve(graph: process.GlpGraph, block: BlockSpec) -> np.ndarray:
-    """Block degree after each step, index 0 being the initial loop state."""
-    lo, hi = block.vertex_range
-    ep = graph.endpoints
-    member = (ep >= lo) & (ep <= hi)
-    return np.cumsum(member.reshape(-1, 2).sum(axis=1))
-
-
 def crossing_times(graph: process.GlpGraph, block: BlockSpec) -> tuple[int | None, ...]:
     """First time the block degree reaches each of the block's thresholds in
-    a finished run (None if never).
-
-    The degree reaches ``k`` at the step that writes the ``k``-th slot
-    holding a member, and slot ``s`` is written at step ``s // 2``.
-    """
-    lo, hi = block.vertex_range
-    ep = graph.endpoints
-    slots = np.flatnonzero((ep >= lo) & (ep <= hi))
-    return tuple(int(slots[k - 1]) // 2 if k <= slots.size else None
-                 for k in block.thresholds)
+    a finished run (None if never): the step of the block's ``k``-th degree
+    gain."""
+    steps = graph.gain_steps(*block.vertex_range)
+    return tuple(int(steps[k - 1]) if k <= steps.size else None for k in block.thresholds)
 
 
 # ----------------------------------------------------------------------
@@ -106,10 +92,12 @@ def sample_arrival(j: int, m: int, p: float, rng: np.random.Generator, size=None
     ``m`` (the real block reaches it no later than when its last member
     arrives, and the leading one is a deliberate cushion).  Returns an int
     for ``size=None``, else an int64 array.  ``j`` and ``m`` must be
-    integers ``>= 1``.
+    integers ``>= 1`` and ``size``, if given, one ``>= 0`` (``4.0`` included).
     """
     j, m = _block(j, m)
     process._check_p(p)
+    if size is not None:
+        size = process._check_int(size, "size", 0)
     waits = j * m - 1
     if waits == 0:
         return 1 if size is None else np.ones(size, dtype=np.int64)
@@ -177,13 +165,11 @@ def sample_dominating(params: DominatingLawParams, rng: np.random.Generator, siz
             f"block j={params.j} is too early for the dominating bound; "
             f"need j >= {params.min_block_index():.6g} at m={params.m}, p={params.p}"
         )
-    if size is not None:
-        size = process._check_int(size, "size", 0)
     arrival = sample_arrival(params.j, params.m, params.p, rng, size=size)
     rates = params.rates()
     if rates.size == 0:
         return float(arrival) if size is None else arrival.astype(np.float64)
-    shape = (rates.size,) if size is None else (size, rates.size)
+    shape = np.shape(arrival) + (rates.size,)
     stretch = np.exp(rng.exponential(1.0 / rates, size=shape).sum(axis=-1))
     out = arrival * stretch
     return float(out) if size is None else out

@@ -248,18 +248,32 @@ class GlpGraph:
     def max_degree(self) -> int:
         return int(self._degrees()[1:].max())
 
-    def arrival_time(self, j: int) -> int:
-        """Step at which vertex ``j`` was created; vertex 1 arrives at 0.
+    def gain_steps(self, lo: int, hi: int) -> np.ndarray:
+        """Sorted int64 steps at which a vertex with an id in ``lo..hi`` gains
+        degree, one entry per endpoint slot that holds such an id.
 
-        That is the index of the edge that holds ``j``'s first slot (edge ``i``
-        is made at step ``i``), found a ``_MAX_BLOCK``-slot chunk at a time.
+        Slot ``s`` is written at step ``s // 2`` (the initial loop at step
+        0), so the range's degree at time ``t`` is the number of entries
+        ``<= t``.  The slots are read ``_MAX_BLOCK`` at a time, so no
+        temporary outgrows one chunk.  ``lo`` and ``hi`` must be integers
+        ``>= 1``; a range that holds no vertex gives an empty array.
         """
-        j = self._vertex(j)
+        lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
+        parts = []
         for a in range(0, self._ep.size, _MAX_BLOCK):
-            hit = self._ep[a : a + _MAX_BLOCK] == j
-            i = int(hit.argmax())
-            if hit[i]:
-                return (a + i) // 2
+            chunk = self._ep[a : a + _MAX_BLOCK]
+            slots = np.flatnonzero((chunk >= lo) & (chunk <= hi))
+            slots += a
+            parts.append(slots)
+        steps = np.concatenate(parts)
+        steps >>= 1
+        return steps
+
+    def arrival_time(self, j: int) -> int:
+        """Step at which vertex ``j`` was created, its first degree gain;
+        vertex 1 arrives at 0."""
+        j = self._vertex(j)
+        return int(self.gain_steps(j, j)[0])
 
     def at(self, t: int) -> "GlpGraph":
         """The graph as it stood at time ``t`` of this run.

@@ -12,6 +12,15 @@ from glpsim.errors import ParameterError, PreconditionError
 # block bookkeeping and crossing detection
 
 
+def block_degree_curve(graph, block):
+    """Block degree after each step, index 0 being the initial loop state,
+    from a full-length member mask: the oracle of ``crossing_times``."""
+    lo, hi = block.vertex_range
+    ep = graph.endpoints
+    member = (ep >= lo) & (ep <= hi)
+    return np.cumsum(member.reshape(-1, 2).sum(axis=1))
+
+
 def test_block_spec_validation():
     with pytest.raises(ParameterError):
         g.BlockSpec(j=0, m=1, thresholds=(2,))
@@ -47,7 +56,7 @@ def test_block_degree_curve_matches_direct_sum():
     gr = g.run(g.ProcessParams(p=0.5, steps=500, seed=6)).graph
     block = g.BlockSpec(j=3, m=4, thresholds=(4,))
     lo, hi = block.vertex_range
-    curve = g.block_degree_curve(gr, block)
+    curve = block_degree_curve(gr, block)
     assert curve.shape == (gr.t + 1,)
     for t in (0, 100, 350, 500):
         deg_t = gr.at(t).degrees  # deg_t[j-1] is vertex j
@@ -65,7 +74,7 @@ def test_crossing_times_match_the_degree_curve():
             j = int(rng.integers(1, max(2, gr.num_vertices // m + 2)))
             ks = tuple(sorted(set(rng.integers(1, 60, size=5).tolist())))
             block = g.BlockSpec(j=j, m=m, thresholds=ks)
-            curve = g.block_degree_curve(gr, block)
+            curve = block_degree_curve(gr, block)
             idx = np.searchsorted(curve, ks)
             want = tuple(int(i) if i < curve.size else None for i in idx)
             assert g.crossing_times(gr, block) == want

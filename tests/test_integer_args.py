@@ -57,6 +57,10 @@ CASES = [
     ("BlockSpec m", lambda x: g.BlockSpec(j=1, m=x, thresholds=(3,)), ParameterError),
     ("sample_arrival j", lambda x: g.sample_arrival(x, 2, 0.5, g.make_rng(0)), ParameterError),
     ("sample_arrival m", lambda x: g.sample_arrival(2, x, 0.5, g.make_rng(0)), ParameterError),
+    ("sample_arrival size",
+     lambda x: g.sample_arrival(2, 2, 0.5, g.make_rng(0), size=x), ParameterError),
+    ("gain_steps lo", lambda x: GRAPH.gain_steps(x, 9), ParameterError),
+    ("gain_steps hi", lambda x: GRAPH.gain_steps(2, x), ParameterError),
     ("DominatingLawParams m",
      lambda x: g.DominatingLawParams(p=0.5, m=x, j=260, k=16, gamma=0.3), ParameterError),
     ("DominatingLawParams j",

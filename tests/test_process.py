@@ -45,7 +45,7 @@ def kind_arrivals(p, steps, seed):
 def probe_ids(first_slot):
     """1-based ids to probe for ``first_slot`` (each id's first slot, in id
     order): 1, 2, the last, and the ids whose first slot sits either side of
-    each ``_MAX_BLOCK`` slot edge, the chunk edges of the arrival search."""
+    each ``_MAX_BLOCK`` slot edge, the chunk edges of ``gain_steps``."""
     edges = np.arange(0, first_slot[-1] + 1, process._MAX_BLOCK)
     after = np.searchsorted(first_slot, edges)
     picks = np.concatenate(([0, 1, first_slot.size - 1], after, after - 1))
@@ -239,7 +239,7 @@ def test_scalar_replay_matches_run(p, seed, steps):
      for steps in BLOCK_EDGE_STEPS + (3 * process._MAX_BLOCK + 5,)],
 )
 def test_degrees_and_arrivals_match_the_endpoints(p, steps):
-    # the last size spans four chunks of the arrival search
+    # the last size spans four chunks of ``gain_steps``
     gr = g.run(g.ProcessParams(p=p, steps=steps, seed=9)).graph
     ids, first_slot = np.unique(gr.endpoints, return_index=True)
     assert np.array_equal(ids, np.arange(1, gr.num_vertices + 1))
@@ -259,6 +259,18 @@ def test_degrees_and_arrivals_match_the_endpoints(p, steps):
         assert graph.num_vertices == np.count_nonzero(arrivals <= graph.t)
         for j in probe_ids(first_slot[: graph.num_vertices]):
             assert graph.arrival_time(j) == arrivals[j - 1]
+        ep, nv = graph.endpoints, graph.num_vertices
+        for lo, hi in ((1, 1), (nv, nv), (2, max(2, nv // 3)), (nv // 2 + 1, nv + 5)):
+            want_steps = np.flatnonzero((ep >= lo) & (ep <= hi)) // 2
+            assert np.array_equal(graph.gain_steps(lo, hi), want_steps)
+        for v in (1, nv):
+            born = arrivals[v - 1]
+            times = np.unique([born, (born + t) // 2, t])
+            got = np.searchsorted(graph.gain_steps(v, v), times, side="right")
+            assert got.tolist() == [gr.at(u).degree(v) for u in times]
+            assert np.searchsorted(graph.gain_steps(v, v), born - 1, side="right") == 0
+        above = graph.gain_steps(nv + 1, nv + 10)
+        assert above.size == 0 and above.dtype == np.int64
     # vertex counts either side of each chunk edge
     for edge in range(process._MAX_BLOCK, 2 * steps + 2, process._MAX_BLOCK):
         for t in (edge // 2 - 1, edge // 2):
