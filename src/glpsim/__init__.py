@@ -13,7 +13,6 @@ from .analytics import (
     fit_exponent,
     fit_power_law,
     martingale_check,
-    max_degree_series,
     phi,
     phi_tilde,
     upper_bound_check,

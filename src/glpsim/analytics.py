@@ -27,7 +27,6 @@ __all__ = [
     "MartingaleReport",
     "martingale_check",
     "upper_bound_check",
-    "max_degree_series",
     "ExponentFit",
     "fit_exponent",
     "DegreeHistogram",
@@ -145,7 +144,9 @@ def martingale_check(
     estimate instead of 2.
 
     Replica ``r`` uses seed ``base_seed + r`` (accepted replicas count when
-    conditioning, and seeds are screened on their kind draws before a run).
+    conditioning, and seeds are screened on their kind draws before a run,
+    up to seed ``2**64 - 1``).  A ``base_seed`` above ``2**64 - replicas``
+    raises ``ParameterError`` before any run.
     Checkpoints, ``replicas``, ``vertex`` and ``arrival_step`` must be
     integers (``4.0`` included), else ``ParameterError``; fewer than 2
     replicas raise ``StatisticsError``.
@@ -161,10 +162,15 @@ def martingale_check(
         raise ParameterError("arrival_step must be an integer in [0, first checkpoint]")
 
     params = process.ProcessParams(p, max(checkpoints[-1], 1), base_seed)
+    if params.seed > 2**64 - replicas:
+        raise ParameterError(
+            f"base_seed must lie in [0, 2**64 - replicas] so that every "
+            f"replica seed is a 64-bit natural, got {base_seed!r}"
+        )
     degs = np.empty((replicas, len(checkpoints)), dtype=np.float64)
     accepted = 0
-    budget = _MAX_ATTEMPTS_FACTOR * replicas
-    for seed in range(params.seed, params.seed + budget):
+    stop = min(params.seed + _MAX_ATTEMPTS_FACTOR * replicas, 2**64)
+    for seed in range(params.seed, stop):
         if vertex > 1:  # it arrives there iff that step is its (vertex - 1)-th vertex-step
             z = process.step_kinds(process.make_rng(seed), p, int(arrival_step))
             if not (z.size and z[-1] and np.count_nonzero(z) == vertex - 1):
@@ -177,7 +183,7 @@ def martingale_check(
     else:
         raise StatisticsError(
             f"conditioning accepted only {accepted}/{replicas} replicas "
-            f"after {budget} attempts"
+            f"after {stop - params.seed} attempts"
         )
 
     norm = np.array([phi_tilde(t, p) for t in checkpoints])
@@ -228,24 +234,6 @@ def upper_bound_check(graph: process.GlpGraph, c1: float) -> np.ndarray:
 class ExponentFit:
     estimate: float
     stderr: float
-
-
-def max_degree_series(snapshot_sets) -> list[tuple[int, float]]:
-    """Average the max-degree snapshots of many replicas by time.
-
-    ``snapshot_sets`` is an iterable of per-replica snapshot lists, all taken
-    at the same times.
-    """
-    by_t: dict[int, list[int]] = {}
-    for snaps in snapshot_sets:
-        for s in snaps:
-            by_t.setdefault(s.t, []).append(s.max_degree)
-    if not by_t:
-        raise ParameterError("no snapshots given")
-    counts = {len(v) for v in by_t.values()}
-    if len(counts) != 1:
-        raise ParameterError("replicas disagree on snapshot times")
-    return [(t, float(np.mean(v))) for t, v in sorted(by_t.items())]
 
 
 def fit_exponent(series) -> ExponentFit:

@@ -250,8 +250,10 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     if config.width > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # one chunk per worker, so that a few tasks still spread over all
+        chunk = -(-len(tasks) // config.width)
         with ProcessPoolExecutor(max_workers=config.width) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=8))
+            results = list(pool.map(_run_task, tasks, chunksize=chunk))
     else:
         results = [_run_task(t) for t in tasks]
 

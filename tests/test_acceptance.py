@@ -6,9 +6,11 @@ gate runs at its stated scale and tolerance, nothing is downsized.  Gate 09
 includes a finite-size connectivity target that current measurements do not
 reach; it is asserted as stated rather than weakened, so a FAIL there is a
 faithful report, not a broken harness (see the gate's printed detail).
+Gates 05, 08 (its arrival-time half), 09 and 11 sweep their seeds through
+``run_ensemble`` with the ``EXPERIMENTS`` entry they check, and read the
+per-time means and standard errors from the report's aggregates.
 """
 
-import json
 import math
 
 import numpy as np
@@ -109,13 +111,12 @@ def test_criterion_04_martingale():
 
 def test_criterion_05_max_degree_exponent():
     times = (10**4, 10**5, 10**6)
-    sets = []
-    for s in range(20):
-        res = g.run(
-            g.ProcessParams(p=0.5, steps=10**6, seed=100 + s, snapshot_times=times)
-        )
-        sets.append(res.snapshots)
-    fit = g.fit_exponent(g.max_degree_series(sets))
+    rep = g.run_ensemble(g.EnsembleConfig(
+        "maxdeg", p_grid=(0.5,), steps=10**6, replicas=20, base_seed=100,
+        params={"snapshot_times": times},
+    ))
+    assert not rep.failures
+    fit = g.fit_exponent([(a["t"], a["mean"]) for a in rep.aggregates])
     ok = 0.70 <= fit.estimate <= 0.80
 
     res0 = g.run(g.ProcessParams(p=0.0, steps=10**6, seed=1, snapshot_times=times))
@@ -180,20 +181,18 @@ def test_criterion_08_arrival_moments():
     ok = abs(samp.mean() - mean_cf) < 3 * se1 and abs(sq.mean() - e2_cf) < 3 * se2
 
     vertex = 20
-    arrivals = np.array(
-        [
-            g.run(g.ProcessParams(p=p, steps=200, seed=5000 + s)).graph.arrival_time(vertex)
-            for s in range(4000)
-        ],
-        dtype=float,
-    )
-    se3 = arrivals.std(ddof=1) / math.sqrt(arrivals.size)
+    rep = g.run_ensemble(g.EnsembleConfig(
+        "arrival", p_grid=(p,), steps=200, replicas=4000, base_seed=5000,
+        params={"vertex": vertex},
+    ))
+    assert not rep.failures
+    (agg,) = rep.aggregates
     target = (vertex - 1) / p
-    ok2 = abs(arrivals.mean() - target) < 3 * se3
+    ok2 = abs(agg["mean"] - target) < 3 * agg["stderr"]
     assert report(
         8, "arrival moments", ok and ok2,
         f"NB mean/2nd-moment within 3se; arrival_time({vertex}) "
-        f"{arrivals.mean():.2f} vs {target}",
+        f"{agg['mean']:.2f} vs {target}",
     )
 
 
@@ -309,13 +308,12 @@ def test_criterion_11_triangle_scaling():
 
     # exploratory slope: warn, never gate
     times = (10**4, 10**5, 10**6)
-    per_t = {t: [] for t in times}
-    for s in range(5):
-        gr = g.run(g.ProcessParams(p=0.5, steps=10**6, seed=900 + s)).graph
-        for t in times:
-            per_t[t].append(g.count_triangles(gr.at(t)))
-    series = [(t, float(np.mean(per_t[t]))) for t in times]
-    slope = g.fit_exponent(series).estimate
+    rep = g.run_ensemble(g.EnsembleConfig(
+        "triangles", p_grid=(0.5,), steps=10**6, replicas=5, base_seed=900,
+        params={"snapshot_times": times},
+    ))
+    assert not rep.failures
+    slope = g.fit_exponent([(a["t"], a["mean"]) for a in rep.aggregates]).estimate
     in_band = 0.7 <= slope <= 1.3
     detail = f"K4=4 gates; slope {slope:.3f} target 1.0 +- 0.3"
     if not in_band:

@@ -134,6 +134,21 @@ def test_martingale_conditioning_matches_generated_runs():
             g.martingale_check(0.5, (5, 10), replicas=2, vertex=3, arrival_step=bad)
 
 
+def test_martingale_seed_range_checked_before_any_run(monkeypatch):
+    from glpsim import process
+
+    def no_run(params):
+        raise AssertionError(f"process.run called with seed {params.seed}")
+
+    monkeypatch.setattr(process, "run", no_run)
+    with pytest.raises(ParameterError, match="base_seed"):
+        g.martingale_check(0.5, (10,), replicas=3, base_seed=2**64 - 2)
+    # conditioned screening stops at the last 64-bit seed
+    with pytest.raises(StatisticsError, match="0/2 replicas after 5 attempts"):
+        g.martingale_check(0.5, (5, 10), replicas=2, base_seed=2**64 - 5,
+                           vertex=3, arrival_step=0)
+
+
 def test_martingale_needs_replicas():
     with pytest.raises(StatisticsError):
         g.martingale_check(0.5, (10,), replicas=1)
@@ -209,28 +224,16 @@ def test_fit_exponent_degenerate():
         g.fit_exponent([(100, 1.0), (1000, -2.0), (10_000, 3.0)])
 
 
-def test_max_degree_series_and_p1_slope():
-    sets = []
-    for s in range(10):
-        r = g.run(
-            g.ProcessParams(
-                p=1.0, steps=10**5, seed=400 + s, snapshot_times=(10**3, 10**4, 10**5)
-            )
-        )
-        sets.append(r.snapshots)
-    series = g.max_degree_series(sets)
+def test_maxdeg_ensemble_p1_slope():
+    rep = g.run_ensemble(g.EnsembleConfig(
+        "maxdeg", p_grid=(1.0,), steps=10**5, replicas=10, base_seed=400,
+        params={"snapshot_times": (10**3, 10**4, 10**5)},
+    ))
+    assert not rep.failures
+    series = [(a["t"], a["mean"]) for a in rep.aggregates]
     assert [t for t, _ in series] == [10**3, 10**4, 10**5]
     fit = g.fit_exponent(series)
     assert 0.35 < fit.estimate < 0.65  # c_p = 0.5 at p=1
-
-
-def test_max_degree_series_ragged_input():
-    a = g.run(g.ProcessParams(p=0.5, steps=100, seed=0, snapshot_times=(10, 100)))
-    b = g.run(g.ProcessParams(p=0.5, steps=100, seed=1, snapshot_times=(10,)))
-    with pytest.raises(ParameterError):
-        g.max_degree_series([a.snapshots, b.snapshots])
-    with pytest.raises(ParameterError):
-        g.max_degree_series([])
 
 
 # ----------------------------------------------------------------------

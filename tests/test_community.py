@@ -249,6 +249,29 @@ def test_clique_sizes_match_networkx(p, steps, seed):
     assert full.subgraph(top).number_of_edges() == len(top) * (len(top) - 1) // 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([0.1, 0.5, 0.9]),
+    steps=st.sampled_from([5, 50, 500, 3000]),
+    k=st.sampled_from([8, 64]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_max_clique_topk_matches_networkx(p, steps, k, seed):
+    """The top-k clique has the size of networkx's largest maximal clique in
+    the simple projection induced on the same candidates.  Fixed sizes from
+    5 to 3000 steps put k above the vertex count and put degree ties at the
+    cut."""
+    nx = pytest.importorskip("networkx")
+    gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
+    deg = gr.degrees
+    ids = [int(v) + 1 for v in np.lexsort((np.arange(1, deg.size + 1), -deg))[:k]]
+    full = nx.Graph()
+    full.add_nodes_from(range(1, gr.num_vertices + 1))
+    full.add_edges_from(g.simple_edges(gr).tolist())
+    expected = max(len(c) for c in nx.find_cliques(full.subgraph(ids)))
+    assert len(g.max_clique_topk(gr, k)) == expected
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_max_clique_matches_subset_dp(seed):
     """Branch-and-bound equals the exhaustive DP on the same candidates."""

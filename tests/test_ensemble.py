@@ -98,6 +98,32 @@ def test_parallel_equals_serial():
     assert serial.aggregates == parallel.aggregates
 
 
+@pytest.mark.parametrize("replicas,width", [(3, 2), (4, 2), (10, 2), (5, 4), (2, 3)])
+def test_parallel_chunks_spread_over_workers(monkeypatch, replicas, width):
+    import concurrent.futures
+
+    chunks = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            assert max_workers == width
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            chunks.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    rep = g.run_ensemble(maxdeg_config(replicas=replicas, width=width))
+    assert len(chunks) == 1 and chunks[0] <= -(-replicas // width)
+    assert rep.rows == g.run_ensemble(maxdeg_config(replicas=replicas)).rows
+
+
 def test_same_config_same_report():
     a = g.run_ensemble(maxdeg_config())
     b = g.run_ensemble(maxdeg_config())
