@@ -216,14 +216,23 @@ def upper_bound_check(graph: process.GlpGraph, c1: float) -> np.ndarray:
     t = graph.t
     if t < 2:
         raise ParameterError("upper bound check needs t >= 2")
-    cp = c_p(graph.p)
-    # c1 * t**cp * sqrt(log t / j**(1-p)), built in place in one array
-    env = np.arange(1, graph.num_vertices + 1, dtype=np.float64)
-    env **= 1.0 - graph.p
-    np.divide(math.log(t), env, out=env)
-    np.sqrt(env, out=env)
-    env *= c1 * t**cp
-    return (np.flatnonzero(graph.degrees >= env) + 1).astype(np.int64)
+    scale = c1 * t ** c_p(graph.p)
+
+    def envelope(ids: np.ndarray) -> np.ndarray:
+        # c1 * t**cp * sqrt(log t / j**(1-p)), built in place
+        env = ids.astype(np.float64)
+        env **= 1.0 - graph.p
+        np.divide(math.log(t), env, out=env)
+        np.sqrt(env, out=env)
+        env *= scale
+        return env
+
+    # The envelope falls as j grows, so only a degree at or above its value
+    # at the last id (less a margin for rounding) can reach it.
+    degrees = graph.degrees
+    least = envelope(np.array([graph.num_vertices]))[0]
+    ids = np.flatnonzero(degrees >= least * (1.0 - 1e-9)) + 1
+    return ids[degrees[ids - 1] >= envelope(ids)]
 
 
 # ----------------------------------------------------------------------

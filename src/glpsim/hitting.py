@@ -170,7 +170,11 @@ def sample_dominating(params: DominatingLawParams, rng: np.random.Generator, siz
     if rates.size == 0:
         return float(arrival) if size is None else arrival.astype(np.float64)
     shape = np.shape(arrival) + (rates.size,)
-    stretch = np.exp(rng.exponential(1.0 / rates, size=shape).sum(axis=-1))
+    # ``rng.exponential(1.0 / rates, size=shape)``: numpy scales standard
+    # exponentials the same way, and scaling in place skips its broadcast
+    eta = rng.standard_exponential(size=shape)
+    eta *= 1.0 / rates
+    stretch = np.exp(eta.sum(axis=-1))
     out = arrival * stretch
     return float(out) if size is None else out
 

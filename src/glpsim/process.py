@@ -186,10 +186,10 @@ class GlpGraph:
         # holding the new maximum, so all ids 1..V appear (V the last maximum)
         # and V <= slots.  The int32 diffs skip ``np.diff``'s int64 prepend.
         top = 0
-        for a in range(0, ep.size, _MAX_BLOCK):
-            if not np.array_equal(ep[a : a + _MAX_BLOCK], src[a : a + _MAX_BLOCK]):
+        for a in range(0, ep.size, _BLOCK):
+            if not np.array_equal(ep[a : a + _BLOCK], src[a : a + _BLOCK]):
                 raise ParameterError("vertex ids must be integers below 2**31")
-            r = np.maximum.accumulate(ep[a : a + _MAX_BLOCK])
+            r = np.maximum.accumulate(ep[a : a + _BLOCK])
             np.maximum(r, top, out=r)
             if r[0] > top + 1 or (r[1:] - r[:-1] > 1).any():
                 raise ParameterError(
@@ -254,18 +254,19 @@ class GlpGraph:
 
         Slot ``s`` is written at step ``s // 2`` (the initial loop at step
         0), so the range's degree at time ``t`` is the number of entries
-        ``<= t``.  The slots are read ``_MAX_BLOCK`` at a time, so no
-        temporary outgrows one chunk.  ``lo`` and ``hi`` must be integers
-        ``>= 1``; a range that holds no vertex gives an empty array.
+        ``<= t``.  The slots are read ``_BLOCK`` at a time, so no temporary
+        outgrows one chunk, and a run of fewer than ``_BLOCK // 2`` steps is
+        one chunk.  ``lo`` and ``hi`` must be integers ``>= 1``; a range that
+        holds no vertex gives an empty array.
         """
         lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
         parts = []
-        for a in range(0, self._ep.size, _MAX_BLOCK):
-            chunk = self._ep[a : a + _MAX_BLOCK]
-            slots = np.flatnonzero((chunk >= lo) & (chunk <= hi))
+        for a in range(0, self._ep.size, _BLOCK):
+            chunk = self._ep[a : a + _BLOCK]
+            slots = np.flatnonzero(chunk == lo if lo == hi else (chunk >= lo) & (chunk <= hi))
             slots += a
             parts.append(slots)
-        steps = np.concatenate(parts)
+        steps = parts[0] if len(parts) == 1 else np.concatenate(parts)
         steps >>= 1
         return steps
 
@@ -308,14 +309,15 @@ def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
     return int(graph._ep[rng.integers(0, graph._ep.size)])
 
 
-# Slot blocks of the resolver: the first block ends at ``_FIRST_BLOCK``;
-# every later block at most doubles the resolved prefix and holds at most
-# ``_MAX_BLOCK`` slots.  ``_MAX_BLOCK`` is also the chunk of kind uniforms.
-# Blocks ending at most ``_DRAW_CUTOFF`` slots draw their slot indices with
-# ``_slot_draws``; above it Lemire rejections (about one per 2**33 / bound
-# draws) restart its windows so often that ``rng.integers`` is faster.
-_FIRST_BLOCK = 2**16
-_MAX_BLOCK = 2**18
+# Slot blocks of the resolver end at the multiples of ``_BLOCK``, except that
+# a remainder shorter than ``_BLOCK // 2`` slots joins the block before it.
+# One block's int64 pointers (512 KiB) and temporaries then fit in a 2 MiB
+# L2.  ``_BLOCK`` is also the chunk of kind uniforms and of the endpoint
+# scans.  Blocks ending at most ``_DRAW_CUTOFF`` slots draw their slot
+# indices with ``_slot_draws``; above it Lemire rejections (about one per
+# 2**33 / bound draws) restart its windows so often that ``rng.integers`` is
+# faster.
+_BLOCK = 2**16
 _DRAW_CUTOFF = 2**19
 
 # ``_slot_draws`` works through the uint32 stream this many draws at a time,
@@ -325,9 +327,10 @@ _EVEN = np.arange(_DRAW_WINDOW + 1, dtype=np.uint64) & np.uint64(2**64 - 2)
 _LOW32 = np.uint64(2**32 - 1)
 
 
-def _slot_draws(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndarray:
     """``rng.integers(0, np.arange(lo, hi) & ~1)``, values and stream alike,
-    for ``2 <= lo < hi < 2**32``.
+    for ``2 <= lo < hi < 2**32``, written into ``out`` (a new int64 array
+    of ``hi - lo`` entries if not given) and returned.
 
     numpy draws a bound ``b < 2**32`` by Lemire's method: a uint32 ``x``
     gives ``m = x * b`` and the value ``m >> 32``, and the draw takes the
@@ -344,7 +347,8 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
     state = bg.state
     last = state["uinteger"]
     carry = np.array([last] if state["has_uint32"] else [], dtype=np.uint32)
-    out = np.empty(hi - lo, dtype=np.int64)
+    if out is None:
+        out = np.empty(hi - lo, dtype=np.int64)
     bounds = np.empty(_DRAW_WINDOW, dtype=np.uint64)
     m = np.empty(_DRAW_WINDOW, dtype=np.uint64)
     low = np.empty(_DRAW_WINDOW, dtype=np.uint64)
@@ -383,7 +387,13 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     """Draw the slot indices of slots ``[lo, hi)``, resolve them against the
     final prefix ``endpoints[:lo]`` and write them; return the vertex count."""
     # slot s belongs to step s//2 - 1 and copies slot ptr[s - lo] < s & ~1
-    if hi <= _DRAW_CUTOFF:
+    if lo == 2:
+        # The first block's pointers cover slots [0, hi): the draws go in
+        # behind slots 0 and 1, which point at themselves.
+        full = np.empty(hi, dtype=np.int64)
+        full[:2] = 0, 1
+        _slot_draws(rng, lo, hi, out=full[lo:])
+    elif hi <= _DRAW_CUTOFF:
         ptr = _slot_draws(rng, lo, hi)
     else:
         ptr = rng.integers(0, np.arange(lo, hi) & ~1)
@@ -392,20 +402,22 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     endpoints[roots] = np.arange(nv + 1, nv + 1 + roots.size, dtype=np.int32)
 
     if lo == 2:
-        # No final prefix yet: pointer doubling over slots [0, hi), in which
-        # slots 0 and 1 and the roots point at themselves.  Each pass gathers
-        # into the other of two buffers.  Every index is in range, so mode
+        # No final prefix yet: pointer doubling over ``full``, in which the
+        # roots point at themselves too.  Each pass gathers into the other
+        # of two buffers; passes on converged pointers change nothing, so
+        # the first two go unchecked.  Every index is in range, so mode
         # "wrap" never wraps; unlike the default "raise", it writes straight
         # into ``out`` instead of a buffered copy.
-        ptr[roots - lo] = roots
-        ptr = np.concatenate(([0, 1], ptr))
-        nxt = np.empty_like(ptr)
+        full[roots] = roots
+        nxt = np.empty_like(full)
+        passes = 0
         while True:
-            ptr.take(ptr, out=nxt, mode="wrap")
-            if np.array_equal(nxt, ptr):
+            full.take(full, out=nxt, mode="wrap")
+            passes += 1
+            if passes > 2 and np.array_equal(nxt, full):
                 break
-            ptr, nxt = nxt, ptr
-        ptr = ptr[2:]
+            full, nxt = nxt, full
+        ptr = full[lo:]
     else:
         # Jump only the pointers that land inside the block.  They are found
         # from the raw draws, before the roots are written, so most roots
@@ -424,11 +436,11 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
 
 def step_kinds(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     """Kinds of ``n`` steps drawn from ``rng``, ``True`` at a vertex-step:
-    ``rng.random(n) < p``, ``_MAX_BLOCK`` uniforms at a time.  A double uses
-    one raw output, so these are the first ``n`` kinds of any longer run."""
+    ``rng.random(n) < p``, ``_BLOCK`` uniforms at a time.  A double uses one
+    raw output, so these are the first ``n`` kinds of any longer run."""
     z = np.empty(n, dtype=bool)
-    for a in range(0, n, _MAX_BLOCK):
-        b = min(n, a + _MAX_BLOCK)
+    for a in range(0, n, _BLOCK):
+        b = min(n, a + _BLOCK)
         np.less(rng.random(b - a), p, out=z[a:b])
     return z
 
@@ -445,27 +457,32 @@ def _generate(p: float, steps: int, seed: int):
        stays rectangular.
 
     Both draws are taken in pieces, which leaves the stream unchanged: the
-    kind uniforms in chunks of ``_MAX_BLOCK``, the slot indices block by
-    block as the endpoints are resolved.  ``rng.integers`` defines the slot
+    kind uniforms in chunks of ``_BLOCK``, the slot indices block by block
+    as the endpoints are resolved.  ``rng.integers`` defines the slot
     draws.  Blocks ending at most ``_DRAW_CUTOFF`` slots take them from
     ``_slot_draws``, which reproduces its values and its generator state
     exactly; ``tests/test_process.py`` checks that against ``rng.integers``.
 
     Every non-root slot holds a copy of an earlier slot, so the sequence is
-    resolved block by block, streaming through the slots.  The first block,
-    ``[2, _FIRST_BLOCK)``, has no final prefix and is resolved by pointer
-    doubling over the block.  Each later block ``[lo, hi)`` ends at
-    ``min(2*lo, lo + _MAX_BLOCK)``.  With ``[0, lo)`` final, only the
-    pointers that land inside the block are followed, until they reach a
-    final slot or a new-vertex root; one gather then fills the block.  A
-    block is at most as long as the prefix, so fewer than half of its
-    pointers land inside it, and no working array outgrows one block.
+    resolved block by block, streaming through the slots.  Every block ends
+    ``_BLOCK`` slots after the one before it (the first at ``_BLOCK``),
+    except that a remainder shorter than ``_BLOCK // 2`` slots joins the
+    last block; a short block of its own would cost more per slot.  The
+    first block, ``[2, _BLOCK)``, has no final prefix and is resolved by
+    pointer doubling over the block, its slot draws written straight into
+    the doubling buffer.  In each later block ``[lo, hi)``, with ``[0, lo)``
+    final, only the pointers that land inside the block are followed, until
+    they reach a final slot or a new-vertex root; one gather then fills the
+    block.  No working array outgrows one and a half blocks, and the share
+    of pointers that land inside a block falls as the prefix grows.
 
     Returns the endpoints and the vertex count; the degrees are left to
     ``GlpGraph``, which counts them when first read.  The peak therefore
     comes during the fill, when the endpoints (8 bytes per step), the kind
     flags (1 byte per step) and one block's temporaries are alive: about
-    11.8 bytes per step at ``2**21`` steps and 10.3 at ``4 * 10**6``.
+    9.7 bytes per step at ``2**21`` steps and 9.4 at ``4 * 10**6``.  Runs
+    of one or two blocks peak higher per step, about 62 at ``2**14`` steps
+    and 16 at ``2 * 10**5``.
     """
     n = int(steps)
     rng = make_rng(seed)
@@ -474,10 +491,12 @@ def _generate(p: float, steps: int, seed: int):
     endpoints = np.empty(nslots, dtype=np.int32)
     endpoints[:2] = 1
     nv = 1
-    lo, hi = 2, min(nslots, _FIRST_BLOCK)
-    while lo < hi:
+    lo, hi = 2, _BLOCK
+    while lo < nslots:
+        if nslots - hi < _BLOCK // 2:  # a short remainder joins this block
+            hi = nslots
         nv = _fill_block(endpoints, z, rng, lo, hi, nv)
-        lo, hi = hi, min(nslots, 2 * hi, hi + _MAX_BLOCK)
+        lo, hi = hi, hi + _BLOCK
     return endpoints, nv
 
 
@@ -503,8 +522,11 @@ def replicas(p: float, steps: int, base_seed: int, n: int):
     at seed ``base_seed + r``.
 
     Lazy: a caller that stops iterating early (a rejection loop that has
-    accepted enough runs) generates no further replica.
+    accepted enough runs) generates no further replica.  A last seed beyond
+    ``2**64 - 1`` raises ``ParameterError`` before the first run.
     """
+    if n > 0:
+        _check_seed(base_seed + n - 1)
     for r in range(n):
         yield run(ProcessParams(p=p, steps=steps, seed=base_seed + r)).graph
 

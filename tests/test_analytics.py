@@ -183,15 +183,30 @@ def test_upper_bound_monotone_in_c1():
     assert v_loose <= v_tight
 
 
+def direct_envelope_ids(gr, c1):
+    ids = np.arange(1, gr.num_vertices + 1, dtype=np.float64)
+    envelope = c1 * gr.t ** g.c_p(gr.p) * np.sqrt(math.log(gr.t) / ids ** (1.0 - gr.p))
+    return np.flatnonzero(gr.degrees >= envelope) + 1
+
+
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0])
 def test_upper_bound_matches_direct_envelope(p):
-    # the envelope built in place flags exactly the ids the direct expression does
+    # the envelope, built in place for the candidate ids only, flags exactly
+    # the ids the direct expression does
     gr = g.run(g.ProcessParams(p=p, steps=3000, seed=2)).graph
-    ids = np.arange(1, gr.num_vertices + 1, dtype=np.float64)
-    for c1 in (0.02, 0.1, 0.5, 4.0):
-        envelope = c1 * gr.t ** g.c_p(p) * np.sqrt(math.log(gr.t) / ids ** (1.0 - p))
-        want = np.flatnonzero(gr.degrees >= envelope) + 1
-        assert np.array_equal(g.upper_bound_check(gr, c1), want)
+    for c1 in (0.0, 0.02, 0.1, 0.5, 4.0):
+        assert np.array_equal(g.upper_bound_check(gr, c1), direct_envelope_ids(gr, c1))
+    # A path 1-2-...-50 whose last vertex then takes 200 loops: at a c1 that
+    # puts the envelope a hair below its degree, the last id is the only
+    # violation, and it sits at the candidates' cut.
+    nv = 50
+    ep = np.concatenate([[1, 1], np.repeat(np.arange(1, nv + 1), 2)[1:-1], np.full(400, nv)])
+    path = g.GlpGraph.from_endpoints(ep, p=p)
+    edge = path.degree(nv) / (path.t ** g.c_p(p) * math.sqrt(math.log(path.t) / nv ** (1 - p)))
+    c1 = edge * (1 - 1e-12)
+    assert direct_envelope_ids(path, c1).tolist() == [nv]
+    assert g.upper_bound_check(path, c1).tolist() == [nv]
+    assert g.upper_bound_check(path, edge * (1 + 1e-6)).size == 0
 
 
 def test_upper_bound_needs_time():

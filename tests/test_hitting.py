@@ -190,6 +190,24 @@ def test_dominating_k_equals_m_reduces_to_arrival():
     assert np.array_equal(a, b.astype(float))
 
 
+@pytest.mark.parametrize("size", [None, 0, 1, 10**3])
+@pytest.mark.parametrize("k", [4, 16])
+def test_dominating_draws_match_numpy_exponential(size, k):
+    # the eta draws scaled in place are ``rng.exponential(1.0 / rates)``,
+    # values and generator state alike; k == m has no eta levels
+    lp = g.DominatingLawParams(p=0.5, m=4, j=260, k=k, gamma=0.4)
+    rng, ref = g.make_rng(31), g.make_rng(31)
+    got = g.sample_dominating(lp, rng, size=size)
+    arrival = g.sample_arrival(260, 4, 0.5, ref, size=size)
+    rates = lp.rates()
+    if rates.size:
+        shape = np.shape(arrival) + (rates.size,)
+        arrival = arrival * np.exp(ref.exponential(1.0 / rates, size=shape).sum(axis=-1))
+    want = float(arrival) if size is None else np.asarray(arrival, dtype=np.float64)
+    assert type(got) is type(want) and np.array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_dominating_exponential_factor_moment():
     """With one eta level, E[dominating]/E[arrival] = r/(r-1) for rate r>1."""
     lp = g.DominatingLawParams(p=0.5, m=4, j=260, k=5, gamma=0.3)

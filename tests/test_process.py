@@ -45,8 +45,8 @@ def kind_arrivals(p, steps, seed):
 def probe_ids(first_slot):
     """1-based ids to probe for ``first_slot`` (each id's first slot, in id
     order): 1, 2, the last, and the ids whose first slot sits either side of
-    each ``_MAX_BLOCK`` slot edge, the chunk edges of ``gain_steps``."""
-    edges = np.arange(0, first_slot[-1] + 1, process._MAX_BLOCK)
+    each ``_BLOCK`` slot edge, the chunk edges of ``gain_steps``."""
+    edges = np.arange(0, first_slot[-1] + 1, process._BLOCK)
     after = np.searchsorted(first_slot, edges)
     picks = np.concatenate(([0, 1, first_slot.size - 1], after, after - 1))
     return np.unique(picks.clip(0, first_slot.size - 1)) + 1
@@ -141,7 +141,7 @@ def test_conservation_property(p, steps, seed):
 
 
 def test_step_kinds_are_the_documented_kind_draw():
-    n = process._MAX_BLOCK + 3
+    n = process._BLOCK + 3
     for p in (0.0, 0.3, 1.0):
         rng, ref = g.make_rng(5), g.make_rng(5)
         assert np.array_equal(process.step_kinds(rng, p, n), ref.random(n) < p)
@@ -173,6 +173,25 @@ def test_replicas_are_runs_at_consecutive_seeds():
         ref = g.run(g.ProcessParams(p=0.5, steps=300, seed=40 + r)).graph
         assert gr.seed == 40 + r and gr.t == 300
         assert np.array_equal(gr.endpoints, ref.endpoints)
+    assert [gr.seed for gr in g.replicas(0.5, 10, 2**64 - 3, 3)] == [2**64 - 3, 2**64 - 2,
+                                                                       2**64 - 1]
+    assert list(g.replicas(0.5, 10, 0, 0)) == []
+
+
+def test_replicas_check_the_last_seed_before_the_first_run(monkeypatch):
+    runs = []
+    real = process.run
+
+    def counted(params):
+        runs.append(params.seed)
+        return real(params)
+
+    monkeypatch.setattr(process, "run", counted)
+    with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
+        next(g.replicas(0.5, 100, 2**64 - 2, 3))
+    with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
+        g.empirical_hit_times(0.5, 100, 2, 2, 4, 3, 2**64 - 2)
+    assert runs == []
 
 
 def _assert_slot_draws_match(seed, lo, hi, pre_draw):
@@ -210,12 +229,16 @@ def test_slot_draws_property(seed, lo, length, pre_draw):
     _assert_slot_draws_match(seed, lo, min(lo + length, 2**32 - 1), pre_draw)
 
 
-# Step counts on the resolver's block edges: the tiny runs, either side of
-# the end of the first block (2**16 slots), either side of the last block
-# that ``_slot_draws`` fills (ending at 2**19 slots), and a run whose tail
-# spans several blocks capped at 2**18 slots.
-BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 2**18 - 1, 2**18,
-                    2**19 + 3)
+# Step counts on the resolver's block edges (blocks end at multiples of
+# ``_BLOCK`` = 2**16 slots, and a remainder shorter than 2**15 slots joins the
+# block before it): the tiny runs; either side of 2**16 slots, where a
+# 2-slot remainder joins the first block; a first block that takes a 2**15 - 2
+# slot remainder and one followed by a 2**15-slot block; either side of the
+# ``_DRAW_CUTOFF`` of 2**19 slots, the last block ``_slot_draws`` fills and a
+# block that passes it by a joined remainder; and a run whose tail spans
+# several blocks past the cutoff.
+BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 3 * 2**14 - 2, 3 * 2**14 - 1,
+                    2**18 - 1, 2**18, 2**19 + 3)
 
 
 @pytest.mark.parametrize(
@@ -236,10 +259,10 @@ def test_scalar_replay_matches_run(p, seed, steps):
 @pytest.mark.parametrize(
     "p, steps",
     [(p, steps) for p in (0.0, 0.5, 1.0)
-     for steps in BLOCK_EDGE_STEPS + (3 * process._MAX_BLOCK + 5,)],
+     for steps in BLOCK_EDGE_STEPS + (3 * process._BLOCK + 5,)],
 )
 def test_degrees_and_arrivals_match_the_endpoints(p, steps):
-    # the last size spans four chunks of ``gain_steps``
+    # the last size spans seven chunks of ``gain_steps``
     gr = g.run(g.ProcessParams(p=p, steps=steps, seed=9)).graph
     ids, first_slot = np.unique(gr.endpoints, return_index=True)
     assert np.array_equal(ids, np.arange(1, gr.num_vertices + 1))
@@ -260,7 +283,8 @@ def test_degrees_and_arrivals_match_the_endpoints(p, steps):
         for j in probe_ids(first_slot[: graph.num_vertices]):
             assert graph.arrival_time(j) == arrivals[j - 1]
         ep, nv = graph.endpoints, graph.num_vertices
-        for lo, hi in ((1, 1), (nv, nv), (2, max(2, nv // 3)), (nv // 2 + 1, nv + 5)):
+        for lo, hi in ((1, 1), (nv, nv), (nv // 2 + 1, nv // 2 + 1), (2, max(2, nv // 3)),
+                       (nv // 2 + 1, nv + 5)):
             want_steps = np.flatnonzero((ep >= lo) & (ep <= hi)) // 2
             assert np.array_equal(graph.gain_steps(lo, hi), want_steps)
         for v in (1, nv):
@@ -272,7 +296,7 @@ def test_degrees_and_arrivals_match_the_endpoints(p, steps):
         above = graph.gain_steps(nv + 1, nv + 10)
         assert above.size == 0 and above.dtype == np.int64
     # vertex counts either side of each chunk edge
-    for edge in range(process._MAX_BLOCK, 2 * steps + 2, process._MAX_BLOCK):
+    for edge in range(process._BLOCK, 2 * steps + 2, process._BLOCK):
         for t in (edge // 2 - 1, edge // 2):
             assert gr.at(t).num_vertices == np.count_nonzero(arrivals <= t)
 
@@ -322,26 +346,8 @@ def test_imported_graphs_count_no_degrees_until_read(count_calls, tmp_path):
     assert count_calls == [gr.num_vertices] * 2
 
 
-def test_generation_peak_bytes_per_step():
-    # Working arrays stay within one block or chunk and the degrees are not
-    # counted, so the peak sits inside the fill: the int32 endpoints
-    # (8 B/step), the kind flags (1 B/step) and one block's temporaries,
-    # about 11.8 B/step at this size.
-    steps = 2**21
-    tracemalloc.start()
-    try:
-        g.run(g.ProcessParams(p=0.5, steps=steps, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / steps <= 13
-
-
-def test_later_block_peak_bytes_per_step():
-    # At 2 * 10**5 steps the last block is as long as the prefix, so its
-    # temporaries weigh: the in-block pointers are found before the roots
-    # are written, and the chain loop's index arrays leave the roots out.
-    steps = 2 * 10**5
+def run_peak_bytes_per_step(steps):
+    """Traced peak of a second ``run`` at ``p = 0.5``, per step."""
     params = g.ProcessParams(p=0.5, steps=steps, seed=0)
     g.run(params)
     tracemalloc.start()
@@ -350,7 +356,28 @@ def test_later_block_peak_bytes_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / steps <= 23
+    return peak / steps
+
+
+def test_generation_peak_bytes_per_step():
+    # Working arrays stay within one block or chunk of 2**16 slots and the
+    # degrees are not counted, so the peak sits inside the fill: the int32
+    # endpoints (8 B/step), the kind flags (1 B/step) and one block's
+    # temporaries, about 9.7 B/step at this size.
+    assert run_peak_bytes_per_step(2**21) <= 10.5
+
+
+def test_later_block_peak_bytes_per_step():
+    # At 2 * 10**5 steps one block's temporaries still weigh, about
+    # 16.2 B/step: the in-block pointers are found before the roots are
+    # written, and the chain loop's index arrays leave the roots out.
+    assert run_peak_bytes_per_step(2 * 10**5) <= 17
+
+
+def test_first_block_peak_bytes_per_step():
+    # A run in one block: the slot draws fill the doubling buffer itself,
+    # and the roots are found after them, about 62.3 B/step.
+    assert run_peak_bytes_per_step(2**14) <= 64
 
 
 def test_from_endpoints_peak_bytes_per_step():
@@ -571,7 +598,7 @@ def test_from_endpoints_validation():
     with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
         g.GlpGraph.from_endpoints([1, 1], seed=-1)
     # a skipped id right after the first chunk of the first-appearance check
-    head = np.ones(process._MAX_BLOCK, dtype=np.int32)
+    head = np.ones(process._BLOCK, dtype=np.int32)
     with pytest.raises(ParameterError, match="first appearance"):
         g.GlpGraph.from_endpoints(np.concatenate([head, [3, 2]]))
 
@@ -624,13 +651,13 @@ def test_from_endpoints_follows_the_first_appearance_rule():
         check_against_the_rule(np.array(seq))
     # across the edge of the check's first chunk: a prefix of ones acts
     # as the loop ``1 1`` before the tail
-    head = np.ones(process._MAX_BLOCK - 2, dtype=np.int64)
+    head = np.ones(process._BLOCK - 2, dtype=np.int64)
     for tail in itertools.product(range(4), repeat=4):
         check_against_the_rule(np.concatenate([head, tail]), rule_of=(1, 1) + tail)
 
 
-@pytest.mark.parametrize("steps", [process._MAX_BLOCK // 2 - 1, process._MAX_BLOCK // 2,
-                                   process._MAX_BLOCK + 5])
+@pytest.mark.parametrize("steps", [2 * process._BLOCK - 1, 2 * process._BLOCK,
+                                   4 * process._BLOCK + 5])
 def test_from_endpoints_across_chunks(steps):
     gr = g.run(g.ProcessParams(p=0.5, steps=steps, seed=3)).graph
     back = g.GlpGraph.from_endpoints(gr.endpoints)
