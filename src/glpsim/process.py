@@ -9,9 +9,9 @@ proportionally to degree (an edge-step).  Loops and parallel edges are kept.
 The multigraph is stored as a flat sequence of edge endpoints, two entries
 per edge.  A vertex appears in that sequence exactly ``degree`` times, so
 degree-proportional sampling is just a uniform draw of one slot.  That
-representation is what makes full runs vectorizable: all step kinds and slot
-indices can be drawn up front because the slot count after ``t`` steps is
-deterministically ``2*(t+1)``.
+representation is what makes full runs vectorizable: the slot count after
+``t`` steps is deterministically ``2*(t+1)``, so every slot index's bound is
+known before any kind is drawn, and whole blocks of steps are drawn at once.
 
 Randomness comes from numpy's PCG64 bit generator, a fixed published
 algorithm whose stream for a given seed is identical on every platform.
@@ -349,10 +349,11 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
     carry = np.array([last] if state["has_uint32"] else [], dtype=np.uint32)
     if out is None:
         out = np.empty(hi - lo, dtype=np.int64)
-    bounds = np.empty(_DRAW_WINDOW, dtype=np.uint64)
-    m = np.empty(_DRAW_WINDOW, dtype=np.uint64)
-    low = np.empty(_DRAW_WINDOW, dtype=np.uint64)
-    small = np.empty(_DRAW_WINDOW, dtype=bool)
+    size = min(_DRAW_WINDOW, hi - lo)  # no window outgrows a short block
+    bounds = np.empty(size, dtype=np.uint64)
+    m = np.empty(size, dtype=np.uint64)
+    low = np.empty(size, dtype=np.uint64)
+    small = np.empty(size, dtype=bool)
     i = lo
     while i < hi:
         w = min(_DRAW_WINDOW, hi - i)
@@ -385,7 +386,8 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
 
 def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     """Draw the slot indices of slots ``[lo, hi)``, resolve them against the
-    final prefix ``endpoints[:lo]`` and write them; return the vertex count."""
+    final prefix ``endpoints[:lo]`` and write them; return the vertex count.
+    ``z`` holds the kinds of the block's own steps, ``lo // 2 - 1`` on."""
     # slot s belongs to step s//2 - 1 and copies slot ptr[s - lo] < s & ~1
     if lo == 2:
         # The first block's pointers cover slots [0, hi): the draws go in
@@ -398,7 +400,7 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     else:
         ptr = rng.integers(0, np.arange(lo, hi) & ~1)
     # roots: the odd slots of vertex-steps, which hold a brand-new vertex
-    roots = lo + 1 + 2 * np.flatnonzero(z[lo // 2 - 1 : hi // 2 - 1])
+    roots = lo + 1 + 2 * np.flatnonzero(z)
     endpoints[roots] = np.arange(nv + 1, nv + 1 + roots.size, dtype=np.int32)
 
     if lo == 2:
@@ -456,12 +458,18 @@ def _generate(p: float, steps: int, seed: int):
        only the first of its pair; the second is discarded so the layout
        stays rectangular.
 
-    Both draws are taken in pieces, which leaves the stream unchanged: the
-    kind uniforms in chunks of ``_BLOCK``, the slot indices block by block
-    as the endpoints are resolved.  ``rng.integers`` defines the slot
-    draws.  Blocks ending at most ``_DRAW_CUTOFF`` slots take them from
-    ``_slot_draws``, which reproduces its values and its generator state
-    exactly; ``tests/test_process.py`` checks that against ``rng.integers``.
+    Both draws are taken block by block as the endpoints are resolved, each
+    block's kinds just before its slot indices, which leaves the values
+    unchanged: a run of one block reads both from one generator, and a
+    longer run reads them through two cursors on the stream, ``kinds`` at
+    its start and ``slots`` made with ``bit_generator.advance(steps)``.
+    That is exactly where one generator stands after the kinds, since a
+    kind draw uses one raw output and neither a fresh generator nor
+    ``advance`` holds a buffered uint32 half.  ``rng.integers`` defines
+    the slot draws.  Blocks ending at most ``_DRAW_CUTOFF`` slots take them
+    from ``_slot_draws``, which reproduces its values and its generator
+    state exactly; ``tests/test_process.py`` checks that against
+    ``rng.integers``, and the ``advance`` step against the kind draw.
 
     Every non-root slot holds a copy of an earlier slot, so the sequence is
     resolved block by block, streaming through the slots.  Every block ends
@@ -478,16 +486,20 @@ def _generate(p: float, steps: int, seed: int):
 
     Returns the endpoints and the vertex count; the degrees are left to
     ``GlpGraph``, which counts them when first read.  The peak therefore
-    comes during the fill, when the endpoints (8 bytes per step), the kind
-    flags (1 byte per step) and one block's temporaries are alive: about
-    9.7 bytes per step at ``2**21`` steps and 9.4 at ``4 * 10**6``.  Runs
-    of one or two blocks peak higher per step, about 62 at ``2**14`` steps
-    and 16 at ``2 * 10**5``.
+    comes during the fill, when the endpoints (8 bytes per step) and one
+    block's kinds and temporaries are alive: about 8.7 bytes per step at
+    ``2**21`` steps and 8.4 at ``4 * 10**6``.  Runs of one or two blocks
+    peak higher per step, about 62 at ``2**14`` steps and 15 at
+    ``2 * 10**5``.
     """
     n = int(steps)
-    rng = make_rng(seed)
-    z = step_kinds(rng, p, n)
     nslots = 2 * (n + 1)
+    kinds = make_rng(seed)
+    if nslots - _BLOCK < _BLOCK // 2:  # one block: its kinds, then its slots
+        slots = kinds
+    else:
+        slots = make_rng(seed)
+        slots.bit_generator.advance(n)
     endpoints = np.empty(nslots, dtype=np.int32)
     endpoints[:2] = 1
     nv = 1
@@ -495,7 +507,8 @@ def _generate(p: float, steps: int, seed: int):
     while lo < nslots:
         if nslots - hi < _BLOCK // 2:  # a short remainder joins this block
             hi = nslots
-        nv = _fill_block(endpoints, z, rng, lo, hi, nv)
+        z = step_kinds(kinds, p, (hi - lo) // 2)
+        nv = _fill_block(endpoints, z, slots, lo, hi, nv)
         lo, hi = hi, hi + _BLOCK
     return endpoints, nv
 

@@ -241,6 +241,18 @@ BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 3 * 2**14 - 2, 3 * 
                     2**18 - 1, 2**18, 2**19 + 3)
 
 
+@pytest.mark.parametrize("steps", BLOCK_EDGE_STEPS)
+def test_advance_is_the_kind_draw(steps):
+    # A run of more than one block takes its slot draws from a second
+    # generator advanced past the kinds: every kind uses one raw output,
+    # and neither ``advance`` nor the kind draws leave a buffered half.
+    for seed in (0, 1, 2**64 - 1):
+        moved, drawn = g.make_rng(seed), g.make_rng(seed)
+        moved.bit_generator.advance(steps)
+        process.step_kinds(drawn, 0.5, steps)
+        assert moved.bit_generator.state == drawn.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "p, seed, steps",
     # explicit ids keep the names of the 500-step cases stable
@@ -360,24 +372,30 @@ def run_peak_bytes_per_step(steps):
 
 
 def test_generation_peak_bytes_per_step():
-    # Working arrays stay within one block or chunk of 2**16 slots and the
-    # degrees are not counted, so the peak sits inside the fill: the int32
-    # endpoints (8 B/step), the kind flags (1 B/step) and one block's
-    # temporaries, about 9.7 B/step at this size.
-    assert run_peak_bytes_per_step(2**21) <= 10.5
+    # Working arrays stay within one block or chunk of 2**16 slots, each
+    # block draws its own kinds and the degrees are not counted, so the peak
+    # sits inside the fill: the int32 endpoints (8 B/step) and one block's
+    # temporaries, about 8.7 B/step at this size.
+    assert run_peak_bytes_per_step(2**21) <= 9.0
 
 
 def test_later_block_peak_bytes_per_step():
     # At 2 * 10**5 steps one block's temporaries still weigh, about
-    # 16.2 B/step: the in-block pointers are found before the roots are
+    # 15.4 B/step: the in-block pointers are found before the roots are
     # written, and the chain loop's index arrays leave the roots out.
-    assert run_peak_bytes_per_step(2 * 10**5) <= 17
+    assert run_peak_bytes_per_step(2 * 10**5) <= 16
 
 
 def test_first_block_peak_bytes_per_step():
     # A run in one block: the slot draws fill the doubling buffer itself,
     # and the roots are found after them, about 62.3 B/step.
     assert run_peak_bytes_per_step(2**14) <= 64
+
+
+def test_short_run_peak_bytes():
+    # ``_slot_draws``' windows are no longer than the block, so a 100-step
+    # run traces about 13 KB, not the 2**14-entry windows' 400 KB.
+    assert run_peak_bytes_per_step(100) * 100 <= 32 * 2**10
 
 
 def test_from_endpoints_peak_bytes_per_step():

@@ -1,11 +1,12 @@
-"""Start-up cost: ``import glpsim``, ``glp generate`` and ``count_triangles``
-load neither scipy nor the process pool; the calls that need them load them on
-first use.
+"""Start-up cost: ``import glpsim`` loads none of its submodules, ``glp
+generate`` and ``count_triangles`` load neither scipy nor the process pool;
+the calls that need them load them on first use.
 
 pytest has already imported scipy in this process, so each check runs in a
 fresh interpreter.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -23,6 +24,9 @@ _LOADED = (
     " or m == 'concurrent.futures.process'))"
 )
 
+# Prints the glpsim modules loaded so far.
+_OWN = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'glpsim'))"
+
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -38,6 +42,47 @@ def _in_process(capsys, argv):
 
 def _fresh_cli(argv):
     return _fresh(f"import sys; from glpsim import cli; sys.exit(cli.main({argv!r}))")
+
+
+PUBLIC = [
+    "BatchError", "BlockSpec", "CapacityError", "CliqueReport", "ConfigError",
+    "DegreeHistogram", "DerivedConstants", "DominatingLawParams", "DominationReport",
+    "DominationRow", "EnsembleConfig", "EnsembleReport", "ExponentFit", "FitError",
+    "GlpError", "GlpGraph", "GrowthRow", "LeaderSet", "MartingaleReport", "MartingaleRow",
+    "MetricRow", "ParameterError", "ParseError", "PreconditionError", "ProcessParams",
+    "RunResult", "Snapshot", "StatisticsError", "UnknownVertexError", "analytics", "c_p",
+    "clique_growth_rows", "community", "count_triangles", "crossing_times",
+    "default_gamma", "degree_histogram", "derived_constants", "domination_experiment",
+    "domination_test", "empirical_hit_times", "ensemble", "errors", "export_edges",
+    "fit_exponent", "fit_power_law", "hitting", "is_clique", "leader_block_range",
+    "leaders", "make_rng", "martingale_check", "max_clique_topk", "phi", "phi_tilde",
+    "process", "read_edges", "read_report", "replicas", "run", "run_ensemble",
+    "sample_arrival", "sample_dominating", "sample_endpoint", "simple_edges",
+    "survival_curve", "upper_bound_check", "write_report", "write_rows_csv",
+]
+
+
+def test_package_loads_submodules_on_first_use():
+    proc = _fresh(f"import glpsim; {_OWN}; from glpsim import process; {_OWN}; "
+                  f"glpsim.run; {_OWN}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['glpsim', 'glpsim._version']",
+        "['glpsim', 'glpsim._version', 'glpsim.errors', 'glpsim.process']",
+        "['glpsim', 'glpsim._version', 'glpsim.errors', 'glpsim.process']",
+    ]
+
+
+def test_public_names_are_their_modules_names():
+    assert sorted(g.__all__) == PUBLIC
+    assert g.run is g.process.run
+    for name in PUBLIC:
+        obj = getattr(g, name)
+        if name in g._EXPORTS:
+            assert obj is importlib.import_module(f"glpsim.{name}")
+        else:
+            assert obj is getattr(importlib.import_module(obj.__module__), name)
+    assert set(PUBLIC) <= set(dir(g))
 
 
 def test_import_and_generate_load_no_scipy_or_pool(tmp_path):
