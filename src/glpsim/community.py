@@ -39,8 +39,13 @@ def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     pairs ``(u[i], v[i])``."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keep = lo != hi
-    key = np.sort(lo[keep] * np.int64(n) + hi[keep])
-    return key[np.diff(key, prepend=-1) != 0]
+    key = np.multiply(lo[keep], n, dtype=np.int64)
+    key += hi[keep]
+    key.sort()
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return key[new]
 
 
 def _edge_keys(graph: process.GlpGraph, ids: np.ndarray | None = None) -> np.ndarray:
@@ -244,16 +249,23 @@ _WEDGE_CHUNK = 2**16
 def count_triangles(graph: process.GlpGraph) -> int:
     """Triangle count of the simple projection, by wedge enumeration.
 
-    Vertices are ranked by degree (a stable sort: ties go to the smaller id)
-    and each edge is a row entry of its lower-ranked end.  Each triangle is
-    then counted once, at its lowest-ranked corner: two entries ``a < b`` of
-    a row form a wedge, which closes when ``(a, b)`` is an edge.  Any order
-    gives the same count; the degree order keeps the wedges few on skewed
-    graphs.  Wedges are tested ``_WEDGE_CHUNK`` at a time.
+    Vertices are ranked by degree, ties to the smaller id (one sort of the
+    distinct keys ``degree * V + id - 1``, which stay below ``2 * (t+1)**2
+    < 2**63`` under ``MAX_STEPS``), and each edge is a row entry of its
+    lower-ranked end.  Each triangle is then counted once, at its
+    lowest-ranked corner: two entries ``a < b`` of a row form a wedge, which
+    closes when ``(a, b)`` is an edge.  Any order gives the same count; the
+    degree order keeps the wedges few on skewed graphs.  Wedges are tested
+    ``_WEDGE_CHUNK`` at a time.
     """
     n = graph.num_vertices
     rank = np.empty(n + 1, dtype=np.int32)
-    rank[1:][np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int32)
+    order = np.multiply(graph.degrees, n)
+    order += np.arange(n)
+    order.sort()
+    order %= n  # the ids - 1, by rank
+    rank[1:][order] = np.arange(n, dtype=np.int32)
+    del order
     pairs = graph.edges()
     keys = _pair_keys(rank[pairs[:, 0]], rank[pairs[:, 1]], n)
     lo, hi = np.divmod(keys, n)

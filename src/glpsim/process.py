@@ -337,11 +337,14 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
     next uint32 instead while ``m % 2**32 < 2**32 % b``.  Each PCG64 output
     supplies two uint32, low half first; an unused high half waits in the
     state (``has_uint32``, ``uinteger``).  Here a window of draws is
-    computed at once and only its rare candidates (``m % 2**32 < b``) get the
-    modulo.  A rejection restarts the window at the rejected draw, one
-    uint32 further on.  Raw outputs are taken only as they are needed, and
-    the buffered half is written back at the end, so the generator's state
-    ends exactly where numpy's would.
+    computed at once in two uint64 windows, the bounds and the products,
+    plus a bool mask: the values ``m >> 32`` go straight into ``out``, and
+    the products are then cut to ``m % 2**32`` in place.  Only the mask's
+    rare candidates (``m % 2**32 < b``) get the modulo.  A rejection
+    restarts the window at the rejected draw, one uint32 further on.  Raw
+    outputs are taken only as they are needed, and the buffered half is
+    written back at the end, so the generator's state ends exactly where
+    numpy's would.
     """
     bg = rng.bit_generator
     state = bg.state
@@ -352,7 +355,6 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
     size = min(_DRAW_WINDOW, hi - lo)  # no window outgrows a short block
     bounds = np.empty(size, dtype=np.uint64)
     m = np.empty(size, dtype=np.uint64)
-    low = np.empty(size, dtype=np.uint64)
     small = np.empty(size, dtype=bool)
     i = lo
     while i < hi:
@@ -364,14 +366,16 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
         else:
             x = carry
         odd = i & 1
-        bw, mw, lw = bounds[:w], m[:w], low[:w]
+        bw, mw = bounds[:w], m[:w]
         np.add(_EVEN[odd : odd + w], i - odd, out=bw)  # (i + k) & ~1
         np.multiply(x[:w], bw, out=mw)
-        np.bitwise_and(mw, _LOW32, out=lw)
-        cand = np.flatnonzero(np.less(lw, bw, out=small[:w]))
-        rejected = cand[lw[cand] < np.uint64(2**32) % bw[cand]]
+        # Every value is written; those past a rejection are written again
+        # by the next window.  The products then keep only their low halves.
+        np.right_shift(mw, 32, out=out[i - lo : i - lo + w].view(np.uint64))
+        np.bitwise_and(mw, _LOW32, out=mw)
+        cand = np.flatnonzero(np.less(mw, bw, out=small[:w]))
+        rejected = cand[mw[cand] < np.uint64(2**32) % bw[cand]]
         n = int(rejected[0]) if rejected.size else w
-        np.right_shift(mw[:n], 32, out=out[i - lo : i - lo + n].view(np.uint64))
         carry = x[n + (n < w) :]
         last = x[-1]
         i += n
@@ -399,9 +403,12 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
         ptr = _slot_draws(rng, lo, hi)
     else:
         ptr = rng.integers(0, np.arange(lo, hi) & ~1)
+    # Each array is dropped once the resolver has read it for the last
+    # time, before the next one is allocated.
     # roots: the odd slots of vertex-steps, which hold a brand-new vertex
     roots = lo + 1 + 2 * np.flatnonzero(z)
-    endpoints[roots] = np.arange(nv + 1, nv + 1 + roots.size, dtype=np.int32)
+    nroots = roots.size
+    endpoints[roots] = np.arange(nv + 1, nv + 1 + nroots, dtype=np.int32)
 
     if lo == 2:
         # No final prefix yet: pointer doubling over ``full``, in which the
@@ -411,29 +418,39 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
         # "wrap" never wraps; unlike the default "raise", it writes straight
         # into ``out`` instead of a buffered copy.
         full[roots] = roots
+        del roots
         nxt = np.empty_like(full)
         passes = 0
         while True:
             full.take(full, out=nxt, mode="wrap")
             passes += 1
-            if passes > 2 and np.array_equal(nxt, full):
+            if passes > 2 and not (nxt != full).any():
                 break
             full, nxt = nxt, full
+        del nxt
         ptr = full[lo:]
     else:
         # Jump only the pointers that land inside the block.  They are found
         # from the raw draws, before the roots are written, so most roots
         # never enter the loop; a root whose discarded draw landed inside
-        # points at itself and leaves after one round.
+        # points at itself and leaves after one round.  The loop indexes
+        # the block relative to ``lo``, in place.
         act = np.flatnonzero(ptr >= lo)
         ptr[roots - lo] = roots
+        del roots
         while act.size:
             cur = ptr[act]
-            nxt = ptr[cur - lo]
+            cur -= lo
+            nxt = ptr[cur]
             ptr[act] = nxt
-            act = act[(nxt >= lo) & (nxt != cur)]  # nxt == cur only at a root
-    endpoints.take(ptr, out=endpoints[lo:hi], mode="wrap")  # in range, as above
-    return nv + roots.size
+            nxt -= lo
+            act = act[(nxt >= 0) & (nxt != cur)]  # nxt == cur only at a root
+            del cur, nxt
+    # In range, as above, but ``out`` overlaps the source, so numpy gathers
+    # into a copy of the block first (4 bytes a slot).  The copy stays below
+    # the block's peak, which comes while the pointers are drawn and followed.
+    endpoints.take(ptr, out=endpoints[lo:hi], mode="wrap")
+    return nv + nroots
 
 
 def step_kinds(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
@@ -487,10 +504,10 @@ def _generate(p: float, steps: int, seed: int):
     Returns the endpoints and the vertex count; the degrees are left to
     ``GlpGraph``, which counts them when first read.  The peak therefore
     comes during the fill, when the endpoints (8 bytes per step) and one
-    block's kinds and temporaries are alive: about 8.7 bytes per step at
-    ``2**21`` steps and 8.4 at ``4 * 10**6``.  Runs of one or two blocks
-    peak higher per step, about 62 at ``2**14`` steps and 15 at
-    ``2 * 10**5``.
+    block's kinds and the temporaries it still reads are alive: about 8.55
+    bytes per step at ``2**21`` steps and 8.3 at ``4 * 10**6``.  Runs of a
+    few blocks peak higher per step, about 54 at ``2**14`` steps, 19.5 at
+    ``10**5`` and 13.8 at ``2 * 10**5``.
     """
     n = int(steps)
     nslots = 2 * (n + 1)

@@ -222,6 +222,21 @@ def test_slot_draws_match_numpy(lo, hi, pre_draw):
         _assert_slot_draws_match(seed, lo, hi, pre_draw)
 
 
+def test_slot_draws_window_bytes():
+    # Two uint64 windows of 2**14 entries (the bounds and the products,
+    # cut to their low halves in place), the bool mask and the raw outputs:
+    # about 478 KB beyond ``out``.  A third uint64 window would add 128 KiB.
+    rng = g.make_rng(0)
+    buf = np.empty(2**16, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        process._slot_draws(rng, 2**17, 2**17 + 2**16, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 2**10, f"{peak} B"
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), lo=st.integers(2, 2**32 - 2),
        length=st.integers(1, 3 * process._DRAW_WINDOW), pre_draw=st.booleans())
@@ -375,21 +390,38 @@ def test_generation_peak_bytes_per_step():
     # Working arrays stay within one block or chunk of 2**16 slots, each
     # block draws its own kinds and the degrees are not counted, so the peak
     # sits inside the fill: the int32 endpoints (8 B/step) and one block's
-    # temporaries, about 8.7 B/step at this size.
-    assert run_peak_bytes_per_step(2**21) <= 9.0
+    # working set, here the last block's ``rng.integers`` bounds and values,
+    # about 8.55 B/step at this size.
+    peak = run_peak_bytes_per_step(2**21)
+    assert peak <= 8.7, f"{peak:.2f} B/step"
 
 
 def test_later_block_peak_bytes_per_step():
-    # At 2 * 10**5 steps one block's temporaries still weigh, about
-    # 15.4 B/step: the in-block pointers are found before the roots are
-    # written, and the chain loop's index arrays leave the roots out.
-    assert run_peak_bytes_per_step(2 * 10**5) <= 16
+    # At 2 * 10**5 steps one block's working set still weighs: about
+    # 13.8 B/step with the endpoints' 8.  The last block, which has taken
+    # the short remainder, peaks while it draws its slots, and the first
+    # block's two doubling buffers (512 KiB each) come within 1% of that.
+    # Each block frees what it has read for the last time (the roots, the
+    # spare buffer, the loop's index arrays) before it allocates again.
+    peak = run_peak_bytes_per_step(2 * 10**5)
+    assert peak <= 14.5, f"{peak:.2f} B/step"
+
+
+def test_replica_run_peak_bytes_per_step():
+    # The size of the replica sweeps: three blocks, and the first block's
+    # two doubling buffers (1 MiB) over the endpoints' 8 B/step set the
+    # peak, about 19.5 B/step.
+    peak = run_peak_bytes_per_step(10**5)
+    assert peak <= 20.5, f"{peak:.2f} B/step"
 
 
 def test_first_block_peak_bytes_per_step():
-    # A run in one block: the slot draws fill the doubling buffer itself,
-    # and the roots are found after them, about 62.3 B/step.
-    assert run_peak_bytes_per_step(2**14) <= 64
+    # A run in one block peaks inside ``_slot_draws``: the doubling buffer
+    # it fills (16 B/step), the endpoints, the kinds, and the draw windows
+    # of 2**14 entries, about 54.3 B/step.  The roots and the doubling
+    # passes come after it and stay below.
+    peak = run_peak_bytes_per_step(2**14)
+    assert peak <= 56, f"{peak:.2f} B/step"
 
 
 def test_short_run_peak_bytes():
