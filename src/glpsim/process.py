@@ -309,14 +309,17 @@ def sample_endpoint(graph: GlpGraph, rng: np.random.Generator) -> int:
     return int(graph._ep[rng.integers(0, graph._ep.size)])
 
 
-# Slot blocks of the resolver end at the multiples of ``_BLOCK``, except that
-# a remainder shorter than ``_BLOCK // 2`` slots joins the block before it.
-# One block's int64 pointers (512 KiB) and temporaries then fit in a 2 MiB
-# L2.  ``_BLOCK`` is also the chunk of kind uniforms and of the endpoint
-# scans.  Blocks ending at most ``_DRAW_CUTOFF`` slots draw their slot
-# indices with ``_slot_draws``; above it Lemire rejections (about one per
-# 2**33 / bound draws) restart its windows so often that ``rng.integers`` is
-# faster.
+# Slot blocks of the resolver that start below ``_DRAW_CUTOFF`` end at the
+# multiples of ``_BLOCK // 2``, later ones at the multiples of ``_BLOCK``,
+# except that a remainder shorter than half the current block joins it.  A
+# whole block's int64 pointers (512 KiB) and temporaries fit in a 2 MiB L2.
+# Half blocks halve the working set of short runs, where it weighs most
+# beside the endpoints; past the cutoff, whole blocks halve the number of
+# DRAM-bound ``rng.integers`` draws.
+# ``_BLOCK`` is also the chunk of kind uniforms and of the endpoint scans.
+# Blocks ending at most ``_DRAW_CUTOFF`` slots draw their slot indices with
+# ``_slot_draws``; above it Lemire rejections (about one per 2**33 / bound
+# draws) restart its windows so often that ``rng.integers`` is faster.
 _BLOCK = 2**16
 _DRAW_CUTOFF = 2**19
 
@@ -376,7 +379,7 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
         cand = np.flatnonzero(np.less(mw, bw, out=small[:w]))
         rejected = cand[mw[cand] < np.uint64(2**32) % bw[cand]]
         n = int(rejected[0]) if rejected.size else w
-        carry = x[n + (n < w) :]
+        carry = x[n + (n < w) :].copy()  # frees the window's raw draws
         last = x[-1]
         i += n
     # Every uint32 drawn but ``carry`` is used; the stream's last element
@@ -386,6 +389,46 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
     state["uinteger"] = int(last)
     bg.state = state
     return out
+
+
+def _follow(ptr, act, base: int) -> None:
+    """Follow the pointers ``ptr[act]`` in place until each reaches a root or
+    a slot below ``base``.
+
+    ``ptr[i]`` is the pointer of slot ``base + i``; it holds a slot index,
+    and a root holds its own.  Each round moves every pointer in ``act``
+    to its target's pointer, ``ptr[s] = ptr[ptr[s]]``, which doubles the
+    distance it has come, and keeps only those that have not yet stopped.
+    """
+    while act.size:
+        cur = ptr[act]
+        cur -= base
+        nxt = ptr[cur]
+        ptr[act] = nxt
+        nxt -= base
+        act = act[(nxt >= 0) & (nxt != cur)]  # nxt == cur only at a root
+        del cur, nxt
+
+
+def _resolve_first(full) -> None:
+    """Resolve a first block's pointers ``full`` in place, slot ``s`` at
+    ``full[s]``, in which every root points at itself.
+
+    Four pointer-doubling passes go unchecked, each gathering into the
+    other of two buffers, so the fourth lands back in ``full``.  A non-root
+    points to an earlier slot, so a chain stops only at its root: a pointer
+    that the fourth pass leaves alone is already there, and only those it
+    moved go on to ``_follow``.  Every index is in range, so mode "wrap"
+    never wraps; unlike the default "raise", it writes straight into
+    ``out`` instead of a buffered copy.
+    """
+    spare = np.empty_like(full)
+    for _ in range(2):
+        full.take(full, out=spare, mode="wrap")
+        spare.take(spare, out=full, mode="wrap")
+    act = np.flatnonzero(full != spare)
+    del spare
+    _follow(full, act, 0)
 
 
 def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
@@ -411,44 +454,24 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     endpoints[roots] = np.arange(nv + 1, nv + 1 + nroots, dtype=np.int32)
 
     if lo == 2:
-        # No final prefix yet: pointer doubling over ``full``, in which the
-        # roots point at themselves too.  Each pass gathers into the other
-        # of two buffers; passes on converged pointers change nothing, so
-        # the first two go unchecked.  Every index is in range, so mode
-        # "wrap" never wraps; unlike the default "raise", it writes straight
-        # into ``out`` instead of a buffered copy.
+        # No final prefix yet: the roots point at themselves too.
         full[roots] = roots
         del roots
-        nxt = np.empty_like(full)
-        passes = 0
-        while True:
-            full.take(full, out=nxt, mode="wrap")
-            passes += 1
-            if passes > 2 and not (nxt != full).any():
-                break
-            full, nxt = nxt, full
-        del nxt
+        _resolve_first(full)
         ptr = full[lo:]
     else:
-        # Jump only the pointers that land inside the block.  They are found
-        # from the raw draws, before the roots are written, so most roots
-        # never enter the loop; a root whose discarded draw landed inside
-        # points at itself and leaves after one round.  The loop indexes
-        # the block relative to ``lo``, in place.
+        # Follow only the pointers that land inside the block.  They are
+        # found from the raw draws, before the roots are written, so most
+        # roots never enter the loop; a root whose discarded draw landed
+        # inside points at itself and leaves after one round.
         act = np.flatnonzero(ptr >= lo)
         ptr[roots - lo] = roots
         del roots
-        while act.size:
-            cur = ptr[act]
-            cur -= lo
-            nxt = ptr[cur]
-            ptr[act] = nxt
-            nxt -= lo
-            act = act[(nxt >= 0) & (nxt != cur)]  # nxt == cur only at a root
-            del cur, nxt
-    # In range, as above, but ``out`` overlaps the source, so numpy gathers
-    # into a copy of the block first (4 bytes a slot).  The copy stays below
-    # the block's peak, which comes while the pointers are drawn and followed.
+        _follow(ptr, act, lo)
+        del act
+    # Every index is in range, but ``out`` overlaps the source, so numpy
+    # gathers into a copy of the block first (4 bytes a slot).  The copy
+    # stays below the block's peak, which comes while its slots are drawn.
     endpoints.take(ptr, out=endpoints[lo:hi], mode="wrap")
     return nv + nroots
 
@@ -489,30 +512,35 @@ def _generate(p: float, steps: int, seed: int):
     ``rng.integers``, and the ``advance`` step against the kind draw.
 
     Every non-root slot holds a copy of an earlier slot, so the sequence is
-    resolved block by block, streaming through the slots.  Every block ends
-    ``_BLOCK`` slots after the one before it (the first at ``_BLOCK``),
-    except that a remainder shorter than ``_BLOCK // 2`` slots joins the
-    last block; a short block of its own would cost more per slot.  The
-    first block, ``[2, _BLOCK)``, has no final prefix and is resolved by
-    pointer doubling over the block, its slot draws written straight into
-    the doubling buffer.  In each later block ``[lo, hi)``, with ``[0, lo)``
-    final, only the pointers that land inside the block are followed, until
-    they reach a final slot or a new-vertex root; one gather then fills the
-    block.  No working array outgrows one and a half blocks, and the share
-    of pointers that land inside a block falls as the prefix grows.
+    resolved block by block, streaming through the slots.  A block that
+    starts below ``_DRAW_CUTOFF`` ends at the next multiple of
+    ``_BLOCK // 2`` slots, a later one at the next multiple of ``_BLOCK``,
+    except that a remainder shorter than half the current block joins it;
+    a short block of its own would cost more per slot.  A run of up to
+    24,574 steps (49,150 slots) is therefore one block and reads one
+    generator.  The first block, ``[2, _BLOCK // 2)``, has no final prefix
+    and is resolved by pointer doubling over the block, its slot draws
+    written straight into the doubling buffer.  In each later block
+    ``[lo, hi)``, with ``[0, lo)`` final, only the pointers that land inside
+    the block are followed, until they reach a final slot or a new-vertex
+    root; one gather then fills the block.  The first block's pointers that
+    four doubling passes leave unresolved go through the same follow loop.
+    No working array outgrows one and a half blocks, and the share of
+    pointers that land inside a block falls as the prefix grows.
 
     Returns the endpoints and the vertex count; the degrees are left to
     ``GlpGraph``, which counts them when first read.  The peak therefore
     comes during the fill, when the endpoints (8 bytes per step) and one
-    block's kinds and the temporaries it still reads are alive: about 8.55
-    bytes per step at ``2**21`` steps and 8.3 at ``4 * 10**6``.  Runs of a
-    few blocks peak higher per step, about 54 at ``2**14`` steps, 19.5 at
-    ``10**5`` and 13.8 at ``2 * 10**5``.
+    block's kinds and the temporaries it still reads are alive: about 8.52
+    bytes per step at ``2**21`` steps and 8.3 at ``4 * 10**6``, where the
+    last block's ``rng.integers`` draw sets it.  Runs of a few blocks peak
+    higher per step while a half block's slots are drawn: about 50 at
+    ``2**14`` steps, 15.2-15.9 at ``10**5`` and 11.8-12.1 at ``2 * 10**5``.
     """
     n = int(steps)
     nslots = 2 * (n + 1)
     kinds = make_rng(seed)
-    if nslots - _BLOCK < _BLOCK // 2:  # one block: its kinds, then its slots
+    if nslots - _BLOCK // 2 < _BLOCK // 4:  # one block: its kinds, then its slots
         slots = kinds
     else:
         slots = make_rng(seed)
@@ -520,13 +548,15 @@ def _generate(p: float, steps: int, seed: int):
     endpoints = np.empty(nslots, dtype=np.int32)
     endpoints[:2] = 1
     nv = 1
-    lo, hi = 2, _BLOCK
+    lo = 2
     while lo < nslots:
-        if nslots - hi < _BLOCK // 2:  # a short remainder joins this block
+        size = _BLOCK // 2 if lo < _DRAW_CUTOFF else _BLOCK
+        hi = lo - lo % size + size
+        if nslots - hi < size // 2:  # a short remainder joins this block
             hi = nslots
         z = step_kinds(kinds, p, (hi - lo) // 2)
         nv = _fill_block(endpoints, z, slots, lo, hi, nv)
-        lo, hi = hi, hi + _BLOCK
+        lo = hi
     return endpoints, nv
 
 

@@ -224,8 +224,10 @@ def test_slot_draws_match_numpy(lo, hi, pre_draw):
 
 def test_slot_draws_window_bytes():
     # Two uint64 windows of 2**14 entries (the bounds and the products,
-    # cut to their low halves in place), the bool mask and the raw outputs:
-    # about 478 KB beyond ``out``.  A third uint64 window would add 128 KiB.
+    # cut to their low halves in place), the bool mask and one window of raw
+    # outputs: about 412 KB beyond ``out``.  The carry is copied, so a
+    # window's raw outputs are freed before the next are drawn; a view
+    # would keep them, about 478 KB in all.
     rng = g.make_rng(0)
     buf = np.empty(2**16, dtype=np.int64)
     tracemalloc.start()
@@ -234,7 +236,7 @@ def test_slot_draws_window_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 512 * 2**10, f"{peak} B"
+    assert peak <= 416 * 2**10, f"{peak} B"
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,16 +246,114 @@ def test_slot_draws_property(seed, lo, length, pre_draw):
     _assert_slot_draws_match(seed, lo, min(lo + length, 2**32 - 1), pre_draw)
 
 
-# Step counts on the resolver's block edges (blocks end at multiples of
-# ``_BLOCK`` = 2**16 slots, and a remainder shorter than 2**15 slots joins the
-# block before it): the tiny runs; either side of 2**16 slots, where a
-# 2-slot remainder joins the first block; a first block that takes a 2**15 - 2
-# slot remainder and one followed by a 2**15-slot block; either side of the
-# ``_DRAW_CUTOFF`` of 2**19 slots, the last block ``_slot_draws`` fills and a
-# block that passes it by a joined remainder; and a run whose tail spans
-# several blocks past the cutoff.
-BLOCK_EDGE_STEPS = (0, 1, 2, 3, 2**15 - 2, 2**15 - 1, 2**15, 3 * 2**14 - 2, 3 * 2**14 - 1,
-                    2**18 - 1, 2**18, 2**19 + 3)
+# Slot counts ``2 * (steps + 1)`` on the resolver's block edges.  Blocks that
+# start below ``_DRAW_CUTOFF`` (``_C``) end at multiples of ``_BLOCK // 2``
+# (``_H``), later ones at multiples of ``_BLOCK`` (``_B``), and a remainder
+# shorter than half the current block joins it.
+_B, _C = process._BLOCK, process._DRAW_CUTOFF
+_H, _Q = _B // 2, _B // 4
+BLOCK_EDGE_SLOTS = (
+    2, 4, 6, 8,  # the tiny runs
+    _H + _Q - 2,  # the longest run of one block: the first takes a Q - 2 slot remainder
+    _H + _Q,  # the shortest run of two blocks, and two generators
+    2 * _H - 2, 2 * _H, 2 * _H + 2,  # either side of two half blocks; a 2-slot remainder joins
+    3 * _H - 2, 3 * _H,  # a third half block cut short and whole
+    _C,  # the last half block before the cutoff ends at it
+    _C + 2, _C + _Q - 2,  # joined remainders that carry that half block past the cutoff
+    _C + _B,  # the first whole block after the cutoff
+    2 * _C + 8,  # a tail of several whole blocks past the cutoff
+)
+BLOCK_EDGE_STEPS = tuple(slots // 2 - 1 for slots in BLOCK_EDGE_SLOTS)
+
+
+def block_layout(monkeypatch, steps):
+    """The ``(lo, hi)`` of each block that ``_fill_block`` resolves in a run."""
+    blocks = []
+    real = process._fill_block
+
+    def recorded(endpoints, z, rng, lo, hi, nv):
+        blocks.append((lo, hi))
+        return real(endpoints, z, rng, lo, hi, nv)
+
+    monkeypatch.setattr(process, "_fill_block", recorded)
+    process._generate(0.5, steps, 0)
+    return blocks
+
+
+# Every edge size but 0, and two runs whose block at the cutoff stops short,
+# at a quarter and at half a whole block.
+@pytest.mark.parametrize("steps", tuple(s for s in BLOCK_EDGE_STEPS if s)
+                         + ((_C + _Q) // 2 - 1, (_C + _H) // 2 - 1))
+def test_block_layout(monkeypatch, steps):
+    blocks = block_layout(monkeypatch, steps)
+    nslots = 2 * (steps + 1)
+    assert [lo for lo, _ in blocks] == [2] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == nslots
+    for lo, hi in blocks:
+        size = _H if lo < _C else _B
+        edge = lo - lo % size + size  # the next multiple of the block size
+        if hi < nslots:  # what follows is no short remainder
+            assert hi == edge and nslots - hi >= size // 2
+        else:  # the last block takes a short remainder, or stops short
+            assert nslots - edge < size // 2
+
+
+def test_block_layout_at_the_edges(monkeypatch):
+    assert block_layout(monkeypatch, 0) == []  # the initial loop alone
+    assert block_layout(monkeypatch, (_H + _Q - 2) // 2 - 1) == [(2, _H + _Q - 2)]
+    assert block_layout(monkeypatch, (_H + _Q) // 2 - 1) == [(2, _H), (_H, _H + _Q)]
+    assert block_layout(monkeypatch, (_C + _Q - 2) // 2 - 1)[-2:] == [(_C - 2 * _H, _C - _H),
+                                                                      (_C - _H, _C + _Q - 2)]
+    assert block_layout(monkeypatch, (_C + _B) // 2 - 1)[-2:] == [(_C - _H, _C), (_C, _C + _B)]
+    assert block_layout(monkeypatch, (_C + _B + _H - 2) // 2 - 1)[-1] == (_C, _C + _B + _H - 2)
+
+
+def doubled(ptr):
+    """Plain pointer doubling of ``ptr`` run to convergence: the oracle."""
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            return ptr
+        ptr = nxt
+
+
+def check_resolution(ptr, base):
+    """The first-block resolution of the forest ``ptr`` (slot ``s`` at
+    ``ptr[s]``, every non-root at an earlier slot, every root at itself) and
+    ``_follow`` of its slots from ``base`` on, with the slots below ``base``
+    final, against plain doubling."""
+    got = ptr.copy()
+    process._resolve_first(got)
+    assert np.array_equal(got, doubled(ptr))
+    # a later block's pointers stop at the first final slot on their chain,
+    # as they would if every final slot were a root
+    stopped = ptr.copy()
+    stopped[:base] = np.arange(base)
+    block = ptr[base:].copy()
+    process._follow(block, np.flatnonzero(block >= base), base)
+    assert np.array_equal(block, doubled(stopped)[base:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2000), reach=st.integers(1, 64),
+       base=st.integers(0, 2000))
+def test_resolution_is_pointer_doubling(seed, n, reach, base):
+    # slot s points back by fewer than ``reach`` slots, a root where that is
+    # 0; a long reach makes roots rare and chains longer than the four
+    # doubling passes
+    ptr = np.arange(n) - np.random.default_rng(seed).integers(0, reach, n)
+    early = ptr < 0  # no slot before 0 to point at: a root
+    ptr[early] = np.flatnonzero(early)
+    check_resolution(ptr, min(base, n))
+
+
+def test_resolution_of_the_longest_chains():
+    # s -> s - 2 through a whole block, from slots 0 and 1 on and past a
+    # final prefix of a block
+    for n, base in ((_B, 0), (2 * _B, _B)):
+        ptr = np.arange(n, dtype=np.int64) - 2
+        ptr[:2] = 0, 1
+        check_resolution(ptr, base)
 
 
 @pytest.mark.parametrize("steps", BLOCK_EDGE_STEPS)
@@ -389,39 +489,44 @@ def run_peak_bytes_per_step(steps):
 def test_generation_peak_bytes_per_step():
     # Working arrays stay within one block or chunk of 2**16 slots, each
     # block draws its own kinds and the degrees are not counted, so the peak
-    # sits inside the fill: the int32 endpoints (8 B/step) and one block's
-    # working set, here the last block's ``rng.integers`` bounds and values,
-    # about 8.55 B/step at this size.
+    # sits inside the fill: the int32 endpoints (8 B/step) and the last
+    # block's ``rng.integers`` draw, whose int64 bounds and values (512 KiB
+    # each for a whole block) come to 1.1 MB above them, about 8.52 B/step
+    # at this size.
     peak = run_peak_bytes_per_step(2**21)
-    assert peak <= 8.7, f"{peak:.2f} B/step"
+    assert peak <= 8.6, f"{peak:.2f} B/step"
 
 
 def test_later_block_peak_bytes_per_step():
     # At 2 * 10**5 steps one block's working set still weighs: about
-    # 13.8 B/step with the endpoints' 8.  The last block, which has taken
-    # the short remainder, peaks while it draws its slots, and the first
-    # block's two doubling buffers (512 KiB each) come within 1% of that.
-    # Each block frees what it has read for the last time (the roots, the
-    # spare buffer, the loop's index arrays) before it allocates again.
+    # 12.1 B/step with the endpoints' 8.  The last half block, which has
+    # taken the short remainder, peaks while ``_slot_draws`` fills its int64
+    # pointers (316 KB for its 39,554 slots) beside its kinds and the draw
+    # windows, 0.83 MB above the endpoints.  The first block's two doubling
+    # buffers (256 KiB each) and every chain loop stay below that.
     peak = run_peak_bytes_per_step(2 * 10**5)
-    assert peak <= 14.5, f"{peak:.2f} B/step"
+    assert peak <= 12.5, f"{peak:.2f} B/step"
 
 
 def test_replica_run_peak_bytes_per_step():
-    # The size of the replica sweeps: three blocks, and the first block's
-    # two doubling buffers (1 MiB) over the endpoints' 8 B/step set the
-    # peak, about 19.5 B/step.
+    # The size of the replica sweeps: six blocks of 2**15 slots, the last
+    # with the remainder.  The peak comes while a block's slots are drawn:
+    # its int64 pointers (256 KiB), ``_slot_draws``' two uint64 windows and
+    # raw draws (about 400 KB) and its kinds, 0.7 MB over the endpoints'
+    # 8 B/step: about 15.2 B/step at this seed, and up to 15.9 at seeds
+    # where a rejection's carry is joined to the next window's raw draws.
+    # The first block's doubling buffers (512 KiB together) stay below it.
     peak = run_peak_bytes_per_step(10**5)
-    assert peak <= 20.5, f"{peak:.2f} B/step"
+    assert peak <= 16, f"{peak:.2f} B/step"
 
 
 def test_first_block_peak_bytes_per_step():
     # A run in one block peaks inside ``_slot_draws``: the doubling buffer
     # it fills (16 B/step), the endpoints, the kinds, and the draw windows
-    # of 2**14 entries, about 54.3 B/step.  The roots and the doubling
+    # of 2**14 entries, about 50.2 B/step.  The roots and the doubling
     # passes come after it and stay below.
     peak = run_peak_bytes_per_step(2**14)
-    assert peak <= 56, f"{peak:.2f} B/step"
+    assert peak <= 51.5, f"{peak:.2f} B/step"
 
 
 def test_short_run_peak_bytes():
