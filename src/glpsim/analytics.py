@@ -10,7 +10,8 @@ sequence, which is what the martingale check estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -143,10 +144,10 @@ def martingale_check(
     on the arrival pattern, so ``baseline`` reports the first checkpoint's
     estimate instead of 2.
 
-    Replica ``r`` uses seed ``base_seed + r`` (accepted replicas count when
-    conditioning, and seeds are screened on their kind draws before a run,
-    up to seed ``2**64 - 1``).  A ``base_seed`` above ``2**64 - replicas``
-    raises ``ParameterError`` before any run.
+    Replica ``r`` uses seed ``base_seed + r``; conditioned replicas are the
+    seeds of that fan, in order, that pass a screen of their kind draws
+    before they run, out of at most ``_MAX_ATTEMPTS_FACTOR * replicas``.  A
+    ``base_seed + replicas - 1`` above ``2**64 - 1`` raises ``ParameterError``.
     Checkpoints, ``replicas``, ``vertex`` and ``arrival_step`` must be
     integers (``4.0`` included), else ``ParameterError``; fewer than 2
     replicas raise ``StatisticsError``.
@@ -161,30 +162,20 @@ def martingale_check(
     if vertex > 1 and not process._integral(arrival_step, 0, checkpoints[0] + 1):
         raise ParameterError("arrival_step must be an integer in [0, first checkpoint]")
 
-    params = process.ProcessParams(p, max(checkpoints[-1], 1), base_seed)
-    if params.seed > 2**64 - replicas:
-        raise ParameterError(
-            f"base_seed must lie in [0, 2**64 - replicas] so that every "
-            f"replica seed is a 64-bit natural, got {base_seed!r}"
-        )
-    degs = np.empty((replicas, len(checkpoints)), dtype=np.float64)
-    accepted = 0
-    stop = min(params.seed + _MAX_ATTEMPTS_FACTOR * replicas, 2**64)
-    for seed in range(params.seed, stop):
-        if vertex > 1:  # it arrives there iff that step is its (vertex - 1)-th vertex-step
-            z = process.step_kinds(process.make_rng(seed), p, int(arrival_step))
-            if not (z.size and z[-1] and np.count_nonzero(z) == vertex - 1):
-                continue
-        g = process.run(replace(params, seed=seed)).graph
-        degs[accepted] = np.searchsorted(g.gain_steps(vertex, vertex), checkpoints, side="right")
-        accepted += 1
-        if accepted == replicas:
-            break
-    else:
-        raise StatisticsError(
-            f"conditioning accepted only {accepted}/{replicas} replicas "
-            f"after {stop - params.seed} attempts"
-        )
+    seeds = process._seed_fan(base_seed, replicas)[: _MAX_ATTEMPTS_FACTOR * replicas]
+
+    # vertex arrives at arrival_step iff that step is its (vertex - 1)-th vertex-step
+    def arrives(seed):
+        z = process.step_kinds(process.make_rng(seed), p, int(arrival_step))
+        return z.size and z[-1] and np.count_nonzero(z) == vertex - 1
+
+    graphs = process.replicas(p, max(checkpoints[-1], 1),
+                              seeds if vertex == 1 else filter(arrives, seeds))
+    degs = np.array([np.searchsorted(g.gain_steps(vertex, vertex), checkpoints, side="right")
+                     for g in islice(graphs, replicas)], dtype=np.float64)
+    if len(degs) < replicas:
+        raise StatisticsError(f"conditioning accepted only {len(degs)}/{replicas} replicas "
+                              f"after {len(seeds)} attempts")
 
     norm = np.array([phi_tilde(t, p) for t in checkpoints])
     means = degs.mean(axis=0) / norm
@@ -209,10 +200,10 @@ def upper_bound_check(graph: process.GlpGraph, c1: float) -> np.ndarray:
     High degrees should stay below this envelope for any reasonable ``c1``,
     so a non-empty result flags anomalous growth.  Index ``j`` is the
     arrival rank, which is exactly the vertex id; ``log`` is natural.
-    Needs ``t >= 2`` so the envelope is positive.
+    Needs ``t >= 2`` so the envelope is positive, and a finite ``c1 >= 0``.
     """
-    if c1 < 0:
-        raise ParameterError(f"c1 must be >= 0, got {c1!r}")
+    if not 0 <= c1 < math.inf:  # also rejects NaN
+        raise ParameterError(f"c1 must be finite and >= 0, got {c1!r}")
     t = graph.t
     if t < 2:
         raise ParameterError("upper bound check needs t >= 2")
@@ -249,15 +240,15 @@ def fit_exponent(series) -> ExponentFit:
     """Least-squares slope of log(value) against log(t).
 
     Needs at least three distinct times spanning two decades and positive,
-    non-constant values.
+    finite, non-constant values.
     """
     pts = [(float(t), float(v)) for t, v in series]
     if len(pts) < 3 or len({t for t, _ in pts}) < 3:
         raise ParameterError("need at least 3 distinct times")
-    ts = np.array([t for t, _ in pts])
-    vs = np.array([v for _, v in pts])
-    if ts.min() <= 0 or vs.min() <= 0:
-        raise ParameterError("times and values must be positive")
+    both = np.array(pts)
+    if not np.all((both > 0) & (both < math.inf)):  # also rejects NaN
+        raise ParameterError("times and values must be positive and finite")
+    ts, vs = both.T
     if ts.max() / ts.min() < 100:
         raise ParameterError("times must span at least two decades")
     x = np.log(ts)

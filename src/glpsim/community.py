@@ -31,6 +31,7 @@ __all__ = [
     "simple_edges",
     "GrowthRow",
     "clique_growth_rows",
+    "leader_block_range",
 ]
 
 

@@ -8,7 +8,8 @@ function from the graph of one run and its parameters to metric rows
 replica seeds (replica ``r`` uses ``base_seed + r`` and is generated once),
 optionally across processes, and aggregates rows into deterministic per
 ``(p, t, metric)`` summaries.  Replica failures are captured per seed
-instead of aborting the batch.
+instead of aborting the batch; a ``MemoryError`` is not a replica's
+failure, and ends the batch at any width.
 
 Reports serialize to JSON under the schema tag ``glp-report/1``, with the
 row data additionally available as CSV.
@@ -120,11 +121,7 @@ class EnsembleConfig:
         try:
             replicas = process._check_int(self.replicas, "replicas")
             width = process._check_int(self.width, "width")
-            if not (0 <= self.base_seed <= 2**64 - replicas):
-                raise ConfigError(
-                    f"base_seed must lie in [0, 2**64 - replicas] so that every "
-                    f"replica seed is a 64-bit natural, got {self.base_seed}"
-                )
+            process._seed_fan(self.base_seed, replicas)
             for p in self.p_grid:
                 process.ProcessParams(p, self.steps, self.base_seed, kw.get("snapshot_times", ()))
             steps = process._check_int(self.steps, "steps")
@@ -212,9 +209,11 @@ def _run_task(task):
     experiment, p, steps, seed, params = task
     fn, defaults = EXPERIMENTS[experiment]
     try:
-        graph = process.run(process.ProcessParams(p=p, steps=steps, seed=seed)).graph
+        graph = next(process.replicas(p, steps, (seed,)))
         rows = fn(graph, **{**defaults, **params})
         return (p, seed, [(int(t), str(m), float(v)) for t, m, v in rows], None)
+    except MemoryError:
+        raise
     except Exception as exc:  # noqa: BLE001 (replica isolation is the point)
         return (p, seed, None, f"{type(exc).__name__}: {exc}")
 
@@ -240,13 +239,11 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     The result is independent of execution order and of ``width``: rows are
     keyed and sorted by ``(p, seed, t, metric)`` and each replica's seed is
     fixed up front.  Raises ``BatchError`` when not a single replica
-    succeeds.
+    succeeds; a ``MemoryError`` propagates.
     """
-    tasks = [
-        (config.experiment, p, config.steps, config.base_seed + r, config.params)
-        for p in config.p_grid
-        for r in range(config.replicas)
-    ]
+    seeds = process._seed_fan(config.base_seed, config.replicas)[: config.replicas]
+    tasks = [(config.experiment, p, config.steps, seed, config.params)
+             for p in config.p_grid for seed in seeds]
     if config.width > 1:
         from concurrent.futures import ProcessPoolExecutor
 

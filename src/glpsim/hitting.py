@@ -37,6 +37,7 @@ __all__ = [
     "DominationReport",
     "domination_test",
     "domination_experiment",
+    "empirical_hit_times",
 ]
 
 
@@ -268,16 +269,14 @@ def domination_test(
 def empirical_hit_times(
     p: float, steps: int, j: int, m: int, k: int, replicas: int, base_seed: int
 ) -> np.ndarray:
-    """Hit times of degree ``k`` by block ``j`` of size ``m`` over independent
-    runs (inf if censored).  ``j``, ``m``, ``k`` and ``replicas`` must be
-    integers, else ``ParameterError``."""
+    """Hit times of degree ``k`` by block ``j`` of size ``m`` in the runs at
+    seeds ``base_seed + r`` for ``r < replicas`` (inf if censored).  ``j``,
+    ``m``, ``k`` and ``replicas`` must be integers, else ``ParameterError``."""
     spec = BlockSpec(j=j, m=m, thresholds=(k,))
     replicas = process._check_int(replicas, "replicas", 0)
-    out = np.empty(replicas, dtype=np.float64)
-    for r, graph in enumerate(process.replicas(p, steps, base_seed, replicas)):
-        hit = crossing_times(graph, spec)[0]
-        out[r] = math.inf if hit is None else float(hit)
-    return out
+    seeds = process._seed_fan(base_seed, replicas)[:replicas]
+    hits = (crossing_times(graph, spec)[0] for graph in process.replicas(p, steps, seeds))
+    return np.array([math.inf if h is None else h for h in hits], dtype=np.float64)
 
 
 def domination_experiment(

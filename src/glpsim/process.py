@@ -577,18 +577,24 @@ def run(params: ProcessParams) -> RunResult:
     return RunResult(graph=graph, snapshots=snapshots)
 
 
-def replicas(p: float, steps: int, base_seed: int, n: int):
-    """Yield the graphs of ``n`` independent runs; replica ``r`` is the run
-    at seed ``base_seed + r``.
+def _seed_fan(base_seed: int, n: int) -> range:
+    """Replica ``r``'s seed ``base_seed + r``, for every ``r`` up to the last
+    64-bit seed: a sweep of ``n`` runs takes ``[:n]``, one that screens its
+    seeds may take more.  ``ParameterError`` unless the first ``n`` (an int
+    ``>= 0``) are all 64-bit naturals, so a sweep fails before any run."""
+    if not _integral(base_seed, 0, 2**64 - n + 1):
+        raise ParameterError(f"every replica seed must be a 64-bit natural, so base_seed "
+                             f"must lie in [0, 2**64 - {n}], got {base_seed!r}")
+    return range(int(base_seed), 2**64)
 
-    Lazy: a caller that stops iterating early (a rejection loop that has
-    accepted enough runs) generates no further replica.  A last seed beyond
-    ``2**64 - 1`` raises ``ParameterError`` before the first run.
-    """
-    if n > 0:
-        _check_seed(base_seed + n - 1)
-    for r in range(n):
-        yield run(ProcessParams(p=p, steps=steps, seed=base_seed + r)).graph
+
+def replicas(p: float, steps: int, seeds):
+    """Yield the graph of the run at each seed of ``seeds``, in order.  Lazy:
+    ``p`` and ``steps`` are checked before the first seed is taken, and no
+    seed is taken once the caller stops iterating."""
+    ProcessParams(p, steps, 0)
+    for seed in seeds:
+        yield run(ProcessParams(p, steps, seed)).graph
 
 
 # ----------------------------------------------------------------------

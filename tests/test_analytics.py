@@ -174,6 +174,9 @@ def test_upper_bound_extremes():
     gr = g.run(g.ProcessParams(p=0.5, steps=2000, seed=5)).graph
     assert g.upper_bound_check(gr, 1e9).size == 0
     assert g.upper_bound_check(gr, 0.0).size == gr.num_vertices
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ParameterError, match="c1 must be finite"):
+            g.upper_bound_check(gr, bad)
 
 
 def test_upper_bound_monotone_in_c1():
@@ -237,6 +240,12 @@ def test_fit_exponent_degenerate():
         g.fit_exponent([(100, 1.0), (200, 2.0), (400, 3.0)])  # span < 100x
     with pytest.raises(ParameterError):
         g.fit_exponent([(100, 1.0), (1000, -2.0), (10_000, 3.0)])
+    # NaN or infinite entries would give a NaN slope with numpy warnings
+    nan, inf = float("nan"), float("inf")
+    for bad in ([(100, 1.0), (1000, nan), (10_000, 3.0)], [(100, 1.0), (1000, 2.0), (inf, 3.0)],
+                [(nan, 1.0), (1000, 2.0), (10_000, 3.0)], [(100, 1.0), (1000, inf), (10_000, 3.0)]):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            g.fit_exponent(bad)
 
 
 def test_maxdeg_ensemble_p1_slope():

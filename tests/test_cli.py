@@ -97,7 +97,23 @@ _REQUIRED = {
     "ensemble": ["--experiment", "maxdeg", "--p-grid", "0.5", "--steps", "100",
                  "--replicas", "2"],
     "clique": ["--p", "0.5", "--steps", "1000"],
+    "stats": ["--p", "0.5", "--steps", "2000"],
 }
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ensemble_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, threads):
+    # running out of memory is not one replica's failure, at any width
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr(process, "run", exhausted)
+    out_dir = tmp_path / "ens"
+    code, out, err = run_cli(capsys, "ensemble", *_REQUIRED["ensemble"],
+                             "--out-dir", str(out_dir), "--threads", threads)
+    assert code == 2
+    assert out == "" and list(out_dir.iterdir()) == []
+    assert err.startswith("error: out of memory")
 
 
 @pytest.mark.parametrize(
@@ -135,6 +151,8 @@ _REQUIRED = {
         (["ensemble", "--steps", "3000000000"], ""),
         (["ensemble", "--p-grid", ","], ""),
         (["ensemble", "--p-grid", "0.5,0.5"], ""),
+        (["stats", "--c1", "nan"], ""),
+        (["stats", "--c1", "inf"], ""),
     ],
     ids=["grid-inf", "grid-inf-config", "grid-fraction", "replicas-negative",
          "dom-samples-negative", "snapshots-inf", "snapshots-nan-config",
@@ -144,7 +162,7 @@ _REQUIRED = {
          "eps-prime-inf", "gamma-default-p1", "cliquegrowth-eps-nan",
          "cliquegrowth-eps-prime-inf", "cliquegrowth-topk-zero", "cliquegrowth-m-zero-config",
          "cliquegrowth-no-leader-window", "cliquegrowth-t-negative", "steps-beyond-capacity",
-         "p-grid-empty", "p-grid-repeated"],
+         "p-grid-empty", "p-grid-repeated", "c1-nan", "c1-inf"],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"

@@ -167,15 +167,16 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_replicas_are_runs_at_consecutive_seeds():
-    graphs = list(g.replicas(0.5, 300, 40, 4))
+    graphs = list(g.replicas(0.5, 300, process._seed_fan(40, 4)[:4]))
     assert len(graphs) == 4
     for r, gr in enumerate(graphs):
         ref = g.run(g.ProcessParams(p=0.5, steps=300, seed=40 + r)).graph
         assert gr.seed == 40 + r and gr.t == 300
         assert np.array_equal(gr.endpoints, ref.endpoints)
-    assert [gr.seed for gr in g.replicas(0.5, 10, 2**64 - 3, 3)] == [2**64 - 3, 2**64 - 2,
-                                                                       2**64 - 1]
-    assert list(g.replicas(0.5, 10, 0, 0)) == []
+    fan = process._seed_fan(2**64 - 3, 3)
+    assert [gr.seed for gr in g.replicas(0.5, 10, fan[:3])] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
+    assert len(fan) == 3  # the fan stops at the last 64-bit seed
+    assert list(g.replicas(0.5, 10, process._seed_fan(0, 0)[:0])) == []
 
 
 def test_replicas_check_the_last_seed_before_the_first_run(monkeypatch):
@@ -188,7 +189,7 @@ def test_replicas_check_the_last_seed_before_the_first_run(monkeypatch):
 
     monkeypatch.setattr(process, "run", counted)
     with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
-        next(g.replicas(0.5, 100, 2**64 - 2, 3))
+        next(g.replicas(0.5, 100, process._seed_fan(2**64 - 2, 3)[:3]))
     with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
         g.empirical_hit_times(0.5, 100, 2, 2, 4, 3, 2**64 - 2)
     assert runs == []

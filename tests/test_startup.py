@@ -85,6 +85,15 @@ def test_public_names_are_their_modules_names():
     assert set(PUBLIC) <= set(dir(g))
 
 
+def test_exports_are_in_their_modules_all():
+    # the names ``from glpsim.<module> import *`` takes: __all__, where a module has one
+    for module, names in g._EXPORTS.items():
+        mod = importlib.import_module(f"glpsim.{module}")
+        star = getattr(mod, "__all__", [n for n in vars(mod) if not n.startswith("_")])
+        missing = set(names) - set(star)
+        assert not missing, f"{module}.__all__ lacks {sorted(missing)}"
+
+
 def test_import_and_generate_load_no_scipy_or_pool(tmp_path):
     argv = ["generate", "--p", "0.5", "--steps", "2000", "--seed", "1",
             "--out", str(tmp_path / "g.edges")]
