@@ -194,6 +194,13 @@ def martingale_check(
 # degree upper bound
 
 
+def _check_c1(c1) -> None:
+    """``ParameterError`` unless the envelope constant ``c1`` is finite and
+    ``>= 0``; ``glp stats`` calls this before any run."""
+    if not 0 <= c1 < math.inf:  # also rejects NaN
+        raise ParameterError(f"c1 must be finite and >= 0, got {c1!r}")
+
+
 def upper_bound_check(graph: process.GlpGraph, c1: float) -> np.ndarray:
     """Ids whose degree reaches ``c1 * t^c_p * sqrt(log t / j^(1-p))``.
 
@@ -202,8 +209,7 @@ def upper_bound_check(graph: process.GlpGraph, c1: float) -> np.ndarray:
     arrival rank, which is exactly the vertex id; ``log`` is natural.
     Needs ``t >= 2`` so the envelope is positive, and a finite ``c1 >= 0``.
     """
-    if not 0 <= c1 < math.inf:  # also rejects NaN
-        raise ParameterError(f"c1 must be finite and >= 0, got {c1!r}")
+    _check_c1(c1)
     t = graph.t
     if t < 2:
         raise ParameterError("upper bound check needs t >= 2")

@@ -199,6 +199,8 @@ def _cmd_generate(opts: dict) -> int:
 
 def _cmd_stats(opts: dict) -> int:
     xmin, c1 = opts["xmin"], opts["c1"]
+    if c1 is not None:
+        analytics._check_c1(c1)
     if opts["infile"] is not None:
         graph = process.read_edges(opts["infile"])
         opts.update({"p": graph.p, "seed": graph.seed, "steps": graph.t})

@@ -327,32 +327,37 @@ _DRAW_CUTOFF = 2**19
 # so its uint64 temporaries stay in cache.
 _DRAW_WINDOW = 2**14
 _EVEN = np.arange(_DRAW_WINDOW + 1, dtype=np.uint64) & np.uint64(2**64 - 2)
-_LOW32 = np.uint64(2**32 - 1)
+# 0-d arrays: a ufunc takes them with less per-call work than a scalar
+_LOW32 = np.array(2**32 - 1, dtype=np.uint64)
+_HIGH = np.array(32, dtype=np.uint64)
 
 
-def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndarray:
-    """``rng.integers(0, np.arange(lo, hi) & ~1)``, values and stream alike,
-    for ``2 <= lo < hi < 2**32``, written into ``out`` (a new int64 array
-    of ``hi - lo`` entries if not given) and returned.
+def _slot_draws(rng: np.random.Generator, lo: int, hi: int, carry, out=None):
+    """``rng.integers(0, np.arange(lo, hi) & ~1)``'s values, for
+    ``2 <= lo < hi < 2**32``, written into ``out`` (a new int64 array of
+    ``hi - lo`` entries if not given), and the carry numpy would then hold.
 
     numpy draws a bound ``b < 2**32`` by Lemire's method: a uint32 ``x``
     gives ``m = x * b`` and the value ``m >> 32``, and the draw takes the
     next uint32 instead while ``m % 2**32 < 2**32 % b``.  Each PCG64 output
-    supplies two uint32, low half first; an unused high half waits in the
-    state (``has_uint32``, ``uinteger``).  Here a window of draws is
-    computed at once in two uint64 windows, the bounds and the products,
-    plus a bool mask: the values ``m >> 32`` go straight into ``out``, and
-    the products are then cut to ``m % 2**32`` in place.  Only the mask's
-    rare candidates (``m % 2**32 < b``) get the modulo.  A rejection
-    restarts the window at the rejected draw, one uint32 further on.  Raw
-    outputs are taken only as they are needed, and the buffered half is
-    written back at the end, so the generator's state ends exactly where
-    numpy's would.
+    supplies two uint32, low half first; numpy keeps an unused high half in
+    the generator state (``has_uint32``, ``uinteger``).  Here the caller
+    holds that pair instead, as ``carry = (has_uint32, uinteger)``: this
+    takes the one it is given and returns ``(out, carry)``, and reads and
+    writes no generator state.  ``_put_carry`` writes a carry into the
+    state, where the next numpy draw expects it.
+
+    A window of draws is computed at once in two uint64 windows, the bounds
+    and the products, plus a bool mask: the values ``m >> 32`` go straight
+    into ``out``, and the products are then cut to ``m % 2**32`` in place.
+    Only a window with candidates (``m % 2**32 < b``, rare for small
+    bounds) gets the modulo.  A rejection restarts the window at the
+    rejected draw, one uint32 further on.  Raw outputs are taken only as
+    they are needed.
     """
     bg = rng.bit_generator
-    state = bg.state
-    last = state["uinteger"]
-    carry = np.array([last] if state["has_uint32"] else [], dtype=np.uint32)
+    has, last = carry
+    spare = np.array([last] if has else [], dtype=np.uint32)
     if out is None:
         out = np.empty(hi - lo, dtype=np.int64)
     size = min(_DRAW_WINDOW, hi - lo)  # no window outgrows a short block
@@ -362,33 +367,41 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, out=None) -> np.ndar
     i = lo
     while i < hi:
         w = min(_DRAW_WINDOW, hi - i)
-        need = w - carry.size
+        need = w - spare.size
         if need > 0:
             raw = bg.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
-            x = np.concatenate((carry, raw)) if carry.size else raw
+            x = np.concatenate((spare, raw)) if spare.size else raw
         else:
-            x = carry
+            x = spare
         odd = i & 1
-        bw, mw = bounds[:w], m[:w]
+        bw, mw, sw = bounds[:w], m[:w], small[:w]
         np.add(_EVEN[odd : odd + w], i - odd, out=bw)  # (i + k) & ~1
         np.multiply(x[:w], bw, out=mw)
         # Every value is written; those past a rejection are written again
         # by the next window.  The products then keep only their low halves.
-        np.right_shift(mw, 32, out=out[i - lo : i - lo + w].view(np.uint64))
+        np.right_shift(mw, _HIGH, out=out[i - lo : i - lo + w].view(np.uint64))
         np.bitwise_and(mw, _LOW32, out=mw)
-        cand = np.flatnonzero(np.less(mw, bw, out=small[:w]))
-        rejected = cand[mw[cand] < np.uint64(2**32) % bw[cand]]
-        n = int(rejected[0]) if rejected.size else w
-        carry = x[n + (n < w) :].copy()  # frees the window's raw draws
-        last = x[-1]
+        n = w
+        if np.count_nonzero(np.less(mw, bw, out=sw)):
+            cand = np.flatnonzero(sw)
+            rejected = cand[mw[cand] < np.uint64(2**32) % bw[cand]]
+            if rejected.size:
+                n = int(rejected[0])
+        spare = x[n + (n < w) :].copy()  # frees the window's raw draws
         i += n
-    # Every uint32 drawn but ``carry`` is used; the stream's last element
-    # is a high half, which numpy keeps in ``uinteger`` even once it is used.
-    state = bg.state
-    state["has_uint32"] = int(carry.size)
-    state["uinteger"] = int(last)
-    bg.state = state
-    return out
+    # Every uint32 drawn but ``spare`` (at most one once the last window
+    # is done) is used; the stream's last element is a high half, which
+    # numpy keeps in ``uinteger`` even once it is used.
+    return out, (spare.size, int(x[-1]))
+
+
+def _put_carry(rng: np.random.Generator, carry) -> None:
+    """Write ``carry = (has_uint32, uinteger)``, the spare uint32 that
+    ``_slot_draws`` returns, into ``rng``'s state, so that the generator
+    stands exactly where numpy's own draws would have left it."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = carry
+    rng.bit_generator.state = state
 
 
 def _follow(ptr, act, base: int) -> None:
@@ -431,25 +444,29 @@ def _resolve_first(full) -> None:
     _follow(full, act, 0)
 
 
-def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
+def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int, carry):
     """Draw the slot indices of slots ``[lo, hi)``, resolve them against the
-    final prefix ``endpoints[:lo]`` and write them; return the vertex count.
-    ``z`` holds the kinds of the block's own steps, ``lo // 2 - 1`` on."""
+    final prefix ``endpoints[:lo]`` and write them; return the vertex count
+    and the carry.  ``z`` holds the kinds of the block's own steps,
+    ``lo // 2 - 1`` on.  ``carry`` is ``_slot_draws``' spare uint32, or
+    ``None`` once ``rng``'s state holds it."""
     # slot s belongs to step s//2 - 1 and copies slot ptr[s - lo] < s & ~1
     if lo == 2:
         # The first block's pointers cover slots [0, hi): the draws go in
         # behind slots 0 and 1, which point at themselves.
         full = np.empty(hi, dtype=np.int64)
         full[:2] = 0, 1
-        _slot_draws(rng, lo, hi, out=full[lo:])
+        _, carry = _slot_draws(rng, lo, hi, carry, out=full[lo:])
     elif hi <= _DRAW_CUTOFF:
-        ptr = _slot_draws(rng, lo, hi)
+        ptr, carry = _slot_draws(rng, lo, hi, carry)
     else:
         ptr = rng.integers(0, np.arange(lo, hi) & ~1)
     # Each array is dropped once the resolver has read it for the last
     # time, before the next one is allocated.
     # roots: the odd slots of vertex-steps, which hold a brand-new vertex
-    roots = lo + 1 + 2 * np.flatnonzero(z)
+    roots = np.flatnonzero(z)
+    roots *= 2
+    roots += lo + 1
     nroots = roots.size
     endpoints[roots] = np.arange(nv + 1, nv + 1 + nroots, dtype=np.int32)
 
@@ -473,7 +490,7 @@ def _fill_block(endpoints, z, rng, lo: int, hi: int, nv: int) -> int:
     # gathers into a copy of the block first (4 bytes a slot).  The copy
     # stays below the block's peak, which comes while its slots are drawn.
     endpoints.take(ptr, out=endpoints[lo:hi], mode="wrap")
-    return nv + nroots
+    return nv + nroots, carry
 
 
 def step_kinds(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
@@ -507,9 +524,15 @@ def _generate(p: float, steps: int, seed: int):
     kind draw uses one raw output and neither a fresh generator nor
     ``advance`` holds a buffered uint32 half.  ``rng.integers`` defines
     the slot draws.  Blocks ending at most ``_DRAW_CUTOFF`` slots take them
-    from ``_slot_draws``, which reproduces its values and its generator
-    state exactly; ``tests/test_process.py`` checks that against
-    ``rng.integers``, and the ``advance`` step against the kind draw.
+    from ``_slot_draws``, which reproduces its values exactly and returns
+    the spare uint32 that numpy would keep in the generator state.  This
+    function holds that carry, ``(0, 0)`` at the start, and hands it from
+    block to block; the slot generator's state is written once, by
+    ``_put_carry``, just before the first block past the cutoff draws with
+    ``rng.integers``.  A run that ends below the cutoff never reads or
+    writes the state.  ``tests/test_process.py`` checks the draws and the
+    written-back state against ``rng.integers``, and the ``advance`` step
+    against the kind draw.
 
     Every non-root slot holds a copy of an earlier slot, so the sequence is
     resolved block by block, streaming through the slots.  A block that
@@ -548,14 +571,18 @@ def _generate(p: float, steps: int, seed: int):
     endpoints = np.empty(nslots, dtype=np.int32)
     endpoints[:2] = 1
     nv = 1
+    carry = (0, 0)
     lo = 2
     while lo < nslots:
         size = _BLOCK // 2 if lo < _DRAW_CUTOFF else _BLOCK
         hi = lo - lo % size + size
         if nslots - hi < size // 2:  # a short remainder joins this block
             hi = nslots
+        if hi > _DRAW_CUTOFF and carry is not None:  # ``rng.integers`` reads the state
+            _put_carry(slots, carry)
+            carry = None
         z = step_kinds(kinds, p, (hi - lo) // 2)
-        nv = _fill_block(endpoints, z, slots, lo, hi, nv)
+        nv, carry = _fill_block(endpoints, z, slots, lo, hi, nv, carry)
         lo = hi
     return endpoints, nv
 
@@ -589,12 +616,13 @@ def _seed_fan(base_seed: int, n: int) -> range:
 
 
 def replicas(p: float, steps: int, seeds):
-    """Yield the graph of the run at each seed of ``seeds``, in order.  Lazy:
-    ``p`` and ``steps`` are checked before the first seed is taken, and no
-    seed is taken once the caller stops iterating."""
+    """Yield the graph of the run at each seed of ``seeds``, in order, as
+    ``run`` would give it.  Lazy: ``p`` and ``steps`` are checked once,
+    before the first seed is taken, each seed before its run, and no seed
+    is taken once the caller stops iterating."""
     ProcessParams(p, steps, 0)
     for seed in seeds:
-        yield run(ProcessParams(p, steps, seed)).graph
+        yield GlpGraph._from_arrays(p, seed, *_generate(p, steps, seed))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """End-to-end acceptance gates.
 
 Each test prints one ``[acceptance NN] name: PASS/FAIL`` line (visible with
-``pytest -s``) and then asserts.  Gates are numbered 01-12; every numbered
-gate runs at its stated scale and tolerance, nothing is downsized.  Gate 09
-includes a finite-size connectivity target that current measurements do not
-reach; it is asserted as stated rather than weakened, so a FAIL there is a
+``pytest -s``) and then asserts.  Gates are numbered 01-12 and 15; every
+numbered gate runs at its stated scale and tolerance, nothing is downsized.
+Gate 09 includes a finite-size connectivity target that current measurements
+do not reach; it is asserted as stated rather than weakened, so a FAIL there is a
 faithful report, not a broken harness (see the gate's printed detail).
 Gates 05, 08 (its arrival-time half), 09 and 11 sweep their seeds through
 ``run_ensemble`` with the ``EXPERIMENTS`` entry they check, and read the
@@ -12,12 +12,14 @@ per-time means and standard errors from the report's aggregates.
 """
 
 import math
+from collections import Counter, defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import glpsim as g
-from glpsim import cli
+from glpsim import cli, process
 
 
 def report(num, name, ok, detail=""):
@@ -374,3 +376,57 @@ def test_criterion_12_cli_reproducibility(tmp_path, capsys):
          ens / "maxdeg_0.5_500.json", ens / "maxdeg_0.5_500.csv"],
     )
     assert report(12, "CLI reproducibility", ok, "5 subcommands, byte-identical reruns")
+
+
+# ----------------------------------------------------------------------
+# 15 the exact one-step law at small t
+
+
+def exact_law(p, t):
+    """Exact probability of every endpoint sequence after ``t`` steps, from
+    the model alone: at step ``k`` the 2k earlier slots are equally likely
+    to be copied; a vertex-step (probability ``p``) copies one and adds the
+    new vertex, an edge-step copies two independently."""
+    p = Fraction(p)
+    law = {(1, 1): Fraction(1)}
+    for k in range(1, t + 1):
+        grown = defaultdict(Fraction)
+        for seq, w in law.items():
+            new = max(seq) + 1
+            for a in seq:
+                grown[seq + (a, new)] += w * p / (2 * k)
+                for b in seq:
+                    grown[seq + (a, b)] += w * (1 - p) / (2 * k) ** 2
+        law = dict(grown)
+    return law
+
+
+# Fixed before the first run: one block of seeds for each p.
+_GATE15_BASE_SEEDS = {0.25: 1_500_000_000, 0.75: 1_500_010_000}
+
+
+def test_criterion_15_one_step_law():
+    t, n = 3, 10**4
+    z999 = 3.090232306167813  # the standard normal 0.999 quantile
+    ok, details = True, []
+    for p, base in _GATE15_BASE_SEEDS.items():
+        law = exact_law(p, t)
+        assert len(law) == 56 and sum(law.values()) == 1
+        seen = Counter(tuple(gr.endpoints.tolist())
+                       for gr in g.replicas(p, t, process._seed_fan(base, n)[:n]))
+        ok &= all(law.get(seq, 0) > 0 for seq in seen)
+        # Pearson chi-square; the outcomes expected fewer than 5 times, and
+        # any impossible one observed, are pooled into one cell
+        cells = [seq for seq, pr in law.items() if n * pr >= 5]
+        pooled_pr = 1 - sum(law[seq] for seq in cells)
+        chi2 = sum((seen[seq] - n * law[seq]) ** 2 / (n * law[seq]) for seq in cells)
+        if pooled_pr:
+            pooled = n - sum(seen[seq] for seq in cells)
+            chi2 += (pooled - n * pooled_pr) ** 2 / (n * pooled_pr)
+        df = len(cells) + (pooled_pr > 0) - 1
+        # Wilson-Hilferty: chi2(df) quantile from the normal one
+        q999 = df * (1 - 2 / (9 * df) + z999 * math.sqrt(2 / (9 * df))) ** 3
+        ok &= float(chi2) < q999
+        details.append(f"p={p}: chi2 {float(chi2):.1f} on {df} df, 0.999 quantile {q999:.1f}, "
+                       f"{len(seen)} of 56 sequences seen")
+    assert report(15, "one-step law at t=3", ok, "; ".join(details))

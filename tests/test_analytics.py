@@ -137,10 +137,10 @@ def test_martingale_conditioning_matches_generated_runs():
 def test_martingale_seed_range_checked_before_any_run(monkeypatch):
     from glpsim import process
 
-    def no_run(params):
-        raise AssertionError(f"process.run called with seed {params.seed}")
+    def no_run(p, steps, seed):
+        raise AssertionError(f"a run was made at seed {seed}")
 
-    monkeypatch.setattr(process, "run", no_run)
+    monkeypatch.setattr(process, "_generate", no_run)
     with pytest.raises(ParameterError, match="base_seed"):
         g.martingale_check(0.5, (10,), replicas=3, base_seed=2**64 - 2)
     # conditioned screening stops at the last 64-bit seed

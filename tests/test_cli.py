@@ -104,10 +104,10 @@ _REQUIRED = {
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ensemble_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, threads):
     # running out of memory is not one replica's failure, at any width
-    def exhausted(params):
+    def exhausted(p, steps, seed):
         raise MemoryError
 
-    monkeypatch.setattr(process, "run", exhausted)
+    monkeypatch.setattr(process, "_generate", exhausted)
     out_dir = tmp_path / "ens"
     code, out, err = run_cli(capsys, "ensemble", *_REQUIRED["ensemble"],
                              "--out-dir", str(out_dir), "--threads", threads)
@@ -465,6 +465,33 @@ def test_hitting_precondition_exit(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_hitting_sampler_seed_past_the_last_exits_2(capsys):
+    # the dominating sampler takes the seed after the last replica's
+    code, out, err = run_cli(
+        capsys, "hitting", *_REQUIRED["hitting"], "--grid", "64,128", "--replicas", "2",
+        "--dom-samples", "10", "--seed", str(2**64 - 2),
+    )
+    assert code == 2 and out == ""
+    assert "base_seed must lie in [0, 2**64 - 3], got 18446744073709551614" in err
+
+
+@pytest.mark.parametrize("c1", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["run", "file"])
+def test_stats_bad_c1_exits_2_before_any_work(tmp_path, capsys, monkeypatch, source, c1):
+    path = tmp_path / "g.edges"
+    path.write_text("# glp v1 p=0.5 steps=0 seed=0\n1 1\n")
+
+    def no_work(*args):
+        raise AssertionError("the graph was built before c1 was checked")
+
+    monkeypatch.setattr(process, "run", no_work)
+    monkeypatch.setattr(process, "read_edges", no_work)
+    given = ["--in", str(path)] if source == "file" else ["--p", "0.5", "--steps", "1000000"]
+    code, out, err = run_cli(capsys, "stats", *given, "--c1", c1)
+    assert code == 2 and out == ""
+    assert f"c1 must be finite and >= 0, got {float(c1)!r}" in err
 
 
 # ----------------------------------------------------------------------

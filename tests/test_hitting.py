@@ -277,6 +277,24 @@ def test_time_grids_must_be_integers():
                                 replicas=2, dominating_samples=2, steps=20.5)
 
 
+def test_domination_sampler_seed_is_checked_with_the_replica_fan(monkeypatch):
+    # replica r runs at base_seed + r and the sampler at base_seed + replicas,
+    # so the fan spans replicas + 1 seeds, checked before the sampler draws
+    kw = dict(p=0.5, m=4, j=260, k=16, t_grid=(100, 1000), replicas=2, dominating_samples=10)
+    rep = g.domination_experiment(**kw, base_seed=2**64 - 3)
+    law = g.DominatingLawParams(p=0.5, m=4, j=260, k=16, gamma=rep.params.gamma)
+    assert np.array_equal(rep.dominating_times,
+                          g.sample_dominating(law, g.make_rng(2**64 - 1), 10))
+
+    def no_draw(*args):
+        raise AssertionError("the sampler drew before the seeds were checked")
+
+    monkeypatch.setattr(g.hitting, "sample_dominating", no_draw)
+    with pytest.raises(ParameterError, match=r"base_seed must lie in \[0, 2\*\*64 - 3\], "
+                                             r"got 18446744073709551614"):
+        g.domination_experiment(**kw, base_seed=2**64 - 2)
+
+
 def test_domination_trivial_pass():
     rows = g.domination_test(
         g.DominatingLawParams(p=0.5, m=4, j=260, k=16, gamma=0.3),

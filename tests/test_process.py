@@ -181,13 +181,13 @@ def test_replicas_are_runs_at_consecutive_seeds():
 
 def test_replicas_check_the_last_seed_before_the_first_run(monkeypatch):
     runs = []
-    real = process.run
+    real = process._generate
 
-    def counted(params):
-        runs.append(params.seed)
-        return real(params)
+    def counted(p, steps, seed):
+        runs.append(seed)
+        return real(p, steps, seed)
 
-    monkeypatch.setattr(process, "run", counted)
+    monkeypatch.setattr(process, "_generate", counted)
     with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
         next(g.replicas(0.5, 100, process._seed_fan(2**64 - 2, 3)[:3]))
     with pytest.raises(ParameterError, match="seed must be a 64-bit natural"):
@@ -195,14 +195,31 @@ def test_replicas_check_the_last_seed_before_the_first_run(monkeypatch):
     assert runs == []
 
 
+def test_replicas_check_their_parameters_once(monkeypatch):
+    built = []
+    real = process.ProcessParams
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(process, "ProcessParams", counted)
+    for n in (0, 1, 5):
+        built.clear()
+        assert len(list(g.replicas(0.5, 3, range(n)))) == n
+        assert built == [(0.5, 3, 0)]
+
+
 def _assert_slot_draws_match(seed, lo, hi, pre_draw):
     ours, ref = g.make_rng(seed), g.make_rng(seed)
     if pre_draw:  # leaves a buffered high half in both states
         ours.integers(0, np.array([10]))
         ref.integers(0, np.array([10]))
-    got = process._slot_draws(ours, lo, hi)
+    state = ours.bit_generator.state
+    got, carry = process._slot_draws(ours, lo, hi, (state["has_uint32"], state["uinteger"]))
     want = ref.integers(0, np.arange(lo, hi) & ~1)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    process._put_carry(ours, carry)
     assert ours.bit_generator.state == ref.bit_generator.state
     # the streams go on alike, through both kinds of later draw
     bounds = np.arange(lo, hi) & ~1
@@ -233,7 +250,7 @@ def test_slot_draws_window_bytes():
     buf = np.empty(2**16, dtype=np.int64)
     tracemalloc.start()
     try:
-        process._slot_draws(rng, 2**17, 2**17 + 2**16, out=buf)
+        process._slot_draws(rng, 2**17, 2**17 + 2**16, (0, 0), out=buf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,9 +289,9 @@ def block_layout(monkeypatch, steps):
     blocks = []
     real = process._fill_block
 
-    def recorded(endpoints, z, rng, lo, hi, nv):
+    def recorded(endpoints, z, rng, lo, hi, nv, carry):
         blocks.append((lo, hi))
-        return real(endpoints, z, rng, lo, hi, nv)
+        return real(endpoints, z, rng, lo, hi, nv, carry)
 
     monkeypatch.setattr(process, "_fill_block", recorded)
     process._generate(0.5, steps, 0)
@@ -307,6 +324,23 @@ def test_block_layout_at_the_edges(monkeypatch):
                                                                       (_C - _H, _C + _Q - 2)]
     assert block_layout(monkeypatch, (_C + _B) // 2 - 1)[-2:] == [(_C - _H, _C), (_C, _C + _B)]
     assert block_layout(monkeypatch, (_C + _B + _H - 2) // 2 - 1)[-1] == (_C, _C + _B + _H - 2)
+
+
+def test_carry_is_written_back_once_past_the_cutoff(monkeypatch):
+    # Blocks up to the cutoff hand the spare uint32 on among themselves; the
+    # generator's state is written only for the first ``rng.integers`` block.
+    writes = []
+    real = process._put_carry
+
+    def recorded(rng, carry):
+        writes.append(carry)
+        real(rng, carry)
+
+    monkeypatch.setattr(process, "_put_carry", recorded)
+    for steps, count in ((_C // 2 - 1, 0), ((_C + _B) // 2 - 1, 1), (2 * _C, 1)):
+        writes.clear()
+        process._generate(0.5, steps, 0)
+        assert len(writes) == count
 
 
 def doubled(ptr):
@@ -367,6 +401,17 @@ def test_advance_is_the_kind_draw(steps):
         moved.bit_generator.advance(steps)
         process.step_kinds(drawn, 0.5, steps)
         assert moved.bit_generator.state == drawn.bit_generator.state
+
+
+@pytest.mark.parametrize("steps", BLOCK_EDGE_STEPS)
+def test_replicas_match_run_at_the_block_edges(steps):
+    for p in (0.0, 0.5, 1.0):
+        got = list(g.replicas(p, steps, (0, 2**64 - 1)))
+        for seed, gr in zip((0, 2**64 - 1), got, strict=True):
+            ref = g.run(g.ProcessParams(p, steps, seed)).graph
+            assert gr.endpoints.dtype == ref.endpoints.dtype == np.int32
+            assert gr.endpoints.tobytes() == ref.endpoints.tobytes()
+            assert (gr.num_vertices, gr.p, gr.seed) == (ref.num_vertices, ref.p, ref.seed)
 
 
 @pytest.mark.parametrize(
