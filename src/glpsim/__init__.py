@@ -9,9 +9,11 @@ access, so ``glpsim.run is glpsim.process.run`` always holds.
 
 import importlib
 
-from ._version import __version__
+__version__ = "0.1.0"
 
-# The public names of each submodule.
+# The public names of each submodule, declared only here: each module's
+# ``__all__`` is its entry (plus any names only the module exports), because the
+# lazy namespace cannot import a module to learn its names.
 _EXPORTS = {
     "analytics": (
         "DegreeHistogram", "DerivedConstants", "ExponentFit", "MartingaleReport",

@@ -15,25 +15,10 @@ from itertools import islice
 
 import numpy as np
 
-from . import process
+from . import _EXPORTS, process
 from .errors import FitError, ParameterError, StatisticsError
 
-__all__ = [
-    "c_p",
-    "DerivedConstants",
-    "derived_constants",
-    "phi",
-    "phi_tilde",
-    "MartingaleRow",
-    "MartingaleReport",
-    "martingale_check",
-    "upper_bound_check",
-    "ExponentFit",
-    "fit_exponent",
-    "DegreeHistogram",
-    "degree_histogram",
-    "fit_power_law",
-]
+__all__ = _EXPORTS["analytics"]
 
 # phi switches from the literal product to log-Gamma differences here.
 _PHI_PRODUCT_LIMIT = 1000
@@ -150,17 +135,27 @@ def martingale_check(
     ``base_seed + replicas - 1`` above ``2**64 - 1`` raises ``ParameterError``.
     Checkpoints, ``replicas``, ``vertex`` and ``arrival_step`` must be
     integers (``4.0`` included), else ``ParameterError``; fewer than 2
-    replicas raise ``StatisticsError``.
+    replicas raise ``StatisticsError``.  A conditioning that no run meets,
+    or an ``arrival_step`` other than ``None`` or 0 for vertex 1, raises
+    ``ParameterError`` before any seed is screened.
     """
     checkpoints = process._time_grid(set(checkpoints), "checkpoints")
     replicas = process._check_int(replicas, "replicas", 0)
     if replicas < 2:
         raise StatisticsError("at least 2 replicas are needed for a confidence interval")
     vertex = process._check_int(vertex, "vertex")
-    if vertex > 1 and arrival_step is None:
-        raise ParameterError("conditioning on a later vertex requires arrival_step")
-    if vertex > 1 and not process._integral(arrival_step, 0, checkpoints[0] + 1):
-        raise ParameterError("arrival_step must be an integer in [0, first checkpoint]")
+    if vertex == 1 and arrival_step not in (None, 0):
+        raise ParameterError(f"vertex 1 arrives at step 0, got arrival_step={arrival_step!r}")
+    if vertex > 1:
+        if arrival_step is None:
+            raise ParameterError("conditioning on a later vertex requires arrival_step")
+        if not process._integral(arrival_step, 0, checkpoints[0] + 1):
+            raise ParameterError("arrival_step must be an integer in [0, first checkpoint]")
+        # vertex v arrives at step s with probability C(s-1, v-2) p^(v-1) (1-p)^(s-v+1)
+        late = arrival_step - (vertex - 1)
+        if late < 0 or p == 0 or (p == 1 and late):
+            raise ParameterError(f"vertex {vertex} never arrives at "
+                                 f"arrival_step={arrival_step} when p={p}")
 
     seeds = process._seed_fan(base_seed, replicas)[: _MAX_ATTEMPTS_FACTOR * replicas]
 

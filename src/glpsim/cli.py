@@ -199,6 +199,7 @@ def _cmd_generate(opts: dict) -> int:
 
 def _cmd_stats(opts: dict) -> int:
     xmin, c1 = opts["xmin"], opts["c1"]
+    process._check_int(xmin, "x_min")
     if c1 is not None:
         analytics._check_c1(c1)
     if opts["infile"] is not None:
@@ -293,9 +294,11 @@ def _write_rows(fh, row: str, values: list) -> None:
 
 
 def _cmd_clique(opts: dict) -> int:
-    t_ref = opts["steps"]
-    graph = process.run(process.ProcessParams(opts["p"], 2 * t_ref, opts["seed"])).graph
-    row = community.clique_growth_rows(graph, [t_ref], **{k: opts[k] for k in _CLIQUE})[0]
+    t_ref, clique = opts["steps"], {k: opts[k] for k in _CLIQUE}
+    params = process.ProcessParams(opts["p"], 2 * t_ref, opts["seed"])
+    community._check_clique((params.p,), (t_ref,), **clique)
+    graph = process.run(params).graph
+    row = community.clique_growth_rows(graph, [t_ref], **clique)[0]
     _dump_json(
         {"command": "clique", "config": opts, **dataclasses.asdict(row), "m": opts["m"],
          "triangles": community.count_triangles(graph)},

@@ -17,22 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import process
+from . import _EXPORTS, process
 from .analytics import derived_constants
 from .errors import ParameterError
 
-__all__ = [
-    "LeaderSet",
-    "leaders",
-    "CliqueReport",
-    "is_clique",
-    "max_clique_topk",
-    "count_triangles",
-    "simple_edges",
-    "GrowthRow",
-    "clique_growth_rows",
-    "leader_block_range",
-]
+__all__ = _EXPORTS["community"]
 
 
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -322,6 +311,17 @@ def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[
 # Defaults of the clique growth parameters, shared by the ensemble and the
 # command line.
 CLIQUE_DEFAULTS = {"m": 10, "eps": 0.1, "eps_prime": 0.05, "topk": 64}
+
+
+def _check_clique(p_grid, t_values, m, eps, eps_prime, topk) -> None:
+    """``ParameterError`` unless ``m`` and ``topk`` are integers ``>= 1`` and
+    every ``(p, t)`` has a leader window; the ensemble and ``glp clique``
+    call this before any run."""
+    process._check_int(m, "m")
+    process._check_int(topk, "topk")
+    for p in p_grid:
+        for t in t_values:
+            leader_block_range(t, p, eps, eps_prime)
 
 
 def clique_growth_rows(

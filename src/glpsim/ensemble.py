@@ -24,21 +24,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import community, process
-from ._version import __version__
+from . import _EXPORTS, __version__, community, process
 from .errors import BatchError, CapacityError, ConfigError, ParameterError, ParseError
 
-__all__ = [
-    "SCHEMA",
-    "EXPERIMENTS",
-    "EnsembleConfig",
-    "MetricRow",
-    "EnsembleReport",
-    "run_ensemble",
-    "write_report",
-    "read_report",
-    "write_rows_csv",
-]
+__all__ = [*_EXPORTS["ensemble"], "SCHEMA", "EXPERIMENTS"]
 
 SCHEMA = "glp-report/1"
 
@@ -135,11 +124,7 @@ class EnsembleConfig:
                         f"cliquegrowth needs integer t_values >= 1 and "
                         f"steps == 2 * max(t_values), got steps={steps} and t_values={list(ts)}"
                     )
-                process._check_int(kw["m"], "m")
-                process._check_int(kw["topk"], "topk")
-                for p in self.p_grid:
-                    for t in ts:
-                        community.leader_block_range(t, p, kw["eps"], kw["eps_prime"])
+                community._check_clique(self.p_grid, **{**kw, "t_values": ts})
         except (ParameterError, CapacityError) as exc:
             raise ConfigError(str(exc)) from exc
         # stored as ints, so that rows' seeds, metric names and the echoed
@@ -163,11 +148,7 @@ class EnsembleConfig:
 def _jsonable(v):
     if isinstance(v, (tuple, list, np.ndarray)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+    return v.item() if isinstance(v, np.generic) else v
 
 
 @dataclass(frozen=True)
@@ -260,10 +241,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
         if err is not None:
             failures.append({"p": p, "seed": seed, "error": err})
         else:
-            rows.extend(
-                MetricRow(p=p, seed=seed, t=t, metric=m, value=v)
-                for t, m, v in payload
-            )
+            rows.extend(MetricRow(p, seed, t, m, v) for t, m, v in payload)
     if not rows:
         raise BatchError(
             f"all {len(tasks)} replicas failed; first error: "

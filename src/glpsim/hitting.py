@@ -21,24 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import process
+from . import _EXPORTS, process
 from .analytics import c_p
 from .errors import ParameterError, PreconditionError
 
-__all__ = [
-    "BlockSpec",
-    "crossing_times",
-    "sample_arrival",
-    "default_gamma",
-    "DominatingLawParams",
-    "sample_dominating",
-    "survival_curve",
-    "DominationRow",
-    "DominationReport",
-    "domination_test",
-    "domination_experiment",
-    "empirical_hit_times",
-]
+__all__ = _EXPORTS["hitting"]
 
 
 def _block(j, m) -> tuple[int, int]:
@@ -246,16 +233,8 @@ def domination_test(
     dominating_samples = np.asarray(dominating_samples, dtype=np.float64)
     emp, emp_se = survival_curve(empirical_times, grid)
     dom, dom_se = survival_curve(dominating_samples, grid)
-    rows = tuple(
-        DominationRow(
-            t=t,
-            empirical=float(e),
-            empirical_se=float(es),
-            dominating=float(d),
-            dominating_se=float(ds),
-        )
-        for t, e, es, d, ds in zip(grid, emp, emp_se, dom, dom_se)
-    )
+    rows = tuple(DominationRow(t, float(e), float(es), float(d), float(ds))
+                 for t, e, es, d, ds in zip(grid, emp, emp_se, dom, dom_se))
     return DominationReport(
         params=params,
         replicas=int(empirical_times.size),

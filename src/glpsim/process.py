@@ -28,22 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import CapacityError, ParameterError, ParseError, UnknownVertexError
 
-__all__ = [
-    "MAX_STEPS",
-    "ProcessParams",
-    "Snapshot",
-    "RunResult",
-    "GlpGraph",
-    "make_rng",
-    "step_kinds",
-    "sample_endpoint",
-    "run",
-    "replicas",
-    "export_edges",
-    "read_edges",
-]
+__all__ = [*_EXPORTS["process"], "MAX_STEPS", "step_kinds"]
 
 # Vertex ids are 32-bit and the slot count must stay below 2**32.
 MAX_STEPS = 2**31 - 3

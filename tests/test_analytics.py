@@ -113,7 +113,7 @@ def test_martingale_conditioned_vertex_two():
         assert abs(row.ratio - rep.baseline) < 4 * row.ci95
 
 
-def test_martingale_conditioning_matches_generated_runs():
+def test_martingale_conditioning_matches_generated_runs(monkeypatch):
     """Seeds are screened on their kind draws before any run; the check must
     average exactly the first runs, in seed order, whose generated graph has
     the vertex arrive at the step."""
@@ -127,11 +127,22 @@ def test_martingale_conditioning_matches_generated_runs():
         rep = g.martingale_check(p, (s, 40), replicas=6, vertex=v, arrival_step=s)
         means = np.mean(kept, axis=0) / [g.phi_tilde(t, p) for t in (s, 40)]
         assert [row.ratio for row in rep.rows] == pytest.approx(means, rel=1e-12)
+    # vertex 3 at step 40 has probability 39 / 2**40 per seed at p = 0.5
     with pytest.raises(StatisticsError, match="0/2 replicas after 400 attempts"):
-        g.martingale_check(0.5, (5, 10), replicas=2, vertex=3, arrival_step=0)
-    for bad in (2.5, -1, 6):
+        g.martingale_check(0.5, (40, 50), replicas=2, vertex=3, arrival_step=40)
+    # at p = 1 vertex v arrives at step v - 1 in every run
+    assert g.martingale_check(1.0, (2, 10), replicas=2, vertex=3, arrival_step=2).replicas == 2
+    assert g.martingale_check(0.5, (10,), replicas=2, arrival_step=0).replicas == 2
+
+    def no_screen(*args):
+        raise AssertionError("a seed was screened")
+
+    # bad and impossible conditionings fail before the first screen
+    monkeypatch.setattr(g.process, "step_kinds", no_screen)
+    for p, v, bad in ((0.5, 3, 2.5), (0.5, 3, -1), (0.5, 3, 6), (0.5, 3, 0), (0.5, 5, 2),
+                      (0.0, 3, 4), (1.0, 3, 4), (1.0, 3, 1), (0.5, 1, 3), (0.5, 1, 0.5)):
         with pytest.raises(ParameterError, match="arrival_step"):
-            g.martingale_check(0.5, (5, 10), replicas=2, vertex=3, arrival_step=bad)
+            g.martingale_check(p, (5, 10), replicas=2, vertex=v, arrival_step=bad)
 
 
 def test_martingale_seed_range_checked_before_any_run(monkeypatch):
@@ -145,8 +156,8 @@ def test_martingale_seed_range_checked_before_any_run(monkeypatch):
         g.martingale_check(0.5, (10,), replicas=3, base_seed=2**64 - 2)
     # conditioned screening stops at the last 64-bit seed
     with pytest.raises(StatisticsError, match="0/2 replicas after 5 attempts"):
-        g.martingale_check(0.5, (5, 10), replicas=2, base_seed=2**64 - 5,
-                           vertex=3, arrival_step=0)
+        g.martingale_check(0.5, (40, 50), replicas=2, base_seed=2**64 - 5,
+                           vertex=3, arrival_step=40)
 
 
 def test_martingale_needs_replicas():

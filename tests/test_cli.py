@@ -477,21 +477,39 @@ def test_hitting_sampler_seed_past_the_last_exits_2(capsys):
     assert "base_seed must lie in [0, 2**64 - 3], got 18446744073709551614" in err
 
 
-@pytest.mark.parametrize("c1", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("source", ["run", "file"])
-def test_stats_bad_c1_exits_2_before_any_work(tmp_path, capsys, monkeypatch, source, c1):
+@pytest.mark.parametrize("source, flags, message", [
+    *(pytest.param(source, ["--c1", c1], f"c1 must be finite and >= 0, got {float(c1)!r}",
+                   id=f"{source}-{c1}")
+      for source in ("run", "file") for c1 in ("nan", "inf", "-1")),
+    *(pytest.param(source, ["--xmin", "0"], "x_min must be >= 1 and an integer, got 0",
+                   id=f"{source}-xmin-0") for source in ("run", "file")),
+    pytest.param("clique", ["--eps", "1.5"], "eps must lie in (0, 1), got 1.5", id="clique-eps"),
+    pytest.param("clique", ["--eps-prime", "nan"], "eps_prime must be finite and >= 0, got nan",
+                 id="clique-eps-prime"),
+    pytest.param("clique", ["--m", "0"], "m must be >= 1 and an integer, got 0", id="clique-m"),
+    pytest.param("clique", ["--topk", "0"], "topk must be >= 1 and an integer, got 0",
+                 id="clique-topk"),
+    # a later flag wins: t = 0 leaves no leader window
+    pytest.param("clique", ["--steps", "0"], "empty block range at t=0", id="clique-steps-0"),
+])
+def test_stats_bad_c1_exits_2_before_any_work(tmp_path, capsys, monkeypatch, source, flags,
+                                              message):
+    """A bad ``glp stats --c1`` or ``--xmin``, or a bad ``glp clique`` option,
+    exits 2 before any run or file read."""
     path = tmp_path / "g.edges"
     path.write_text("# glp v1 p=0.5 steps=0 seed=0\n1 1\n")
 
     def no_work(*args):
-        raise AssertionError("the graph was built before c1 was checked")
+        raise AssertionError("the graph was built before its options were checked")
 
     monkeypatch.setattr(process, "run", no_work)
     monkeypatch.setattr(process, "read_edges", no_work)
-    given = ["--in", str(path)] if source == "file" else ["--p", "0.5", "--steps", "1000000"]
-    code, out, err = run_cli(capsys, "stats", *given, "--c1", c1)
+    given = {"run": ["stats", "--p", "0.5", "--steps", "2000000"],
+             "file": ["stats", "--in", str(path)],
+             "clique": ["clique", "--p", "0.5", "--steps", "1000000"]}[source]
+    code, out, err = run_cli(capsys, *given, *flags)
     assert code == 2 and out == ""
-    assert f"c1 must be finite and >= 0, got {float(c1)!r}" in err
+    assert message in err
 
 
 # ----------------------------------------------------------------------
