@@ -272,14 +272,15 @@ def fit_exponent(series) -> ExponentFit:
 
 @dataclass(frozen=True)
 class DegreeHistogram:
-    """Degree counts: ``counts[i]`` vertices have degree ``values[i]``."""
+    """Degree counts: ``counts[i]`` vertices have degree ``values[i]``; all of
+    them, and ``from_samples``' samples, integers or ``ParameterError``."""
 
     values: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        c = np.asarray(self.counts, dtype=np.int64)
+        v = process._int_array(self.values, np.int64, "histogram values")
+        c = process._int_array(self.counts, np.int64, "histogram counts")
         if v.shape != c.shape or v.ndim != 1 or v.size == 0:
             raise ParameterError("values and counts must be matching 1-d arrays")
         if (np.diff(v) <= 0).any() or v.min() < 1 or c.min() < 1:
@@ -297,7 +298,7 @@ class DegreeHistogram:
 
     @classmethod
     def from_samples(cls, samples) -> "DegreeHistogram":
-        counts = np.bincount(np.asarray(samples, dtype=np.int64))
+        counts = np.bincount(process._int_array(samples, np.int64, "degree samples"))
         vals = np.flatnonzero(counts)
         return cls(values=vals, counts=counts[vals])
 

@@ -5,9 +5,14 @@ declared once, in ``_COMMANDS``, with its type in ``_TYPES``.  Every option
 can also come from a flat ``key=value`` config file (``--config``); explicit
 flags win over the file, the file wins over defaults.  An option that the
 run does not read (see ``_UNREAD``) is rejected, as a flag or as a config
-key.  All outputs echo the effective configuration and are byte-identical
-across reruns with the same arguments.  Exit codes: 0 success, 1 a
-statistical gate failed, 2 bad usage or configuration.
+key.  Each handler ``_cmd_<command>`` takes the resolved options, writes
+the command's own files and returns ``(exit_code, fields)``; ``main`` then
+writes the one JSON document ``{"command", "config", **fields}`` to
+``--out`` (stdout when unset, and always for ``generate``, whose ``--out``
+is the edge list), where ``config`` echoes the options as the handler left
+them.  Every output is byte-identical across reruns with the same
+arguments.  Exit codes: 0 success, 1 a statistical gate failed, 2 bad usage
+or configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -166,38 +170,19 @@ def _resolve(args: argparse.Namespace, cfg: dict[str, str]) -> dict:
     return values
 
 
-def _dump_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ----------------------------------------------------------------------
-# subcommand handlers; each takes the resolved options and echoes them
+# subcommand handlers; each returns its exit code and its document's fields
 
 
-def _cmd_generate(opts: dict) -> int:
+def _cmd_generate(opts: dict) -> tuple[int, dict]:
     params = process.ProcessParams(p=opts["p"], steps=opts["steps"], seed=opts["seed"])
-    result = process.run(params)
-    process.export_edges(result.graph, opts["out"])
-    _dump_json(
-        {
-            "command": "generate",
-            "config": opts,
-            "t": result.graph.t,
-            "vertices": result.graph.num_vertices,
-            "max_degree": result.graph.max_degree(),
-            "out": opts["out"],
-        },
-        None,
-    )
-    return 0
+    graph = process.run(params).graph
+    process.export_edges(graph, opts["out"])
+    return 0, {"t": graph.t, "vertices": graph.num_vertices,
+               "max_degree": graph.max_degree(), "out": opts["out"]}
 
 
-def _cmd_stats(opts: dict) -> int:
+def _cmd_stats(opts: dict) -> tuple[int, dict]:
     xmin, c1 = opts["xmin"], opts["c1"]
     process._check_int(xmin, "x_min")
     if c1 is not None:
@@ -227,48 +212,28 @@ def _cmd_stats(opts: dict) -> int:
         violations = analytics.upper_bound_check(graph, c1).tolist()
         bound = {"c1": c1, "violation_count": len(violations), "violations": violations[:50]}
 
-    _dump_json(
-        {
-            "command": "stats",
-            "config": opts,
-            "p": graph.p,
-            "seed": graph.seed,
-            "t": graph.t,
-            "vertex_count": graph.num_vertices,
-            "max_degree": graph.max_degree(),
-            "total_degree": graph.total_degree(),
-            "power_law": power_law,
-            "bound": bound,
-        },
-        opts["out"],
-    )
     if opts["csv"]:
         with open(opts["csv"], "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["p", "seed", "t", "statistic", "estimate", "stderr"])
-            w.writerow([repr(graph.p), graph.seed, graph.t, "max_degree",
-                        graph.max_degree(), 0])
+            run = [repr(graph.p), graph.seed, graph.t]
+            w.writerow([*run, "max_degree", graph.max_degree(), 0])
             if "exponent" in power_law:
-                w.writerow([repr(graph.p), graph.seed, graph.t, "powerlaw_exponent",
-                            repr(power_law["exponent"]), repr(power_law["stderr"])])
-    return 1 if violations else 0
+                w.writerow([*run, "powerlaw_exponent", repr(fit.estimate), repr(fit.stderr)])
+    return 1 if violations else 0, {
+        "p": graph.p, "seed": graph.seed, "t": graph.t, "vertex_count": graph.num_vertices,
+        "max_degree": graph.max_degree(), "total_degree": graph.total_degree(),
+        "power_law": power_law, "bound": bound,
+    }
 
 
-def _cmd_hitting(opts: dict) -> int:
+def _cmd_hitting(opts: dict) -> tuple[int, dict]:
     p, m, j, k = opts["p"], opts["m"], opts["j"], opts["k"]
     report = hitting.domination_experiment(
         p=p, m=m, j=j, k=k, t_grid=opts["grid"], replicas=opts["replicas"],
         dominating_samples=opts["dom_samples"], base_seed=opts["seed"], gamma=opts["gamma"],
         steps=opts["steps"],
     )
-    doc = {
-        "command": "hitting",
-        "config": opts,
-        "gamma": report.params.gamma,
-        "rows": [{**dataclasses.asdict(r), "ok": r.ok} for r in report.rows],
-        "passed": report.passed,
-    }
-    _dump_json(doc, opts["out"])
     if opts["csv"]:
         # the rows ``csv.writer`` would write: no field needs quoting
         with open(opts["csv"], "w", newline="") as fh:
@@ -278,7 +243,10 @@ def _cmd_hitting(opts: dict) -> int:
             _write_rows(fh, f"empirical,{p!r},{m},{j},{k},%d,%s\r\n", hits)
             _write_rows(fh, f"dominating,{p!r},{m},{j},{k},%d,%r\r\n",
                         report.dominating_times.tolist())
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, {
+        "gamma": report.params.gamma, "passed": report.passed,
+        "rows": [{**dataclasses.asdict(r), "ok": r.ok} for r in report.rows],
+    }
 
 
 # Rows per formatted write: bounds the temporary string at any sample count.
@@ -293,21 +261,17 @@ def _write_rows(fh, row: str, values: list) -> None:
         fh.write(row * len(chunk) % tuple(fields))
 
 
-def _cmd_clique(opts: dict) -> int:
+def _cmd_clique(opts: dict) -> tuple[int, dict]:
     t_ref, clique = opts["steps"], {k: opts[k] for k in _CLIQUE}
     params = process.ProcessParams(opts["p"], 2 * t_ref, opts["seed"])
     community._check_clique((params.p,), (t_ref,), **clique)
     graph = process.run(params).graph
     row = community.clique_growth_rows(graph, [t_ref], **clique)[0]
-    _dump_json(
-        {"command": "clique", "config": opts, **dataclasses.asdict(row), "m": opts["m"],
-         "triangles": community.count_triangles(graph)},
-        opts["out"],
-    )
-    return 0
+    return 0, {**dataclasses.asdict(row), "m": opts["m"],
+               "triangles": community.count_triangles(graph)}
 
 
-def _cmd_ensemble(opts: dict) -> int:
+def _cmd_ensemble(opts: dict) -> tuple[int, dict]:
     if opts["threads"] is None:
         raw = os.environ.get("GLP_THREADS", "1")
         try:
@@ -335,9 +299,7 @@ def _cmd_ensemble(opts: dict) -> int:
         ensemble.write_rows_csv(report, stem + ".csv")
         written.append(stem + ".json")
         all_passed = all_passed and report.gate_passed()
-    _dump_json({"command": "ensemble", "config": opts, "written": written, "passed": all_passed},
-               None)
-    return 0 if all_passed else 1
+    return 0 if all_passed else 1, {"written": written, "passed": all_passed}
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +333,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = read_config_file(args.config) if args.config else {}
-        return _HANDLERS[args.command](_resolve(args, cfg))
+        opts = _resolve(args, cfg)
+        code, fields = _HANDLERS[args.command](opts)
+        out = None if args.command == "generate" else opts.get("out") or None
+        ensemble._write_json({"command": args.command, "config": opts, **fields}, out)
+        return code
     except BatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

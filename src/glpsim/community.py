@@ -180,14 +180,7 @@ def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
     missing pairs in lexicographic order.  Every id must be an integer
     (``4.0`` included), else ``ParameterError``.
     """
-    src = np.asarray(vertices)
-    if src.dtype == object:  # how numpy holds a list with an id of 2**64 or more
-        raise ParameterError("candidate ids must be integers below 2**63")
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
-        ids = src.astype(np.int64)
-    if not np.array_equal(ids, src):
-        raise ParameterError("candidate ids must be integers")
-    ids = np.unique(ids)
+    ids = np.unique(process._int_array(vertices, np.int64, "candidate ids"))
     if ids.size < 1:
         raise ParameterError("empty candidate set")
     if ids.min() < 1 or ids.max() > graph.num_vertices:
@@ -315,13 +308,17 @@ CLIQUE_DEFAULTS = {"m": 10, "eps": 0.1, "eps_prime": 0.05, "topk": 64}
 
 def _check_clique(p_grid, t_values, m, eps, eps_prime, topk) -> None:
     """``ParameterError`` unless ``m`` and ``topk`` are integers ``>= 1`` and
-    every ``(p, t)`` has a leader window; the ensemble and ``glp clique``
-    call this before any run."""
-    process._check_int(m, "m")
+    every ``(p, t)`` has a leader window that a run can fill: block ``j_hi``
+    needs vertex ``j_hi * m``, and a run holds at most ``t + 1`` vertices at
+    time ``t``.  The ensemble and ``glp clique`` call this before any run."""
+    m = process._check_int(m, "m")
     process._check_int(topk, "topk")
     for p in p_grid:
         for t in t_values:
-            leader_block_range(t, p, eps, eps_prime)
+            j_hi = leader_block_range(t, p, eps, eps_prime)[1]
+            if j_hi * m > t + 1:
+                raise ParameterError(f"block {j_hi} needs vertex {j_hi * m}, but a run "
+                                     f"holds at most {t + 1} vertices at t={t}")
 
 
 def clique_growth_rows(

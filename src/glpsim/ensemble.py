@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -119,7 +120,7 @@ class EnsembleConfig:
                 raise ConfigError(f"vertex must be an integer in [1, {steps + 1}], got {v}")
             if self.experiment == "cliquegrowth":
                 ts = tuple(kw["t_values"]) or (steps // 2,)
-                if steps != 2 * max(ts) or not all(process._integral(t, 1) for t in ts):
+                if not all(process._integral(t, 1) for t in ts) or steps != 2 * max(ts):
                     raise ConfigError(
                         f"cliquegrowth needs integer t_values >= 1 and "
                         f"steps == 2 * max(t_values), got steps={steps} and t_values={list(ts)}"
@@ -219,18 +220,21 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
 
     The result is independent of execution order and of ``width``: rows are
     keyed and sorted by ``(p, seed, t, metric)`` and each replica's seed is
-    fixed up front.  Raises ``BatchError`` when not a single replica
-    succeeds; a ``MemoryError`` propagates.
+    fixed up front.  At most ``min(width, tasks)`` workers start, none for
+    one.  Raises ``BatchError`` when not a single replica succeeds; a
+    ``MemoryError`` propagates.
     """
     seeds = process._seed_fan(config.base_seed, config.replicas)[: config.replicas]
     tasks = [(config.experiment, p, config.steps, seed, config.params)
              for p in config.p_grid for seed in seeds]
-    if config.width > 1:
+    # no more workers than tasks: a pool forks all of its workers at once
+    workers = min(config.width, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # one chunk per worker, so that a few tasks still spread over all
-        chunk = -(-len(tasks) // config.width)
-        with ProcessPoolExecutor(max_workers=config.width) as pool:
+        chunk = -(-len(tasks) // workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=chunk))
     else:
         results = [_run_task(t) for t in tasks]
@@ -264,10 +268,19 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
 # persistence
 
 
+def _write_json(doc: dict, path) -> None:
+    """Write ``doc``, a report or a ``glp`` output, as indented, key-sorted
+    JSON and a newline to ``path``, or to stdout when ``path`` is ``None``."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def write_report(report: EnsembleReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(asdict(report), path)
 
 
 _REAL = (int, float)

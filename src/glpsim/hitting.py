@@ -274,22 +274,22 @@ def domination_experiment(
 
     Replica ``r`` uses seed ``base_seed + r``; the dominating sampler uses
     the next seed after the last replica, and all of them are checked
-    before it draws.  ``steps`` defaults to the last
-    grid point.  The integer arguments reject non-integers such as ``2.5``,
-    NaN and inf with ``ParameterError`` before any run.
+    before it draws, as is ``steps`` (default: the last grid point).  The
+    integer arguments reject non-integers such as ``2.5``, NaN and inf with
+    ``ParameterError`` before any run.
     """
     grid = process._time_grid(t_grid, "time grid")
     replicas = process._check_int(replicas, "replicas")
     dominating_samples = process._check_int(dominating_samples, "dominating samples")
     # the replicas' seeds and the sampler's, one past them, checked as one fan
     sampler_seed = process._seed_fan(base_seed, replicas + 1)[replicas]
+    steps = process.ProcessParams(p, grid[-1] if steps is None else steps, 0).steps
+    if steps < grid[-1]:
+        raise ParameterError(f"steps must reach the last grid point {grid[-1]}, got {steps}")
     if gamma is None:
         gamma = default_gamma(p)
     params = DominatingLawParams(p=p, m=m, j=j, k=k, gamma=gamma)
     # drawn first, so that a block too early for the bound fails before any run
     dom = sample_dominating(params, process.make_rng(sampler_seed), dominating_samples)
-    steps = grid[-1] if steps is None else steps
-    if steps < grid[-1]:
-        raise ParameterError("steps must reach the last grid point")
     emp = empirical_hit_times(p, steps, j, m, k, replicas, base_seed)
     return domination_test(params, emp, dom, grid)

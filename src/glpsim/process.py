@@ -38,9 +38,12 @@ MAX_STEPS = 2**31 - 3
 
 
 def _integral(x, lo=0, hi=math.inf) -> bool:
-    """Whether ``x`` is an integer, ``4.0`` included, in ``[lo, hi)``; NaN and
-    the infinities fail the range test before ``int()``."""
-    return lo <= x < hi and int(x) == x
+    """Whether ``x`` is an integer, ``4.0`` included, in ``[lo, hi)``; NaN, the
+    infinities and a non-number such as ``"3"`` fail the range test."""
+    try:
+        return lo <= x < hi and int(x) == x
+    except TypeError:
+        return False
 
 
 def _check_int(x, what: str, lo: int = 1) -> int:
@@ -53,10 +56,30 @@ def _check_int(x, what: str, lo: int = 1) -> int:
 def _time_grid(times, what: str) -> list[int]:
     """``times`` sorted, as ints, or ``ParameterError`` naming them ``what``
     unless they are a non-empty collection of non-negative integers."""
-    grid = sorted(times)
+    grid = list(times)
     if not grid or not all(_integral(t) for t in grid):
         raise ParameterError(f"{what} must be non-empty non-negative integers, got {grid}")
-    return [int(t) for t in grid]
+    return sorted(int(t) for t in grid)
+
+
+def _int_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a ``dtype`` array, or ``ParameterError`` unless each is an
+    integer it holds (``4.0`` included).  An integer array that casts safely
+    is neither compared nor, unless ``copy``, copied; other numbers are cast
+    and compared a ``_BLOCK`` at a time, and strings and objects rejected."""
+    src = np.asarray(values)
+    if src.dtype.kind in "biu" and np.can_cast(src.dtype, dtype):
+        return src.astype(dtype, copy=copy)
+    error = ParameterError(f"{what} must be integers below 2**{np.iinfo(dtype).bits - 1}")
+    if src.dtype.kind not in "biuf":
+        raise error
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        out = src.astype(dtype)
+    flat, ref = out.reshape(-1), src.reshape(-1)
+    for a in range(0, flat.size, _BLOCK):
+        if not np.array_equal(flat[a : a + _BLOCK], ref[a : a + _BLOCK]):
+            raise error
+    return out
 
 
 def _check_seed(seed) -> int:
@@ -71,10 +94,13 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _check_p(p: float) -> float:
-    p = float(p)
-    if not (0.0 <= p <= 1.0):  # also rejects NaN
-        raise ParameterError(f"p must lie in [0, 1], got {p!r}")
-    return p
+    """``p`` as a float, or ``ParameterError`` unless it is a number in [0, 1]."""
+    try:
+        if 0.0 <= p <= 1.0:
+            return float(p)
+    except TypeError:  # a string or None
+        pass
+    raise ParameterError(f"p must lie in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +127,14 @@ class ProcessParams:
 
     def __post_init__(self):
         _check_p(self.p)
-        if self.steps > MAX_STEPS:  # also inf
+        if self.steps == math.inf or _integral(self.steps, MAX_STEPS + 1):
             raise CapacityError(f"steps={self.steps} exceeds the 32-bit id budget ({MAX_STEPS})")
         if not _integral(self.steps):
             raise ParameterError(f"steps must be a non-negative integer, got {self.steps!r}")
         object.__setattr__(self, "seed", _check_seed(self.seed))
         times = list(self.snapshot_times)
-        increasing = all(a < b for a, b in zip(times, times[1:]))
-        if not increasing or not all(_integral(t, 0, self.steps + 1) for t in times):
+        if (not all(_integral(t, 0, self.steps + 1) for t in times)
+                or not all(a < b for a, b in zip(times, times[1:]))):
             raise ParameterError(f"snapshot times must be strictly increasing integers in "
                                  f"[0, {self.steps}], got {times}")
 
@@ -163,20 +189,15 @@ class GlpGraph:
         src = np.asarray(endpoints)
         if src.ndim != 1 or src.size < 2 or src.size % 2:
             raise ParameterError("endpoint sequence must be flat with even length >= 2")
-        if src.dtype == object:  # how numpy holds a list with an id of 2**64 or more
-            raise ParameterError("vertex ids must be integers below 2**31")
-        if src.min() < 1:
+        ep = _int_array(src, np.int32, "vertex ids", copy=True)
+        if ep.min() < 1:
             raise ParameterError("vertex ids must be >= 1")
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
-            ep = src.astype(np.int32)
         # In first-appearance order the running maximum (0 before slot 0)
         # rises by at most 1 a slot.  That is enough: each rise is at a slot
         # holding the new maximum, so all ids 1..V appear (V the last maximum)
         # and V <= slots.  The int32 diffs skip ``np.diff``'s int64 prepend.
         top = 0
         for a in range(0, ep.size, _BLOCK):
-            if not np.array_equal(ep[a : a + _BLOCK], src[a : a + _BLOCK]):
-                raise ParameterError("vertex ids must be integers below 2**31")
             r = np.maximum.accumulate(ep[a : a + _BLOCK])
             np.maximum(r, top, out=r)
             if r[0] > top + 1 or (r[1:] - r[:-1] > 1).any():

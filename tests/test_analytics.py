@@ -140,7 +140,8 @@ def test_martingale_conditioning_matches_generated_runs(monkeypatch):
     # bad and impossible conditionings fail before the first screen
     monkeypatch.setattr(g.process, "step_kinds", no_screen)
     for p, v, bad in ((0.5, 3, 2.5), (0.5, 3, -1), (0.5, 3, 6), (0.5, 3, 0), (0.5, 5, 2),
-                      (0.0, 3, 4), (1.0, 3, 4), (1.0, 3, 1), (0.5, 1, 3), (0.5, 1, 0.5)):
+                      (0.0, 3, 4), (1.0, 3, 4), (1.0, 3, 1), (0.5, 1, 3), (0.5, 1, 0.5),
+                      (0.5, 3, None)):
         with pytest.raises(ParameterError, match="arrival_step"):
             g.martingale_check(p, (5, 10), replicas=2, vertex=v, arrival_step=bad)
 
@@ -321,6 +322,12 @@ def test_power_law_rejects_degenerate_tail():
     gr = g.GlpGraph.from_endpoints(np.array(ep), p=0.5, seed=0)
     with pytest.raises(FitError):
         g.fit_power_law(g.degree_histogram(gr), x_min=1)
+    # 10**5 ones and one 2: the likelihood peaks near a = log2(10**5) = 16.6,
+    # past the search interval's end at 12
+    steep = g.DegreeHistogram(values=[1, 2], counts=[10**5, 1])
+    with pytest.raises(FitError, match="^no interior optimum; tail decays faster than any "
+                                       "power law here$"):
+        g.fit_power_law(steep, x_min=1)
 
 
 def test_power_law_generated_graph_matches_hint():

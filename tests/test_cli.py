@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
-from glpsim import cli, process
+from glpsim import cli, hitting, process
 from glpsim.errors import ConfigError
 
 
@@ -153,6 +153,8 @@ def test_ensemble_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, threads):
         (["ensemble", "--p-grid", "0.5,0.5"], ""),
         (["stats", "--c1", "nan"], ""),
         (["stats", "--c1", "inf"], ""),
+        (["hitting"], "grid = 64,abc\n"),
+        (["ensemble", "--p-grid", "0.5,abc"], ""),
     ],
     ids=["grid-inf", "grid-inf-config", "grid-fraction", "replicas-negative",
          "dom-samples-negative", "snapshots-inf", "snapshots-nan-config",
@@ -162,7 +164,8 @@ def test_ensemble_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, threads):
          "eps-prime-inf", "gamma-default-p1", "cliquegrowth-eps-nan",
          "cliquegrowth-eps-prime-inf", "cliquegrowth-topk-zero", "cliquegrowth-m-zero-config",
          "cliquegrowth-no-leader-window", "cliquegrowth-t-negative", "steps-beyond-capacity",
-         "p-grid-empty", "p-grid-repeated", "c1-nan", "c1-inf"],
+         "p-grid-empty", "p-grid-repeated", "c1-nan", "c1-inf", "grid-word-config",
+         "p-grid-word"],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
@@ -174,6 +177,16 @@ def test_bad_numbers_exit_2(tmp_path, capsys, argv, config):
     assert code == 2
     assert "error" in err
     assert not (tmp_path / "ens").exists()
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (cli._int_list, "64,abc", "expected a comma-separated integer list, got '64,abc'"),
+    (cli._float_list, "0.5,abc", "expected a comma-separated float list, got '0.5,abc'"),
+])
+def test_list_options_reject_words(parse, text, message):
+    with pytest.raises(ConfigError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -288,6 +301,15 @@ def test_config_file_malformed(tmp_path, capsys):
     )
     assert code == 2
     assert f"{cfg}:2: not UTF-8 text" in err
+
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(
+        capsys, "generate", "--config", str(missing), "--out", str(tmp_path / "x"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read config file {missing}: ")
+    with pytest.raises(ConfigError, match="^cannot read config file"):
+        cli.read_config_file(str(tmp_path))  # a directory
 
 
 _CONFIG_LINES = st.one_of(
@@ -491,11 +513,19 @@ def test_hitting_sampler_seed_past_the_last_exits_2(capsys):
                  id="clique-topk"),
     # a later flag wins: t = 0 leaves no leader window
     pytest.param("clique", ["--steps", "0"], "empty block range at t=0", id="clique-steps-0"),
+    # block 63 of the window at t = 10**6 needs more vertices than t + 1
+    pytest.param("clique", ["--m", "100000"], "error: block 63 needs vertex 6300000, but a run "
+                 "holds at most 1000001 vertices at t=1000000", id="clique-window-unfilled"),
+    pytest.param("hitting", ["--steps", "100"],
+                 "error: steps must reach the last grid point 1024, got 100", id="hitting-steps"),
+    pytest.param("hitting", ["--steps", str(2**31)], "exceeds the 32-bit id budget",
+                 id="hitting-steps-capacity"),
 ])
 def test_stats_bad_c1_exits_2_before_any_work(tmp_path, capsys, monkeypatch, source, flags,
                                               message):
-    """A bad ``glp stats --c1`` or ``--xmin``, or a bad ``glp clique`` option,
-    exits 2 before any run or file read."""
+    """A bad ``glp stats --c1`` or ``--xmin``, a bad ``glp clique`` option or
+    a ``glp hitting --steps`` short of the grid exits 2 before any run, file
+    read or dominating draw."""
     path = tmp_path / "g.edges"
     path.write_text("# glp v1 p=0.5 steps=0 seed=0\n1 1\n")
 
@@ -504,9 +534,13 @@ def test_stats_bad_c1_exits_2_before_any_work(tmp_path, capsys, monkeypatch, sou
 
     monkeypatch.setattr(process, "run", no_work)
     monkeypatch.setattr(process, "read_edges", no_work)
+    monkeypatch.setattr(hitting, "sample_dominating", no_work)
     given = {"run": ["stats", "--p", "0.5", "--steps", "2000000"],
              "file": ["stats", "--in", str(path)],
-             "clique": ["clique", "--p", "0.5", "--steps", "1000000"]}[source]
+             "clique": ["clique", "--p", "0.5", "--steps", "1000000"],
+             "hitting": ["hitting", "--p", "0.5", "--j", "260", "--m", "4", "--k", "16",
+                         "--grid", "256,1024", "--dom-samples", "2000000",
+                         "--replicas", "10"]}[source]
     code, out, err = run_cli(capsys, *given, *flags)
     assert code == 2 and out == ""
     assert message in err

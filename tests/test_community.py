@@ -151,6 +151,22 @@ def test_is_clique_edgeless_set():
     assert rep.largest_clique_size == 1
 
 
+@pytest.mark.parametrize("ids, message", [
+    ([], "empty candidate set"),
+    ([0, 1], "candidate ids outside the graph"),
+    ([1, 4], "candidate ids outside the graph"),
+])
+def test_is_clique_rejects_empty_and_foreign_ids(ids, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        g.is_clique(graph_from_simple_edges(3, []), ids)
+
+
+def test_is_clique_single_vertex():
+    # one id, given twice: no pair to count, a clique of one
+    rep = g.is_clique(graph_from_simple_edges(3, []), [2, 2.0])
+    assert rep == g.CliqueReport(1, 1.0, (), 1)
+
+
 def test_is_clique_ignores_loops_and_multiplicity():
     ep = [1, 1, 1, 2, 1, 2, 2, 2, 2, 3, 1, 3]
     gr = g.GlpGraph.from_endpoints(np.array(ep), p=0.5, seed=0)

@@ -98,15 +98,19 @@ def test_parallel_equals_serial():
     assert serial.aggregates == parallel.aggregates
 
 
-@pytest.mark.parametrize("replicas,width", [(3, 2), (4, 2), (10, 2), (5, 4), (2, 3)])
+@pytest.mark.parametrize("replicas,width",
+                         [(3, 2), (4, 2), (10, 2), (5, 4), (2, 3), (3, 10**6)])
 def test_parallel_chunks_spread_over_workers(monkeypatch, replicas, width):
+    """One chunk per worker, and no more workers than replicas: a pool
+    forks all of its workers at once, so a width of 10**6 for 3 replicas
+    must start 3.  The fake pool runs the chunks in this process."""
     import concurrent.futures
 
     chunks = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            assert max_workers == width
+            assert max_workers == min(width, replicas)
 
         def __enter__(self):
             return self
@@ -120,8 +124,21 @@ def test_parallel_chunks_spread_over_workers(monkeypatch, replicas, width):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     rep = g.run_ensemble(maxdeg_config(replicas=replicas, width=width))
-    assert len(chunks) == 1 and chunks[0] <= -(-replicas // width)
+    assert len(chunks) == 1 and chunks[0] <= -(-replicas // min(width, replicas))
     assert rep.rows == g.run_ensemble(maxdeg_config(replicas=replicas)).rows
+    assert rep.config["width"] == width
+
+
+def test_one_task_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers for one task")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rep = g.run_ensemble(maxdeg_config(replicas=1, width=10**6))
+    assert rep.rows == g.run_ensemble(maxdeg_config(replicas=1)).rows
+    assert rep.config["width"] == 10**6
 
 
 def test_same_config_same_report():
@@ -178,6 +195,10 @@ def test_read_report_diagnostics(tmp_path):
     bad = tmp_path / "badrow.json"
     bad.write_text(json.dumps(doc2))
     with pytest.raises(ParseError, match="row"):
+        g.read_report(bad)
+    doc2["rows"][0] = {**json.loads(text)["rows"][0], "bogus": 1}
+    bad.write_text(json.dumps(doc2))
+    with pytest.raises(ParseError, match=r"malformed row \(.*'bogus'\)$"):
         g.read_report(bad)
 
     for field, value in [("p", None), ("seed", "s"), ("t", 1.5), ("metric", 3),
@@ -353,6 +374,12 @@ def test_cliquegrowth_experiment_steps_contract():
             experiment="cliquegrowth", p_grid=(0.5,), steps=999, replicas=1,
             params={"t_values": (200, 500), "m": 5, "topk": 8},
         )
+    # block j_hi needs vertex j_hi * m, and a run holds at most t + 1 vertices
+    # at time t: no replica could fill this window
+    with pytest.raises(ConfigError, match=r"^block 6 needs vertex 600, but a run holds "
+                                          r"at most 501 vertices at t=500$"):
+        g.EnsembleConfig(experiment="cliquegrowth", p_grid=(0.5,), steps=1000, replicas=1,
+                         params={"m": 100})
 
 
 @pytest.mark.parametrize(

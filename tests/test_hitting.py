@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import glpsim as g
-from glpsim.errors import ParameterError, PreconditionError
+from glpsim.errors import CapacityError, ParameterError, PreconditionError
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +244,8 @@ def test_survival_curve_exact_small_case():
     # censored values (inf) survive every finite time
     surv2, _ = g.survival_curve(np.array([1.0, math.inf]), np.array([10.0]))
     assert surv2 == pytest.approx([0.5])
+    with pytest.raises(ParameterError, match="^no samples$"):
+        g.survival_curve(np.array([]), np.array([10.0]))
 
 
 def test_survival_curve_memory_is_linear_in_samples():
@@ -293,6 +295,22 @@ def test_domination_sampler_seed_is_checked_with_the_replica_fan(monkeypatch):
     with pytest.raises(ParameterError, match=r"base_seed must lie in \[0, 2\*\*64 - 3\], "
                                              r"got 18446744073709551614"):
         g.domination_experiment(**kw, base_seed=2**64 - 2)
+
+
+@pytest.mark.parametrize("steps, error, message", [
+    (999, ParameterError, r"^steps must reach the last grid point 1000, got 999$"),
+    (20.5, ParameterError, r"^steps must be a non-negative integer, got 20\.5$"),
+    ("1000", ParameterError, r"^steps must be a non-negative integer, got '1000'$"),
+    (2**31, CapacityError, r"exceeds the 32-bit id budget"),
+])
+def test_domination_steps_checked_before_the_sampler_draws(monkeypatch, steps, error, message):
+    def no_draw(*args):
+        raise AssertionError("the sampler drew before steps was checked")
+
+    monkeypatch.setattr(g.hitting, "sample_dominating", no_draw)
+    with pytest.raises(error, match=message):
+        g.domination_experiment(p=0.5, m=4, j=260, k=16, t_grid=(100, 1000), replicas=2,
+                                dominating_samples=10, steps=steps)
 
 
 def test_domination_trivial_pass():

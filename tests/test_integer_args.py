@@ -1,6 +1,7 @@
 """Every integer argument of a public entry point follows one rule: an
 integer, ``4.0`` included, or the package's error before any work is done.
-Nothing is truncated, left fractional or failed late with a raw error."""
+Nothing is truncated, left fractional, read from a string or failed late
+with a raw error."""
 
 import warnings
 
@@ -30,6 +31,9 @@ def ensemble(**over):
 CASES = [
     ("phi t", lambda x: g.phi(x, 0.5), ParameterError),
     ("phi_tilde t", lambda x: g.phi_tilde(x, 0.5), ParameterError),
+    ("make_rng seed", lambda x: g.make_rng(x).random(), ParameterError),
+    ("martingale_check checkpoints",
+     lambda x: g.martingale_check(0.5, (x, 20), replicas=2), ParameterError),
     ("martingale_check replicas",
      lambda x: g.martingale_check(0.5, (10, 20), replicas=x), ParameterError),
     ("martingale_check vertex",
@@ -52,6 +56,12 @@ CASES = [
     ("leaders j_hi", lambda x: g.leaders(GRAPH, 2, 1, x), ParameterError),
     ("max_clique_topk k", lambda x: g.max_clique_topk(GRAPH, x), ParameterError),
     ("is_clique ids", lambda x: g.is_clique(GRAPH, [1, x, 7]), ParameterError),
+    ("DegreeHistogram values",
+     lambda x: g.DegreeHistogram(values=[1, x, 7], counts=[1, 1, 1]), ParameterError),
+    ("DegreeHistogram counts",
+     lambda x: g.DegreeHistogram(values=[1, 2, 3], counts=[1, x, 1]), ParameterError),
+    ("DegreeHistogram from_samples",
+     lambda x: g.DegreeHistogram.from_samples([2, x, 3]), ParameterError),
     ("BlockSpec j", lambda x: g.crossing_times(GRAPH, g.BlockSpec(j=x, m=2, thresholds=(3,))),
      ParameterError),
     ("BlockSpec m", lambda x: g.BlockSpec(j=1, m=x, thresholds=(3,)), ParameterError),
@@ -91,10 +101,19 @@ CASES = [
 
 @pytest.mark.parametrize("call, error", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_integer_arguments_follow_one_rule(call, error):
-    for bad in (2.5, float("nan"), float("inf")):
+    for bad in (2.5, float("nan"), float("inf"), "4"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy cast warning on the way
             with pytest.raises(error):
                 call(bad)
     assert repr(call(4.0)) == repr(call(4))
     assert repr(call(np.int64(4))) == repr(call(4))
+
+
+@pytest.mark.parametrize("p", ["0.5", None, b"0.5"], ids=["str", "none", "bytes"])
+def test_p_is_a_number(p):
+    """``p`` is a number in [0, 1] too: a string is not read as one."""
+    with pytest.raises(ParameterError, match="^p must lie in"):
+        g.ProcessParams(p, 10, 0)
+    with pytest.raises(ConfigError, match="^p must lie in"):
+        g.EnsembleConfig("maxdeg", (p,), 10, 2)

@@ -995,6 +995,8 @@ def mutated_edge_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(text=mutated_edge_lists())
+@example(text="# glp v1 p=0.5 steps=0 seed=0\n1 \n")  # an empty id
+@example(text="# glp v1 p=0.5 steps=0 seed=0\n1 00000000001\n")  # an id of 11 digits
 def test_read_edges_bulk_parse_agrees_with_line_scan(text):
     """Every input reads as the line scan alone reads it: the same graph or
     the same ``ParseError``, and nothing else."""
@@ -1002,3 +1004,12 @@ def test_read_edges_bulk_parse_agrees_with_line_scan(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(process, "_load_pairs", lambda body, steps: None)
         assert got == _read_outcome(text)
+
+
+@pytest.mark.parametrize("line, outcome", [
+    ("1 \n", ("error", "line 2: expected 'u v', got '1'")),
+    ("1 00000000001\n", ("graph", 0.5, 0, [1, 1])),
+])
+def test_bulk_parse_hands_ids_of_no_or_11_digits_to_the_line_scan(line, outcome):
+    assert process._parse_ids(np.frombuffer(line.encode(), dtype=np.uint8)) is None
+    assert _read_outcome("# glp v1 p=0.5 steps=0 seed=0\n" + line) == outcome
