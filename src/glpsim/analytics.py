@@ -298,7 +298,13 @@ class DegreeHistogram:
 
     @classmethod
     def from_samples(cls, samples) -> "DegreeHistogram":
-        counts = np.bincount(process._int_array(samples, np.int64, "degree samples"))
+        samples = process._int_array(samples, np.int64, "degree samples")
+        try:
+            counts = np.bincount(samples)
+        except ValueError:  # a negative sample; a zero fails the class's own check
+            if samples.min() >= 0:
+                raise
+            raise ParameterError(f"degree samples must be >= 1, got {int(samples.min())}") from None
         vals = np.flatnonzero(counts)
         return cls(values=vals, counts=counts[vals])
 

@@ -227,6 +227,26 @@ def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
 
 # Wedges tested per chunk of the triangle count; bounds its temporaries.
 _WEDGE_CHUNK = 2**16
+# Bytes of the triangle count's hub table per simple edge: the top
+# ``H = isqrt(_HUB_BYTES * E)`` ranks get an ``H x H`` boolean adjacency table.
+_HUB_BYTES = 4
+
+
+def _wedges(first: np.ndarray, later: np.ndarray, hi: np.ndarray):
+    """The wedges that start at the row entries ``first``, as chunks of
+    ``(hi[e], hi[f])`` column pairs: entry ``e`` forms a wedge with each of
+    the ``later[e]`` entries ``f`` after it in its row.  About
+    ``_WEDGE_CHUNK`` wedges a chunk."""
+    ends = np.cumsum(later[first], dtype=np.int64)  # the wedges of first[:i + 1]
+    a = done = 0
+    while a < first.size:
+        b = max(a + 1, int(np.searchsorted(ends, done + _WEDGE_CHUNK, side="right")))
+        e = first[a:b]
+        c = later[e]
+        # wedge w of the chunk pairs entry e[i] with entry w + jump[i]
+        jump = e + 1 - (ends[a:b] - c - done)
+        yield np.repeat(hi[e], c), hi[np.arange(ends[b - 1] - done) + np.repeat(jump, c)]
+        a, done = b, int(ends[b - 1])
 
 
 def count_triangles(graph: process.GlpGraph) -> int:
@@ -238,8 +258,14 @@ def count_triangles(graph: process.GlpGraph) -> int:
     lower-ranked end.  Each triangle is then counted once, at its
     lowest-ranked corner: two entries ``a < b`` of a row form a wedge, which
     closes when ``(a, b)`` is an edge.  Any order gives the same count; the
-    degree order keeps the wedges few on skewed graphs.  Wedges are tested
-    ``_WEDGE_CHUNK`` at a time.
+    degree order keeps the wedges few on skewed graphs.
+
+    A row's entries are sorted, so a wedge whose ``a`` is among the top
+    ``H`` ranks (``H`` from ``_HUB_BYTES``) has ``b`` there too; on a
+    skewed graph most wedges are such hub wedges, and each closes with one
+    lookup in an ``H x H`` table of the edges among those ranks.  Every
+    other wedge is a binary search among the sorted edge keys.  Wedges are
+    tested ``_WEDGE_CHUNK`` at a time.
     """
     n = graph.num_vertices
     rank = np.empty(n + 1, dtype=np.int32)
@@ -249,23 +275,38 @@ def count_triangles(graph: process.GlpGraph) -> int:
     order %= n  # the ids - 1, by rank
     rank[1:][order] = np.arange(n, dtype=np.int32)
     del order
-    pairs = graph.edges()
-    keys = _pair_keys(rank[pairs[:, 0]], rank[pairs[:, 1]], n)
-    lo, hi = np.divmod(keys, n)
-    # Edge e forms a wedge with each later edge of its row; ends[e] counts
-    # the wedges of edges 0..e.
-    ends = np.cumsum(np.cumsum(np.bincount(lo, minlength=n))[lo] - np.arange(1, lo.size + 1))
-    total = a = done = 0
-    while a < keys.size:
-        b = max(a + 1, int(np.searchsorted(ends, done + _WEDGE_CHUNK, side="right")))
-        c = np.diff(ends[a:b], prepend=done)
-        # wedge w of the chunk pairs edge e with edge w + jump[e]
-        jump = np.arange(a + 1, b + 1) - (ends[a:b] - c - done)
-        q = np.repeat(hi[a:b] * n, c) + hi[np.arange(ends[b - 1] - done) + np.repeat(jump, c)]
+    pairs = rank[graph.endpoints].reshape(-1, 2)
+    keys = _pair_keys(pairs[:, 0], pairs[:, 1], n)
+    del pairs
+    lo = np.empty(keys.size, dtype=np.int32)  # each entry's row
+    hi = np.empty(keys.size, dtype=np.int32)  # and column
+    np.divmod(keys, n, out=(lo, hi), casting="unsafe")
+    later = np.cumsum(np.bincount(lo, minlength=n)).astype(np.int32)[lo]
+    later -= np.arange(1, keys.size + 1, dtype=np.int32)  # entries after it in its row
+    h = min(n, math.isqrt(_HUB_BYTES * keys.size))
+    base = n - h  # the lowest hub rank
+    top = int(np.searchsorted(keys, base * n))  # the first edge of a row >= base
+    table = np.zeros((h, h), dtype=bool)
+    table[lo[top:] - base, hi[top:] - base] = True
+    table = table.ravel()
+    del lo
+    starts = later > 0  # the entries that start a wedge
+    hub = hi >= base
+    hub &= starts
+    starts ^= hub
+    total = 0
+    for a, b in _wedges(np.flatnonzero(hub), later, hi):
+        a -= base
+        b -= base
+        at = np.multiply(a, h, dtype=np.int64)  # (a - base) * h overflows int32 past h = 46,340
+        at += b
+        total += int(np.count_nonzero(table[at]))
+    for a, b in _wedges(np.flatnonzero(starts), later, hi):
+        q = np.multiply(a, n, dtype=np.int64)
+        q += b
         q.sort()  # sorted queries walk ``keys`` in order: fewer cache misses
         at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
         total += int(np.count_nonzero(keys[at] == q))
-        a, done = b, int(ends[b - 1])
     return total
 
 
@@ -292,7 +333,11 @@ def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[
     alpha = derived_constants(p, eps).clique_exponent
     if not (0.0 <= eps_prime < math.inf):
         raise ParameterError(f"eps_prime must be finite and >= 0, got {eps_prime}")
-    j_lo = max(1, math.ceil(t**eps_prime))
+    try:  # in floats: an int power of an int would be computed exactly
+        j_lo = max(1, math.ceil(float(t) ** eps_prime))
+    except OverflowError:
+        raise ParameterError(f"empty block range at t={t}: t**eps_prime overflows a float "
+                             f"(eps_prime={eps_prime})") from None
     j_hi = math.floor(t**alpha)
     if j_hi < j_lo:
         raise ParameterError(

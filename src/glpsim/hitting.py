@@ -91,7 +91,11 @@ def sample_arrival(j: int, m: int, p: float, rng: np.random.Generator, size=None
         return 1 if size is None else np.ones(size, dtype=np.int64)
     if p == 0.0:
         raise ParameterError("p=0 admits no arrivals beyond the first vertex")
-    nb = rng.negative_binomial(waits, p, size=size)
+    try:
+        nb = rng.negative_binomial(waits, p, size=size)
+    except ValueError as exc:  # numpy refuses a mean wait that could overflow int64
+        raise ParameterError(f"p={p} is too small to draw the sum of {waits} geometric "
+                             f"waits (numpy: {exc})") from None
     return int(1 + waits + nb) if size is None else (1 + waits + nb).astype(np.int64)
 
 

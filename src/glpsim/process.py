@@ -739,9 +739,9 @@ def _parse_ids(chunk: np.ndarray) -> np.ndarray | None:
     return ids
 
 
-def _load_pairs(body: str, steps: int) -> np.ndarray | None:
-    r"""Parse the edge-list body as ASCII bytes, about ``_READ_CHUNK`` bytes
-    of whole lines at a time.
+def _load_pairs(body: bytes | str, steps: int, start: int = 0) -> np.ndarray | None:
+    r"""Parse the edge-list body ``body[start:]`` as ASCII bytes, about
+    ``_READ_CHUNK`` bytes of whole lines at a time.
 
     Accepts only the form :func:`export_edges` writes: exactly
     ``steps + 1`` lines of ``u v\n`` with ids of 1 to 10 digits in
@@ -751,21 +751,22 @@ def _load_pairs(body: str, steps: int) -> np.ndarray | None:
     this accepts, :func:`_scan_pairs` accepts with the same values.  Arrays
     are sized from the body's line count, never from ``steps``.
     """
-    try:
-        text = body.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    data = np.frombuffer(text, dtype=np.uint8)
+    if isinstance(body, str):
+        try:
+            body = body.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+    data = np.frombuffer(body, dtype=np.uint8)
     # counted a chunk at a time: ``bytes.count`` is about nine times slower,
     # and a mask of the whole body would add 1 B/char to the peak
     lines = sum(int(np.count_nonzero(data[a : a + _READ_CHUNK] == ord("\n")))
-                for a in range(0, data.size, _READ_CHUNK))
+                for a in range(start, data.size, _READ_CHUNK))
     if lines != steps + 1:
         return None
     flat = np.empty(2 * lines, dtype=np.int32)
-    a = n = 0
+    a, n = start, 0
     while a < data.size:
-        b = text.find(b"\n", a + _READ_CHUNK) + 1 or data.size
+        b = body.find(b"\n", a + _READ_CHUNK) + 1 or data.size
         ids = _parse_ids(data[a:b])
         if ids is None or ids.min() < 1 or ids.max() > _MAX_ID:
             return None
@@ -800,38 +801,48 @@ def _scan_pairs(body: str, steps: int) -> np.ndarray:
     return np.array(flat, dtype=np.int32)
 
 
+def _header(line: str) -> tuple[float, int, int]:
+    """``(p, steps, seed)`` of an edge-list header line."""
+    if not line.startswith("# glp v1 "):
+        raise ParseError(f"line 1: expected '# glp v1 ...' header, got {line[:40]!r}")
+    fields = dict(tok.split("=", 1) for tok in line[len("# glp v1 ") :].split() if "=" in tok)
+    try:
+        return float(fields["p"]), int(fields["steps"]), int(fields["seed"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"line 1: bad header field ({exc})") from exc
+
+
 def read_edges(source) -> GlpGraph:
     """Parse a file produced by :func:`export_edges` back into a graph.
 
     The body is parsed in bulk when it is in the form ``export_edges``
     writes; any other body is scanned line by line, which reads other
     spellings of the same ids (tabs, signs, blank lines) and words the error.
+    A path is read as bytes and decoded only for the line scan, which then
+    reads it as ``open(path, "r")`` would: in the locale's encoding, with
+    universal newlines.  ``source`` may also be an open text handle.
     """
-    own = isinstance(source, (str, bytes, os.PathLike))
-    fh = open(source, "r") if own else source
-    try:
-        header = fh.readline()
-        if not header.startswith("# glp v1 "):
-            raise ParseError(f"line 1: expected '# glp v1 ...' header, got {header[:40]!r}")
-        fields = dict(
-            tok.split("=", 1) for tok in header[len("# glp v1 ") :].split() if "=" in tok
-        )
-        try:
-            p = float(fields["p"])
-            steps = int(fields["steps"])
-            seed = int(fields["seed"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"line 1: bad header field ({exc})") from exc
-        body = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not {exc.encoding} text ({exc.reason})") from exc
-    finally:
-        if own:
-            fh.close()
-    flat = _load_pairs(body, steps)
+    flat = None
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+        cut = data.find(b"\n") + 1
+        if cut and data[:cut].isascii() and b"\r" not in data[:cut]:
+            p, steps, seed = _header(data[:cut].decode("ascii"))
+            flat = _load_pairs(data, steps, cut)
+        if flat is None:
+            source = io.TextIOWrapper(io.BytesIO(data))  # as ``open(path, "r")`` reads
+        del data  # free the bytes before the graph copies the ids
     if flat is None:
-        flat = _scan_pairs(body, steps)
-    del body  # free the text before the graph copies the ids
+        try:
+            p, steps, seed = _header(source.readline())
+            body = source.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not {exc.encoding} text ({exc.reason})") from exc
+        flat = _load_pairs(body, steps)
+        if flat is None:
+            flat = _scan_pairs(body, steps)
+        del body  # free the text before the graph copies the ids
     try:
         return GlpGraph.from_endpoints(flat, p=p, seed=seed)
     except ParameterError as exc:

@@ -296,6 +296,16 @@ def test_histogram_from_samples():
         g.DegreeHistogram((2, 1), (1, 1))
 
 
+@pytest.mark.parametrize("samples, message", [
+    ([-1, 2], "degree samples must be >= 1, got -1"),
+    (np.array([5, -3, 2]), "degree samples must be >= 1, got -3"),
+    ([0, 2], "values must be increasing naturals with positive counts"),
+], ids=["negative", "negative-array", "zero"])
+def test_histogram_from_samples_below_one(samples, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        g.DegreeHistogram.from_samples(samples)
+
+
 def test_power_law_zipf_recovery():
     # exact Zipf(3.0) sample: the fitted exponent lands within 0.05
     rng = g.make_rng(1000)

@@ -499,6 +499,33 @@ def test_hitting_sampler_seed_past_the_last_exits_2(capsys):
     assert "base_seed must lie in [0, 2**64 - 3], got 18446744073709551614" in err
 
 
+def test_arrival_waits_numpy_cannot_draw_exit_2_before_any_replica(capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a replica ran before the sampler's parameters were checked")
+
+    monkeypatch.setattr(process, "replicas", no_run)
+    code, out, err = run_cli(
+        capsys, "hitting", "--p", "1e-300", "--j", "2", "--m", "1", "--k", "16", "--grid", "10",
+        "--replicas", "5", "--dom-samples", "1", "--gamma", "0.2", "--steps", "50",
+    )
+    assert code == 2 and out == ""
+    assert "error: p=1e-300 is too small to draw the sum of 1 geometric waits" in err
+
+
+def test_cliquegrowth_eps_prime_overflow_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a replica ran before the leader window was checked")
+
+    monkeypatch.setattr(process, "replicas", no_run)
+    monkeypatch.setattr(process, "run", no_run)
+    code, out, err = run_cli(
+        capsys, "ensemble", "--experiment", "cliquegrowth", "--p-grid", "0.5", "--steps", "100",
+        "--replicas", "2", "--eps-prime", "2e3", "--out-dir", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert "error: empty block range at t=50: t**eps_prime overflows a float" in err
+
+
 @pytest.mark.parametrize("source, flags, message", [
     *(pytest.param(source, ["--c1", c1], f"c1 must be finite and >= 0, got {float(c1)!r}",
                    id=f"{source}-{c1}")
@@ -516,6 +543,10 @@ def test_hitting_sampler_seed_past_the_last_exits_2(capsys):
     # block 63 of the window at t = 10**6 needs more vertices than t + 1
     pytest.param("clique", ["--m", "100000"], "error: block 63 needs vertex 6300000, but a run "
                  "holds at most 1000001 vertices at t=1000000", id="clique-window-unfilled"),
+    # t**eps_prime overflows a float: the window is empty
+    pytest.param("clique", ["--steps", "100", "--eps-prime", "2e3"],
+                 "error: empty block range at t=100: t**eps_prime overflows a float",
+                 id="clique-eps-prime-overflow"),
     pytest.param("hitting", ["--steps", "100"],
                  "error: steps must reach the last grid point 1024, got 100", id="hitting-steps"),
     pytest.param("hitting", ["--steps", str(2**31)], "exceeds the 32-bit id budget",

@@ -108,6 +108,15 @@ def test_leader_block_range():
             g.leader_block_range(10**4, 0.5, eps, eps_prime)
 
 
+@pytest.mark.parametrize("eps_prime", [2e3, 2000], ids=["float", "int"])
+def test_leader_block_range_overflow(eps_prime):
+    """``t**eps_prime`` past the float range is an empty window, an int
+    exponent included, which is not raised to an exact integer power."""
+    with pytest.raises(ParameterError, match="^empty block range at t=100: t\\*\\*eps_prime "
+                                             "overflows a float"):
+        g.leader_block_range(100, 0.5, 0.1, eps_prime)
+
+
 def test_leader_degree_floor():
     """Leaders of early blocks keep a t^0.45/m degree floor at t=1e5.
 
@@ -344,11 +353,38 @@ def test_triangles_k4():
     assert g.count_triangles(gr) == 4
 
 
-def test_triangles_complete_graph_formula():
-    for n in (5, 7):
+def _wedge_counts(monkeypatch):
+    """Record how many wedges each call of the wedge enumerator gets: the
+    hub-table wedges first, then the searched ones."""
+    wedges = []
+    real = community._wedges
+
+    def spy(first, later, hi):
+        wedges.append(int(later[first].sum()))
+        return real(first, later, hi)
+
+    monkeypatch.setattr(community, "_wedges", spy)
+    return wedges
+
+
+def _check_complete_graphs(monkeypatch):
+    """K_n has E = n(n-1)/2 >= n**2 / _HUB_BYTES edges, so every rank is a
+    hub and every wedge closes in the table."""
+    wedges = _wedge_counts(monkeypatch)
+    for n in (5, 7, 30):
         kn = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         gr = graph_from_simple_edges(n, kn)
         assert g.count_triangles(gr) == n * (n - 1) * (n - 2) // 6
+        assert wedges[-2:] == [n * (n - 1) * (n - 2) // 6, 0]
+
+
+def test_triangles_complete_graph_formula(monkeypatch):
+    _check_complete_graphs(monkeypatch)
+
+
+def test_triangles_complete_graph_in_tiny_wedge_chunks(monkeypatch):
+    monkeypatch.setattr(community, "_WEDGE_CHUNK", 7)
+    _check_complete_graphs(monkeypatch)
 
 
 def test_triangles_tree_and_path():
@@ -381,14 +417,27 @@ def test_triangles_match_networkx(p, steps, seed):
     assert g.count_triangles(gr) == sum(nx.triangles(full).values()) // 3
 
 
-def test_triangles_across_row_blocks():
+def _check_chord_path(monkeypatch, hub_bytes):
     """A path with a chord (i, i+2) at every third i has exactly one
-    triangle per chord; its 70,000 wedges, one at each triangle's
-    lowest-ranked corner, fill more than one wedge chunk."""
+    triangle per chord; its 70,001 wedges, one at each triangle's
+    lowest-ranked corner and one open, fill more than one wedge chunk.
+    The last chords are among the hub ranks; with no hub ranks, no wedge is
+    a hub wedge."""
+    monkeypatch.setattr(community, "_HUB_BYTES", hub_bytes)
+    wedges = _wedge_counts(monkeypatch)
     n = 210_000
     chords = [(i, i + 2) for i in range(1, n - 1, 3)]
     gr = graph_from_simple_edges(n, chords)
     assert g.count_triangles(gr) == len(chords)
+    assert (wedges[0] == 0) == (hub_bytes == 0) and wedges[1] > community._WEDGE_CHUNK
+
+
+def test_triangles_across_row_blocks(monkeypatch):
+    _check_chord_path(monkeypatch, community._HUB_BYTES)
+
+
+def test_triangles_across_row_blocks_without_hubs(monkeypatch):
+    _check_chord_path(monkeypatch, 0)
 
 
 def test_triangles_in_tiny_wedge_chunks(monkeypatch):
@@ -396,12 +445,33 @@ def test_triangles_in_tiny_wedge_chunks(monkeypatch):
     whole = g.count_triangles(gr)
     monkeypatch.setattr(community, "_WEDGE_CHUNK", 7)
     assert g.count_triangles(gr) == whole > 0
+    monkeypatch.setattr(community, "_HUB_BYTES", 0)
+    assert g.count_triangles(gr) == whole
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_triangles_hub_table_agrees_with_search(monkeypatch, p, chunk):
+    """No hub ranks (every wedge searched) and every rank a hub (every
+    wedge from the table) give the default split's count."""
+    gr = g.run(g.ProcessParams(p=p, steps=5000, seed=11)).graph
+    whole = g.count_triangles(gr)
+    if chunk:
+        monkeypatch.setattr(community, "_WEDGE_CHUNK", chunk)
+    wedges = _wedge_counts(monkeypatch)
+    counts = []
+    for hub_bytes in (0, gr.num_vertices**2):  # E >= 1, so isqrt(V**2 * E) >= V
+        monkeypatch.setattr(community, "_HUB_BYTES", hub_bytes)
+        counts.append(g.count_triangles(gr))
+    assert counts == [whole, whole] and whole > 0
+    assert wedges[0] == wedges[3] == 0 and wedges[1] == wedges[2] > 0
 
 
 def test_triangles_peak_bytes_per_step():
-    # The sorted edge keys with their rows, columns and running wedge counts
-    # (8 B each per simple edge) and the key sort's temporaries; one chunk of
-    # wedges is fixed memory.  Measured 51 B/step.
+    # The sorted edge keys (8 B per simple edge) with their rows, columns and
+    # counts of later entries (4 B each), the hub table (at most 4 B per
+    # simple edge) and the key sort's temporaries; one chunk of wedges is
+    # fixed memory.  Measured 46 B/step.
     steps = 200_000
     gr = g.run(g.ProcessParams(p=0.5, steps=steps, seed=0)).graph
     tracemalloc.start()

@@ -1,5 +1,7 @@
 import io
 import itertools
+import os
+import tempfile
 import tracemalloc
 import warnings
 
@@ -936,11 +938,12 @@ def test_format_and_parse_at_digit_boundaries(order, top):
     assert np.array_equal(process._load_pairs(text, ids.size // 2 - 1), ids)
 
 
-def _read_outcome(text):
-    """What ``read_edges`` makes of ``text``: a graph's fields or the
-    ``ParseError`` message.  Any other exception propagates."""
+def _read_outcome(text, path=None):
+    """What ``read_edges`` makes of ``text``, or of the file at ``path``
+    when one is given: a graph's fields or the ``ParseError`` message.  Any
+    other exception propagates."""
     try:
-        gr = g.read_edges(io.StringIO(text))
+        gr = g.read_edges(io.StringIO(text) if path is None else path)
     except ParseError as exc:
         return ("error", str(exc))
     return ("graph", gr.p, gr.seed, gr.endpoints.tolist())
@@ -997,13 +1000,25 @@ def mutated_edge_lists(draw):
 @given(text=mutated_edge_lists())
 @example(text="# glp v1 p=0.5 steps=0 seed=0\n1 \n")  # an empty id
 @example(text="# glp v1 p=0.5 steps=0 seed=0\n1 00000000001\n")  # an id of 11 digits
+@example(text="# glp v1 p=0.5 steps=1 seed=0\r1 1\r1 2\r")  # lone \r newlines
+@example(text="# glp v1 p=0.5 steps=1 seed=0\n1 1\r\n1 2\r\n")  # \r\n in the body only
 def test_read_edges_bulk_parse_agrees_with_line_scan(text):
     """Every input reads as the line scan alone reads it: the same graph or
-    the same ``ParseError``, and nothing else."""
+    the same ``ParseError``, and nothing else.  Written byte-exact to a
+    file, it reads as the line scan reads the file's text-mode decoding,
+    universal newlines (``\\r\\n`` and a lone ``\\r``) included."""
     got = _read_outcome(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.txt")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got_file = _read_outcome(None, path)
+        with open(path) as fh:
+            decoded = fh.read()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(process, "_load_pairs", lambda body, steps: None)
+        mp.setattr(process, "_load_pairs", lambda body, steps, start=0: None)
         assert got == _read_outcome(text)
+        assert got_file == _read_outcome(decoded)
 
 
 @pytest.mark.parametrize("line, outcome", [
