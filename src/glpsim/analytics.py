@@ -301,10 +301,14 @@ class DegreeHistogram:
         samples = process._int_array(samples, np.int64, "degree samples")
         try:
             counts = np.bincount(samples)
-        except ValueError:  # a negative sample; a zero fails the class's own check
-            if samples.min() >= 0:
-                raise
-            raise ParameterError(f"degree samples must be >= 1, got {int(samples.min())}") from None
+        except (ValueError, MemoryError):  # checked only here; a zero fails the class's check
+            low, high = int(samples.min()), int(samples.max())
+            if low < 0:
+                raise ParameterError(f"degree samples must be >= 1, got {low}") from None
+            if high > process._MAX_DEGREE:
+                raise ParameterError(f"degree samples must be <= {process._MAX_DEGREE}, "
+                                     f"got {high}") from None
+            raise
         vals = np.flatnonzero(counts)
         return cls(values=vals, counts=counts[vals])
 

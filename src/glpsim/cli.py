@@ -11,8 +11,10 @@ writes the one JSON document ``{"command", "config", **fields}`` to
 ``--out`` (stdout when unset, and always for ``generate``, whose ``--out``
 is the edge list), where ``config`` echoes the options as the handler left
 them.  Every output is byte-identical across reruns with the same
-arguments.  Exit codes: 0 success, 1 a statistical gate failed, 2 bad usage
-or configuration.
+arguments.  A call declares only the options of the subcommand it names
+(``build_parser(command)``); its usage, help and error text are those of
+the full parser.  Exit codes: 0 success, 1 a statistical gate failed, 2 bad
+usage or configuration.
 """
 
 from __future__ import annotations
@@ -306,18 +308,26 @@ def _cmd_ensemble(opts: dict) -> tuple[int, dict]:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``glp`` parser; a known ``command`` declares that subcommand only,
+    with the same usage, help and error text."""
     top = argparse.ArgumentParser(
         prog="glp",
         description="Simulate a degree-proportional growth process and check its statistics.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _COMMANDS.items():
-        parser = sub.add_parser(command, help=help_text)
-        for name in options:
-            choices = sorted(ensemble.EXPERIMENTS) if name == "experiment" else None
-            parser.add_argument(_flag(name), dest=name, type=_TYPES[name], choices=choices,
-                                help=_HELP.get((command, name)))
+    one = command in _COMMANDS
+    # the usage line names all five either way; a metavar on the full parser
+    # would rename ``command`` in its missing or invalid choice errors
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name, (help_text, options) in _COMMANDS.items():
+        if one and name != command:
+            continue
+        parser = sub.add_parser(name, help=help_text)
+        for option in options:
+            choices = sorted(ensemble.EXPERIMENTS) if option == "experiment" else None
+            parser.add_argument(_flag(option), dest=option, type=_TYPES[option],
+                                choices=choices, help=_HELP.get((name, option)))
         parser.add_argument("--config", type=str)
     return top
 
@@ -327,8 +337,9 @@ _HANDLERS = {"generate": _cmd_generate, "stats": _cmd_stats, "hitting": _cmd_hit
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

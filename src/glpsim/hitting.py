@@ -80,12 +80,15 @@ def sample_arrival(j: int, m: int, p: float, rng: np.random.Generator, size=None
     ``m`` (the real block reaches it no later than when its last member
     arrives, and the leading one is a deliberate cushion).  Returns an int
     for ``size=None``, else an int64 array.  ``j`` and ``m`` must be
-    integers ``>= 1`` and ``size``, if given, one ``>= 0`` (``4.0`` included).
+    integers ``>= 1`` and ``size``, if given, one in ``[0, MAX_STEPS]``
+    (``4.0`` included).
     """
     j, m = _block(j, m)
     process._check_p(p)
     if size is not None:
         size = process._check_int(size, "size", 0)
+        if size > process.MAX_STEPS:  # else numpy's refusal reads as a p too small
+            raise ParameterError(f"size must be <= {process.MAX_STEPS}, got {size}")
     waits = j * m - 1
     if waits == 0:
         return 1 if size is None else np.ones(size, dtype=np.int64)
@@ -113,7 +116,8 @@ class DominatingLawParams:
     """Parameters of the dominating law for reaching block degree ``k``.
 
     ``j``, ``m`` and ``k`` must be integers (``4.0`` included, stored as an
-    int) with ``j, m >= 1`` and ``k >= m``."""
+    int) with ``j, m >= 1`` and ``m <= k``, at most the total degree of the
+    longest run."""
 
     p: float
     m: int
@@ -126,6 +130,8 @@ class DominatingLawParams:
             raise ParameterError("dominating law needs p in [0, 1)")
         j, m = _block(self.j, self.m)
         k = process._check_int(self.k, "threshold k", m)
+        if k > process._MAX_DEGREE:  # a level no block reaches; ``rates`` spans them all
+            raise ParameterError(f"threshold k must be <= {process._MAX_DEGREE}, got {k}")
         for name, v in (("j", j), ("m", m), ("k", k)):
             object.__setattr__(self, name, v)
         # The tilt exponent only has to keep every rate positive, which any
@@ -151,7 +157,8 @@ class DominatingLawParams:
 
 def sample_dominating(params: DominatingLawParams, rng: np.random.Generator, size=None):
     """Draw from the dominating law: arrival surrogate times ``exp(sum eta_i)``;
-    ``size``, if given, must be an integer ``>= 0`` (``4.0`` included)."""
+    ``size``, if given, must be an integer in ``[0, MAX_STEPS]`` (``4.0``
+    included)."""
     if params.j < params.min_block_index():
         raise PreconditionError(
             f"block j={params.j} is too early for the dominating bound; "

@@ -35,6 +35,8 @@ __all__ = [*_EXPORTS["process"], "MAX_STEPS", "step_kinds"]
 
 # Vertex ids are 32-bit and the slot count must stay below 2**32.
 MAX_STEPS = 2**31 - 3
+# The total degree of the longest run: no degree, sample or threshold exceeds it.
+_MAX_DEGREE = 2 * (MAX_STEPS + 1)
 
 
 def _integral(x, lo=0, hi=math.inf) -> bool:
@@ -616,8 +618,12 @@ def run(params: ProcessParams) -> RunResult:
 def _seed_fan(base_seed: int, n: int) -> range:
     """Replica ``r``'s seed ``base_seed + r``, for every ``r`` up to the last
     64-bit seed: a sweep of ``n`` runs takes ``[:n]``, one that screens its
-    seeds may take more.  ``ParameterError`` unless the first ``n`` (an int
-    ``>= 0``) are all 64-bit naturals, so a sweep fails before any run."""
+    seeds may take more.  ``ParameterError`` unless ``n`` (an int ``>= 0``)
+    is at most ``MAX_STEPS`` (a sweep of more runs would not finish, and its
+    task list would outgrow memory first) and the first ``n`` are all 64-bit
+    naturals, so a sweep fails before any run."""
+    if n > MAX_STEPS:
+        raise ParameterError(f"a sweep takes at most {MAX_STEPS} seeds, got {n}")
     if not _integral(base_seed, 0, 2**64 - n + 1):
         raise ParameterError(f"every replica seed must be a 64-bit natural, so base_seed "
                              f"must lie in [0, 2**64 - {n}], got {base_seed!r}")

@@ -306,6 +306,28 @@ def test_histogram_from_samples_below_one(samples, message):
         g.DegreeHistogram.from_samples(samples)
 
 
+@pytest.mark.parametrize("samples", [[2**62], [1, 2**62]], ids=["alone", "with-one"])
+def test_histogram_from_samples_beyond_any_run(samples):
+    # numpy refuses a count array this long before allocating it
+    message = f"^degree samples must be <= 4294967292, got {2**62}$"
+    with pytest.raises(ParameterError, match=message):
+        g.DegreeHistogram.from_samples(samples)
+
+
+def test_histogram_from_samples_out_of_memory(monkeypatch):
+    # a sample no run can hold is named; a count array that merely does not
+    # fit stays a MemoryError (exit 2 in the CLI). bincount never allocates.
+    def exhausted(samples):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "bincount", exhausted)
+    message = f"^degree samples must be <= 4294967292, got {2**40}$"
+    with pytest.raises(ParameterError, match=message):
+        g.DegreeHistogram.from_samples([1, 2**40])
+    with pytest.raises(MemoryError):
+        g.DegreeHistogram.from_samples([1, 2**31])
+
+
 def test_power_law_zipf_recovery():
     # exact Zipf(3.0) sample: the fitted exponent lands within 0.05
     rng = g.make_rng(1000)

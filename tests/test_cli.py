@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
-from glpsim import cli, hitting, process
+from glpsim import cli, ensemble, hitting, process
 from glpsim.errors import ConfigError
 
 
@@ -222,16 +222,128 @@ def test_unused_options_exit_2(tmp_path, capsys, argv, config, flag):
     assert out == "" and not out_path.exists()
 
 
+# The bad alphabet that every option draws from, whatever its type.
+_BAD = ["nan", "inf", "-inf", "-1", "0", "4.0", "1e400", str(2**64), "", "word", "1e-300"]
+# Valid values by type, then by name where a value sets a size or names a
+# file: an example stays at a few MB and starts at most 3 workers.
+_GOOD = {float: ["0.5", "0.25", "0.05"], int: ["1", "2", "3", "8", "20"],
+         cli._int_list: ["8", "4,8"], cli._float_list: ["0.5", "0.25,0.75"], str: ["out"]}
+_GOOD_BY_NAME = {"steps": ["8", "64", "200"], "replicas": ["1", "2", "3"],
+                 "dom_samples": ["1", "10", "100"], "threads": ["1"], "grid": ["8,16", "64"],
+                 "t_values": ["4", "32"], "experiment": sorted(ensemble.EXPERIMENTS),
+                 "j": ["2", "20", "100"], "m": ["1", "2"], "k": ["2", "3", "8"],
+                 "infile": ["in.edges"], "csv": ["out.csv"], "out_dir": ["reports"]}
+
+
+def _small_sweep(config, run_ensemble=ensemble.run_ensemble):
+    """``run_ensemble``, for the sweeps of at most 3 replicas that the fuzz
+    gives valid values for; a larger one should have been refused."""
+    assert config.replicas <= 3, f"a sweep of {config.replicas} replicas started"
+    return run_ensemble(config)
+
+
+@st.composite
+def _glp_calls(draw):
+    """A subcommand with valid values for its required options and for half
+    of the others, then up to two options made bad or left out, each given
+    as a flag or as a config-file key."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][1]
+    given = {name: draw(st.sampled_from(_GOOD_BY_NAME.get(name, _GOOD[cli._TYPES[name]])))
+             for name, default in options.items()
+             if default is cli._REQUIRED or draw(st.booleans())}
+    for name in draw(st.lists(st.sampled_from(list(options)), max_size=2)):
+        given[name] = draw(st.sampled_from([*_BAD, None]))
+    given = {name: value for name, value in given.items() if value is not None}
+    # the options that the setting does not read are rejected; mostly leave them out
+    setting = "infile" in given if command == "stats" else given.get("experiment")
+    if draw(st.integers(0, 7)):
+        for name in cli._UNREAD.get((command, setting), ()):
+            given.pop(name, None)
+    argv, cfg = [command], []
+    for name, value in given.items():
+        if draw(st.booleans()):
+            argv.append(f"{cli._flag(name)}={value}")
+        else:
+            cfg.append(f"{name} = {value}")
+    return argv, cfg
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(call=_glp_calls())
+# numpy's ValueError from np.arange(m, k) in DominatingLawParams.rates
+@example(call=(["hitting", "--p=0.5", "--j=2", "--m=1", f"--k={2**64}", "--grid=8"], []))
+# seeds 0 .. 2**64 - 1 are all 64-bit naturals: the task list filled memory
+@example(call=(["ensemble", "--experiment=maxdeg", "--p-grid=0.5", "--steps=8",
+                "--out-dir=reports"], [f"replicas = {2**64}"]))
+def test_exit_code_contract_fuzz(tmp_path, capsys, monkeypatch, call):
+    """No exception escapes ``main``; exit 1 is a statistical verdict, which
+    only ``stats --c1``, ``hitting`` and ``ensemble`` give, and exit 2 says
+    what went wrong."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GLP_THREADS", raising=False)
+    monkeypatch.setattr(ensemble, "run_ensemble", _small_sweep)
+    if not Path("in.edges").exists():
+        process.export_edges(process.run(process.ProcessParams(0.5, 50, 1)).graph, "in.edges")
+    argv, cfg = call
+    if cfg:
+        Path("fuzz.cfg").write_text("\n".join(cfg) + "\n")
+        argv = [*argv, "--config", "fuzz.cfg"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        c1 = any(a.startswith("--c1=") for a in argv) or any(c.startswith("c1 ") for c in cfg)
+        assert argv[0] in ("hitting", "ensemble") or (argv[0] == "stats" and c1), err
+    if code == 2:
+        assert "error" in err
+
+
 def test_readme_commands_resolve():
     """Every ``glp`` command in the README's "Command line" section parses
-    and resolves; none is run."""
+    and resolves, through its own subcommand's parser as ``main`` builds it
+    and through the full one, to the same namespace; none is run."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     lines = section.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("glp ")]
     assert len(commands) >= 6
     for argv in commands:
-        cli._resolve(cli.build_parser().parse_args(argv), {})
+        args = cli.build_parser(argv[0]).parse_args(argv)
+        assert args == cli.build_parser().parse_args(argv)
+        cli._resolve(args, {})
+
+
+# ----------------------------------------------------------------------
+# one subcommand's parser
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_matches_full_parser(command, capsys):
+    """``main`` declares only the named subcommand; its top-level usage line,
+    its subcommand help and its parse of valid options are the full parser's."""
+    one, full = cli.build_parser(command), cli.build_parser()
+    assert one.format_usage() == full.format_usage()
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, "--help"])
+        helps.append((info.value.code, capsys.readouterr()))
+    assert helps[0] == helps[1]
+    argv = [command, *_REQUIRED.get(command, ["--p", "0.5", "--steps", "10", "--out", "x"])]
+    assert one.parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["hitting", "--bogus"],
+                                  ["hitting", "--p", "abc"]],
+                         ids=["none", "help", "unknown", "bogus-flag", "bad-float"])
+def test_main_usage_errors_match_full_parser(argv, capsys, monkeypatch):
+    """Usage, help and error text and exit codes are the same as when every
+    subcommand is declared."""
+    got = run_cli(capsys, *argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == run_cli(capsys, *argv)
 
 
 def test_readme_library_quick_start(capsys):

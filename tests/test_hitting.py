@@ -113,6 +113,13 @@ def test_sample_arrival_trivials():
         g.sample_arrival(0, 1, 0.5, rng)
 
 
+def test_sample_size_beyond_the_step_budget():
+    # numpy refuses 2**64 draws too, but its ValueError read as a p too small
+    for j in (1, 2):
+        with pytest.raises(ParameterError, match=f"^size must be <= 2147483645, got {2**64}$"):
+            g.sample_arrival(j, 1, 0.5, g.make_rng(0), size=2**64)
+
+
 def test_sample_arrival_mean():
     rng = g.make_rng(5)
     s = g.sample_arrival(5, 2, 0.5, rng, size=200_000).astype(float)
@@ -164,6 +171,10 @@ def test_dominating_params_validation():
         g.DominatingLawParams(p=0.5, m=4, j=260, k=2, gamma=0.3)  # k < m
     with pytest.raises(ParameterError):
         g.DominatingLawParams(p=0.5, m=4, j=260, k=16, gamma=0.0)
+    # a level beyond any run's total degree; rates() would span 2**64 levels
+    with pytest.raises(ParameterError, match=f"^threshold k must be <= 4294967292, got {2**64}$"):
+        g.DominatingLawParams(p=0.5, m=1, j=2, k=2**64, gamma=0.3)
+    assert g.DominatingLawParams(p=0.5, m=1, j=2, k=4294967292, gamma=0.3).k == 4294967292
     # gamma beyond the guarantee regime is allowed (rates stay positive)
     lp = g.DominatingLawParams(p=0.5, m=4, j=260, k=16, gamma=0.4)
     assert (lp.rates() > 0).all()

@@ -181,6 +181,15 @@ def test_replicas_are_runs_at_consecutive_seeds():
     assert list(g.replicas(0.5, 10, process._seed_fan(0, 0)[:0])) == []
 
 
+def test_seed_fan_holds_at_most_max_steps_seeds():
+    assert len(process._seed_fan(0, process.MAX_STEPS)[: process.MAX_STEPS]) == process.MAX_STEPS
+    # every one of 2**64 seeds from 0 is a 64-bit natural, but no sweep runs them
+    for n in (process.MAX_STEPS + 1, 2**64):
+        message = f"^a sweep takes at most 2147483645 seeds, got {n}$"
+        with pytest.raises(ParameterError, match=message):
+            process._seed_fan(0, n)
+
+
 def test_replicas_check_the_last_seed_before_the_first_run(monkeypatch):
     runs = []
     real = process._generate
