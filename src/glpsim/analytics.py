@@ -46,7 +46,11 @@ class DerivedConstants:
 
 def derived_constants(p: float, eps: float = 0.1) -> DerivedConstants:
     cp = c_p(p)
-    if not (0.0 < eps < 1.0):
+    try:
+        ok = 0.0 < eps < 1.0
+    except TypeError:  # a string or None
+        ok = False
+    if not ok:
         raise ParameterError(f"eps must lie in (0, 1), got {eps!r}")
     return DerivedConstants(
         p=float(p),

@@ -24,13 +24,34 @@ from .errors import ParameterError
 __all__ = _EXPORTS["community"]
 
 
+# Index entries per ``take`` of ``_gather``: ``take`` copies an int32 index to
+# intp, and a chunk bounds that copy at 512 KiB.
+_GATHER_CHUNK = 2**16
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table.take(index)``, a ``_GATHER_CHUNK`` of the index at a time."""
+    out = np.empty(index.size, dtype=table.dtype)
+    for a in range(0, index.size, _GATHER_CHUNK):
+        table.take(index[a : a + _GATHER_CHUNK], out=out[a : a + _GATHER_CHUNK])
+    return out
+
+
+def _shift(n: int) -> int:
+    """Bits of the low half of a pair key over the range ``0 .. n - 1``:
+    ``(n - 1).bit_length()``, at least 1.  Ids and ranks stay below
+    ``2**31`` under ``MAX_STEPS``, so a key stays below ``2**62``."""
+    return max(1, (n - 1).bit_length())
+
+
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Sorted distinct keys ``lo*n + hi`` (``lo < hi < n``) of the non-loop
-    pairs ``(u[i], v[i])``."""
+    """Sorted distinct keys ``lo << s | hi`` (``lo < hi < n``, ``s =
+    _shift(n)``) of the non-loop pairs ``(u[i], v[i])``; their order is
+    the lexicographic order of the pairs."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keep = lo != hi
-    key = np.multiply(lo[keep], n, dtype=np.int64)
-    key += hi[keep]
+    key = np.left_shift(lo[keep], _shift(n), dtype=np.int64)
+    key |= hi[keep]
     key.sort()
     new = np.empty(key.size, dtype=bool)
     new[:1] = True
@@ -39,20 +60,30 @@ def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _edge_keys(graph: process.GlpGraph, ids: np.ndarray | None = None) -> np.ndarray:
-    """Sorted distinct keys ``u*(V+1) + v`` (``u < v``) of the simple
-    projection; with ``ids`` given, only the edges with both ends in it."""
-    pairs = graph.edges()
+    """Sorted distinct keys ``u << s | v`` (``u < v``, ``s = _shift(V +
+    1)``) of the simple projection; with ``ids`` given, only the edges with
+    both ends in it."""
+    ep = graph.endpoints
+    u, v = ep[0::2], ep[1::2]
     if ids is not None:
         member = np.zeros(graph.num_vertices + 1, dtype=bool)
         member[ids] = True
-        pairs = pairs[member[pairs[:, 0]] & member[pairs[:, 1]]]
-    return _pair_keys(pairs[:, 0], pairs[:, 1], graph.num_vertices + 1)
+        both = _gather(member, ep)
+        both = both[0::2] & both[1::2]
+        u, v = u[both], v[both]
+    return _pair_keys(u, v, graph.num_vertices + 1)
+
+
+def _edge_ends(keys: np.ndarray, graph: process.GlpGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The ends ``(u, v)`` of ``graph``'s edge keys, as int64 arrays."""
+    s = _shift(graph.num_vertices + 1)
+    return keys >> s, keys & ((1 << s) - 1)
 
 
 def simple_edges(graph: process.GlpGraph) -> np.ndarray:
     """Distinct non-loop edges as an (E, 2) array with u < v, in
     lexicographic order."""
-    return np.column_stack(divmod(_edge_keys(graph), graph.num_vertices + 1))
+    return np.column_stack(_edge_ends(_edge_keys(graph), graph))
 
 
 @dataclass(frozen=True)
@@ -108,14 +139,17 @@ class CliqueReport:
     largest_clique_size: int
 
 
-def _induced_masks(graph, ids: np.ndarray) -> list[int]:
+def _induced_masks(graph, ids: np.ndarray, keys: np.ndarray | None = None) -> list[int]:
     """Bitmask adjacency rows of the simple projection induced on the
-    sorted ``ids``."""
-    u, v = divmod(_edge_keys(graph, ids), graph.num_vertices + 1)
+    sorted ``ids``, read from ``keys``: ``graph``'s edge keys on a superset
+    of ``ids`` (``_edge_keys``), by default those on ``ids`` itself."""
+    u, v = _edge_ends(_edge_keys(graph, ids) if keys is None else keys, graph)
     pos_a = np.searchsorted(ids, u)
     pos_b = np.searchsorted(ids, v)
+    both = ids.take(pos_a, mode="clip") == u
+    both &= ids.take(pos_b, mode="clip") == v
     masks = [0] * len(ids)
-    for a, b in zip(pos_a.tolist(), pos_b.tolist()):
+    for a, b in zip(pos_a[both].tolist(), pos_b[both].tolist()):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
     return masks
@@ -172,13 +206,15 @@ def _max_clique_mask(masks: list[int]) -> int:
     return best_mask
 
 
-def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
+def is_clique(graph: process.GlpGraph, vertices, *, _keys=None) -> CliqueReport:
     """How close a vertex set is to a clique in the simple projection.
 
     Every candidate pair is counted.  The report carries the size of the
     largest complete subset (exact, by branch and bound) and the first 100
     missing pairs in lexicographic order.  Every id must be an integer
-    (``4.0`` included), else ``ParameterError``.
+    (``4.0`` included), else ``ParameterError``.  ``_keys``, which only
+    ``clique_growth_rows`` passes, is ``_edge_keys`` of ``graph`` on a
+    superset of the ids.
     """
     ids = np.unique(process._int_array(vertices, np.int64, "candidate ids"))
     if ids.size < 1:
@@ -190,7 +226,7 @@ def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
     if npairs == 0:
         return CliqueReport(1, 1.0, (), 1)
 
-    masks = _induced_masks(graph, ids)
+    masks = _induced_masks(graph, ids, _keys)
     present = sum(m.bit_count() for m in masks) // 2
     missing = []
     full = (1 << s) - 1
@@ -204,21 +240,28 @@ def is_clique(graph: process.GlpGraph, vertices) -> CliqueReport:
     return CliqueReport(s, present / npairs, tuple(missing), largest)
 
 
-def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
-    """Largest clique among the ``k`` highest-degree vertices.
-
-    Candidates are ranked by degree in ``graph`` (ties toward the smaller
-    id).  Exact branch and bound at any ``k``, which must be an integer
-    ``>= 1``.  Returns the clique as a sorted id tuple.
-    """
+def _topk_ids(graph: process.GlpGraph, k) -> np.ndarray:
+    """The sorted ids of the ``k`` highest-degree vertices (ties toward the
+    smaller id), or all of them when ``k`` exceeds the vertex count."""
     deg = graph.degrees
     k = min(process._check_int(k, "k"), deg.size)
     kth = np.partition(deg, deg.size - k)[deg.size - k]  # the k-th largest degree
     above = np.flatnonzero(deg > kth)
     ties = np.flatnonzero(deg == kth)[: k - above.size]  # smallest ids first
-    ids = np.sort(np.concatenate((above, ties))).astype(np.int64) + 1
-    mask = _max_clique_mask(_induced_masks(graph, ids))
-    return tuple(int(ids[i]) for i in range(k) if mask >> i & 1)
+    return np.sort(np.concatenate((above, ties))).astype(np.int64) + 1
+
+
+def max_clique_topk(graph: process.GlpGraph, k: int, *, _keys=None) -> tuple[int, ...]:
+    """Largest clique among the ``k`` highest-degree vertices.
+
+    Candidates are ranked by degree in ``graph`` (ties toward the smaller
+    id).  Exact branch and bound at any ``k``, which must be an integer
+    ``>= 1``.  Returns the clique as a sorted id tuple.  ``_keys`` is as in
+    ``is_clique``.
+    """
+    ids = _topk_ids(graph, k)
+    mask = _max_clique_mask(_induced_masks(graph, ids, _keys))
+    return tuple(int(ids[i]) for i in range(ids.size) if mask >> i & 1)
 
 
 # ----------------------------------------------------------------------
@@ -237,15 +280,16 @@ def _wedges(first: np.ndarray, later: np.ndarray, hi: np.ndarray):
     ``(hi[e], hi[f])`` column pairs: entry ``e`` forms a wedge with each of
     the ``later[e]`` entries ``f`` after it in its row.  About
     ``_WEDGE_CHUNK`` wedges a chunk."""
-    ends = np.cumsum(later[first], dtype=np.int64)  # the wedges of first[:i + 1]
+    ends = np.cumsum(later.take(first), dtype=np.int64)  # the wedges of first[:i + 1]
     a = done = 0
     while a < first.size:
         b = max(a + 1, int(np.searchsorted(ends, done + _WEDGE_CHUNK, side="right")))
         e = first[a:b]
-        c = later[e]
+        c = later.take(e)
         # wedge w of the chunk pairs entry e[i] with entry w + jump[i]
         jump = e + 1 - (ends[a:b] - c - done)
-        yield np.repeat(hi[e], c), hi[np.arange(ends[b - 1] - done) + np.repeat(jump, c)]
+        yield np.repeat(hi.take(e), c), hi.take(
+            np.arange(ends[b - 1] - done) + np.repeat(jump, c))
         a, done = b, int(ends[b - 1])
 
 
@@ -253,8 +297,9 @@ def count_triangles(graph: process.GlpGraph) -> int:
     """Triangle count of the simple projection, by wedge enumeration.
 
     Vertices are ranked by degree, ties to the smaller id (one sort of the
-    distinct keys ``degree * V + id - 1``, which stay below ``2 * (t+1)**2
-    < 2**63`` under ``MAX_STEPS``), and each edge is a row entry of its
+    distinct keys ``degree << s | id - 1`` with ``s = _shift(V)``: a degree
+    stays below ``2**32`` and ``s <= 31`` under ``MAX_STEPS``, so a key
+    stays below ``2**63``), and each edge is a row entry of its
     lower-ranked end.  Each triangle is then counted once, at its
     lowest-ranked corner: two entries ``a < b`` of a row form a wedge, which
     closes when ``(a, b)`` is an edge.  Any order gives the same count; the
@@ -264,28 +309,30 @@ def count_triangles(graph: process.GlpGraph) -> int:
     ``H`` ranks (``H`` from ``_HUB_BYTES``) has ``b`` there too; on a
     skewed graph most wedges are such hub wedges, and each closes with one
     lookup in an ``H x H`` table of the edges among those ranks.  Every
-    other wedge is a binary search among the sorted edge keys.  Wedges are
-    tested ``_WEDGE_CHUNK`` at a time.
+    other wedge is a binary search among the sorted edge keys ``a << s | b``
+    (``s = _shift(V)``).  Wedges are tested ``_WEDGE_CHUNK`` at a time.
     """
     n = graph.num_vertices
+    s = _shift(n)
     rank = np.empty(n + 1, dtype=np.int32)
-    order = np.multiply(graph.degrees, n)
-    order += np.arange(n)
+    order = np.left_shift(graph.degrees, s)
+    order |= np.arange(n)
     order.sort()
-    order %= n  # the ids - 1, by rank
+    order &= (1 << s) - 1  # the ids - 1, by rank
     rank[1:][order] = np.arange(n, dtype=np.int32)
     del order
-    pairs = rank[graph.endpoints].reshape(-1, 2)
-    keys = _pair_keys(pairs[:, 0], pairs[:, 1], n)
-    del pairs
+    ranked = _gather(rank, graph.endpoints)  # the endpoints, as ranks
+    keys = _pair_keys(ranked[0::2], ranked[1::2], n)
+    del ranked
     lo = np.empty(keys.size, dtype=np.int32)  # each entry's row
     hi = np.empty(keys.size, dtype=np.int32)  # and column
-    np.divmod(keys, n, out=(lo, hi), casting="unsafe")
-    later = np.cumsum(np.bincount(lo, minlength=n)).astype(np.int32)[lo]
+    np.right_shift(keys, s, out=lo, casting="unsafe")
+    np.bitwise_and(keys, (1 << s) - 1, out=hi, casting="unsafe")
+    later = _gather(np.cumsum(np.bincount(lo, minlength=n)).astype(np.int32), lo)
     later -= np.arange(1, keys.size + 1, dtype=np.int32)  # entries after it in its row
     h = min(n, math.isqrt(_HUB_BYTES * keys.size))
     base = n - h  # the lowest hub rank
-    top = int(np.searchsorted(keys, base * n))  # the first edge of a row >= base
+    top = int(np.searchsorted(keys, base << s))  # the first edge of a row >= base
     table = np.zeros((h, h), dtype=bool)
     table[lo[top:] - base, hi[top:] - base] = True
     table = table.ravel()
@@ -300,13 +347,13 @@ def count_triangles(graph: process.GlpGraph) -> int:
         b -= base
         at = np.multiply(a, h, dtype=np.int64)  # (a - base) * h overflows int32 past h = 46,340
         at += b
-        total += int(np.count_nonzero(table[at]))
+        total += int(np.count_nonzero(table.take(at)))
     for a, b in _wedges(np.flatnonzero(starts), later, hi):
-        q = np.multiply(a, n, dtype=np.int64)
-        q += b
+        q = np.left_shift(a, s, dtype=np.int64)
+        q |= b
         q.sort()  # sorted queries walk ``keys`` in order: fewer cache misses
         at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-        total += int(np.count_nonzero(keys[at] == q))
+        total += int(np.count_nonzero(keys.take(at) == q))
     return total
 
 
@@ -329,10 +376,16 @@ class GrowthRow:
 
 def leader_block_range(t: int, p: float, eps: float, eps_prime: float) -> tuple[int, int]:
     """Block index window ``[ceil(t**eps_prime), floor(t**alpha)]`` where
-    ``alpha`` is the clique exponent of ``derived_constants(p, eps)``."""
+    ``alpha`` is the clique exponent of ``derived_constants(p, eps)``; ``t``
+    must be an integer ``>= 0`` (``4.0`` included)."""
     alpha = derived_constants(p, eps).clique_exponent
-    if not (0.0 <= eps_prime < math.inf):
+    try:
+        ok = 0.0 <= eps_prime < math.inf
+    except TypeError:  # a string or None
+        ok = False
+    if not ok:
         raise ParameterError(f"eps_prime must be finite and >= 0, got {eps_prime}")
+    t = process._check_int(t, "t", 0)
     try:  # in floats: an int power of an int would be computed exactly
         j_lo = max(1, math.ceil(float(t) ** eps_prime))
     except OverflowError:
@@ -373,16 +426,23 @@ def clique_growth_rows(
 
     For each ``t``, leaders are selected from the degrees at time ``t`` and
     their pairwise adjacency is read from the state at time ``2t``, as is
-    the clique among the ``topk`` highest-degree vertices; the run must
-    therefore reach ``2 * max(t)``.
+    the clique among the ``topk`` highest-degree vertices, with one scan of
+    that state's edges for both sets; the run must therefore reach
+    ``2 * max(t)``.
     """
+    try:
+        t_values = list(t_values)
+    except TypeError:
+        raise ParameterError(f"t_values must be a collection of times, got {t_values!r}") from None
     rows = []
     for t in t_values:
         j_lo, j_hi = leader_block_range(t, graph.p, eps, eps_prime)
         led = leaders(graph.at(t), m=m, j_lo=j_lo, j_hi=j_hi)
         later = graph.at(2 * t)
-        rep = is_clique(later, led.vertices)
-        top = max_clique_topk(later, topk)
+        # one induced scan serves both candidate sets
+        keys = _edge_keys(later, np.concatenate((led.vertices, _topk_ids(later, topk))))
+        rep = is_clique(later, led.vertices, _keys=keys)
+        top = max_clique_topk(later, topk, _keys=keys)
         rows.append(
             GrowthRow(
                 p=graph.p,

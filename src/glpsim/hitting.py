@@ -147,12 +147,18 @@ class DominatingLawParams:
 
     def delta(self, i) -> np.ndarray:
         i = np.asarray(i, dtype=np.float64)
-        return (1.0 - self.p) / (2.0 * (2.0 - self.p) * i**self.gamma)
+        with np.errstate(over="ignore"):  # i**gamma = inf gives delta 0, the gamma -> inf limit
+            tilt = i**self.gamma
+        return (1.0 - self.p) / (2.0 * (2.0 - self.p) * tilt)
 
     def rates(self) -> np.ndarray:
         """Exponential rates for levels ``m .. k-1`` (empty when k == m)."""
         levels = np.arange(self.m, self.k, dtype=np.float64)
         return c_p(self.p) * (1.0 - self.delta(levels)) * levels
+
+
+# Exponentials drawn at a time by ``sample_dominating``: 8 MiB of doubles.
+_ETA_CHUNK = 2**20
 
 
 def sample_dominating(params: DominatingLawParams, rng: np.random.Generator, size=None):
@@ -168,13 +174,20 @@ def sample_dominating(params: DominatingLawParams, rng: np.random.Generator, siz
     rates = params.rates()
     if rates.size == 0:
         return float(arrival) if size is None else arrival.astype(np.float64)
-    shape = np.shape(arrival) + (rates.size,)
-    # ``rng.exponential(1.0 / rates, size=shape)``: numpy scales standard
-    # exponentials the same way, and scaling in place skips its broadcast
-    eta = rng.standard_exponential(size=shape)
-    eta *= 1.0 / rates
-    stretch = np.exp(eta.sum(axis=-1))
-    out = arrival * stretch
+    # Row i of ``rng.exponential(1.0 / rates, size=(rows, rates.size))``,
+    # summed: numpy scales standard exponentials the same way, scaling in
+    # place skips its broadcast, and consecutive draws continue one stream,
+    # so drawing ``_ETA_CHUNK`` doubles at a time keeps every value.
+    rows = 1 if size is None else arrival.size
+    step = max(1, _ETA_CHUNK // rates.size)
+    scale = 1.0 / rates
+    sums = np.empty(rows)
+    buf = np.empty((min(step, rows), rates.size))
+    for a in range(0, rows, step):
+        eta = rng.standard_exponential(out=buf[: rows - a])
+        eta *= scale
+        eta.sum(axis=-1, out=sums[a : a + step])
+    out = arrival * np.exp(sums.reshape(np.shape(arrival)))
     return float(out) if size is None else out
 
 

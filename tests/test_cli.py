@@ -6,6 +6,7 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,10 +278,13 @@ def _glp_calls(draw):
 # seeds 0 .. 2**64 - 1 are all 64-bit naturals: the task list filled memory
 @example(call=(["ensemble", "--experiment=maxdeg", "--p-grid=0.5", "--steps=8",
                 "--out-dir=reports"], [f"replicas = {2**64}"]))
+# numpy's overflow warning from i**gamma in DominatingLawParams.delta
+@example(call=(["hitting", "--p=0.5", "--j=2", "--m=1", "--k=3", "--grid=8", "--replicas=2",
+                "--dom-samples=2", f"--gamma={2**64}"], []))
 def test_exit_code_contract_fuzz(tmp_path, capsys, monkeypatch, call):
-    """No exception escapes ``main``; exit 1 is a statistical verdict, which
-    only ``stats --c1``, ``hitting`` and ``ensemble`` give, and exit 2 says
-    what went wrong."""
+    """No exception escapes ``main`` and no warning is printed; exit 1 is a
+    statistical verdict, which only ``stats --c1``, ``hitting`` and
+    ``ensemble`` give, and exit 2 says what went wrong."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GLP_THREADS", raising=False)
     monkeypatch.setattr(ensemble, "run_ensemble", _small_sweep)
@@ -290,7 +294,9 @@ def test_exit_code_contract_fuzz(tmp_path, capsys, monkeypatch, call):
     if cfg:
         Path("fuzz.cfg").write_text("\n".join(cfg) + "\n")
         argv = [*argv, "--config", "fuzz.cfg"]
-    code, _, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
     assert code in (0, 1, 2)
     if code == 1:
         c1 = any(a.startswith("--c1=") for a in argv) or any(c.startswith("c1 ") for c in cfg)

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import glpsim as g
 from glpsim import community
 from glpsim.community import _edge_keys
-from glpsim.errors import ParameterError
+from glpsim.errors import GlpError, ParameterError
 
 
 def graph_from_simple_edges(n, edges):
@@ -353,6 +355,12 @@ def test_triangles_k4():
     assert g.count_triangles(gr) == 4
 
 
+# Vertex counts at the key shift's boundaries: ranks run 0 .. V - 1, so
+# the shift steps up between V = 2**k and 2**k + 1; ids run 0 .. V, so it
+# steps between V = 2**k - 1 and 2**k.
+_BOUNDARY_SIZES = sorted({2, 3} | {v for k in (2, 3, 4, 5, 6) for v in (2**k - 1, 2**k, 2**k + 1)})
+
+
 def _wedge_counts(monkeypatch):
     """Record how many wedges each call of the wedge enumerator gets: the
     hub-table wedges first, then the searched ones."""
@@ -371,11 +379,20 @@ def _check_complete_graphs(monkeypatch):
     """K_n has E = n(n-1)/2 >= n**2 / _HUB_BYTES edges, so every rank is a
     hub and every wedge closes in the table."""
     wedges = _wedge_counts(monkeypatch)
-    for n in (5, 7, 30):
+    for n in (*_BOUNDARY_SIZES, 30):
         kn = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         gr = graph_from_simple_edges(n, kn)
         assert g.count_triangles(gr) == n * (n - 1) * (n - 2) // 6
         assert wedges[-2:] == [n * (n - 1) * (n - 2) // 6, 0]
+
+
+def test_triangles_complete_graphs_without_hubs(monkeypatch):
+    """With no hub ranks every wedge of K_n is a key search, at every size
+    where the key shift steps."""
+    monkeypatch.setattr(community, "_HUB_BYTES", 0)
+    for n in _BOUNDARY_SIZES:
+        kn = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        assert g.count_triangles(graph_from_simple_edges(n, kn)) == math.comb(n, 3), n
 
 
 def test_triangles_complete_graph_formula(monkeypatch):
@@ -490,6 +507,39 @@ def test_triangles_prefix_time():
     assert counts[-1] == g.count_triangles(gr)
 
 
+@pytest.mark.parametrize("hub_bytes", [community._HUB_BYTES, 0])
+def test_triangles_chord_paths_at_shift_boundaries(monkeypatch, hub_bytes):
+    """A path with a chord (i, i + 2) at every third i has one triangle per
+    chord, at boundary sizes up to 2**17 + 1."""
+    monkeypatch.setattr(community, "_HUB_BYTES", hub_bytes)
+    for n in [*_BOUNDARY_SIZES, 2**17 - 1, 2**17, 2**17 + 1]:
+        chords = [(i, i + 2) for i in range(1, n - 1, 3)]
+        assert g.count_triangles(graph_from_simple_edges(n, chords)) == len(chords), n
+
+
+def _simple_edge_set(graph):
+    return sorted({(min(u, v), max(u, v)) for u, v in graph.edges().tolist() if u != v})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    steps=st.integers(min_value=0, max_value=3000),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_simple_edges_match_a_set_of_tuples(p, steps, seed):
+    gr = g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
+    edges = g.simple_edges(gr)
+    assert edges.dtype == np.int64 and edges.shape == (edges.shape[0], 2)
+    assert [tuple(e) for e in edges.tolist()] == _simple_edge_set(gr)
+
+
+def test_simple_edges_at_shift_boundaries():
+    for n in _BOUNDARY_SIZES:
+        gr = graph_from_simple_edges(n, [(1, n), (2, n), (n - 1, 1)] if n > 2 else [])
+        assert [tuple(e) for e in g.simple_edges(gr).tolist()] == _simple_edge_set(gr), n
+
+
 # ----------------------------------------------------------------------
 # simple projection plumbing
 
@@ -517,7 +567,8 @@ def test_edge_keys_match_isin_filter(p, steps, seed):
         ids = np.unique(np.concatenate(([1, nv], rng.integers(1, nv + 1, size))))
         kept = pairs[np.isin(pairs[:, 0], ids) & np.isin(pairs[:, 1], ids)].astype(np.int64)
         u, v = kept.min(axis=1), kept.max(axis=1)
-        want = np.unique(u[u != v] * (nv + 1) + v[u != v])
+        # keys pack u above v's nv.bit_length() bits: ids run 0 .. nv
+        want = np.unique(u[u != v] << nv.bit_length() | v[u != v])
         assert np.array_equal(_edge_keys(gr, ids), want)
 
 
@@ -546,3 +597,139 @@ def test_growth_rows_exact_above_141_leaders():
     assert row.leader_count > 141
     assert 1 <= row.clique_size <= row.leader_count
     assert 0.0 < row.pair_fraction < 1.0
+
+
+def _separate_rows(graph, t_values, m, eps, eps_prime, topk):
+    """``clique_growth_rows`` from separate ``is_clique`` and
+    ``max_clique_topk`` calls, each scanning for its own ids; and whether
+    the leaders and the top-k ids overlap at each t."""
+    rows, overlaps = [], []
+    for t in t_values:
+        j_lo, j_hi = g.leader_block_range(t, graph.p, eps, eps_prime)
+        led = g.leaders(graph.at(t), m=m, j_lo=j_lo, j_hi=j_hi)
+        later = graph.at(2 * t)
+        rep = g.is_clique(later, led.vertices)
+        top = g.max_clique_topk(later, topk)
+        rows.append(g.GrowthRow(graph.p, graph.seed, t, j_lo, j_hi, int(led.vertices.size),
+                                rep.pair_fraction, rep.largest_clique_size, len(top)))
+        deg = later.degrees
+        topk_ids = np.lexsort((np.arange(1, deg.size + 1), -deg))[:topk] + 1
+        overlaps.append(bool(np.intersect1d(led.vertices, topk_ids).size))
+    return rows, overlaps
+
+
+def test_growth_rows_match_separate_clique_calls():
+    """One scan for the union of both candidate sets gives the rows of two
+    separate scans, when the sets overlap and when they are disjoint."""
+    overlaps = []
+    for p, seed, topk, eps_prime in [(0.5, 1, 64, 0.05), (0.25, 2, 16, 0.05), (0.75, 3, 64, 0.05),
+                                     (0.5, 4, 1, 0.05), (0.1, 1, 3, 0.3), (0.9, 6, 8, 0.05)]:
+        graph = g.run(g.ProcessParams(p=p, steps=20_000, seed=seed)).graph
+        kw = dict(m=5, eps=0.1, eps_prime=eps_prime, topk=topk)
+        ts = [t for t in (1000, 4000, 10_000) if _window_fills(graph, t, kw)]
+        rows, seen = _separate_rows(graph, ts, **kw)
+        assert g.clique_growth_rows(graph, ts, **kw) == rows
+        overlaps += seen
+    assert True in overlaps and False in overlaps
+
+
+def _window_fills(graph, t, kw):
+    """Whether the run holds every leader block of time ``t``."""
+    try:
+        j_lo, j_hi = g.leader_block_range(t, graph.p, kw["eps"], kw["eps_prime"])
+        g.leaders(graph.at(t), kw["m"], j_lo, j_hi)
+    except ParameterError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clique_calls_read_keys_on_a_superset(seed):
+    """Handed the edge keys of the whole graph, ``is_clique`` and
+    ``max_clique_topk`` keep only the edges among their own ids."""
+    gr = g.run(g.ProcessParams(p=0.5, steps=3000, seed=seed)).graph
+    keys = _edge_keys(gr)
+    rng = np.random.default_rng(seed)
+    for size in (2, 10, 40):
+        ids = rng.choice(np.arange(1, gr.num_vertices + 1), size, replace=False)
+        assert g.is_clique(gr, ids, _keys=keys) == g.is_clique(gr, ids)
+    for k in (1, 8, 64):
+        assert g.max_clique_topk(gr, k, _keys=keys) == g.max_clique_topk(gr, k)
+
+
+# ----------------------------------------------------------------------
+# the library twin of the exit-code fuzz
+
+# The exit-code fuzz's bad alphabet (``tests/test_cli.py``), both as the
+# strings a command line passes and as the numbers they read as.
+_BAD_TEXT = ["nan", "inf", "-inf", "-1", "0", "4.0", "1e400", str(2**64), "", "word", "1e-300"]
+
+
+def _as_number(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+_BAD = [*_BAD_TEXT, *(_as_number(t) for t in _BAD_TEXT if _as_number(t) is not t), None]
+_FUZZ_GRAPHS = [g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
+                for p, steps, seed in ((0.5, 0, 1), (0.0, 20, 2), (1.0, 50, 3), (0.5, 300, 4),
+                                       (0.2, 2500, 5))]
+# Each public function's arguments after the graph (``leader_block_range`` takes
+# none); ``_good_values`` gives the valid values of each.
+_COMMUNITY_CALLS = {
+    "count_triangles": (),
+    "is_clique": ("vertices",),
+    "max_clique_topk": ("k",),
+    "leaders": ("m", "j_lo", "j_hi"),
+    "leader_block_range": ("t", "p", "eps", "eps_prime"),
+    "clique_growth_rows": ("t_values", "m", "eps", "eps_prime", "topk"),
+}
+
+
+def _good_values(graph):
+    nv, half = graph.num_vertices, max(1, graph.t // 2)
+    return {
+        "vertices": st.lists(st.integers(1, nv), min_size=1, max_size=12),
+        "k": st.integers(1, 70), "topk": st.integers(1, 70),
+        "m": st.integers(1, 4), "j_lo": st.integers(1, 3), "j_hi": st.integers(3, 6),
+        "t": st.sampled_from([1, 100, 1000, 10**4]), "p": st.sampled_from([0.25, 0.5, 0.75]),
+        "eps": st.sampled_from([0.1, 0.2]), "eps_prime": st.sampled_from([0.0, 0.05]),
+        "t_values": st.lists(st.integers(1, half), min_size=1, max_size=3),
+    }
+
+
+@st.composite
+def _community_calls(draw):
+    """A public ``community`` function on a small run, with valid values for
+    its arguments, then up to two of them bad: a value from the bad
+    alphabet, given alone or, for a list argument, inside a valid list."""
+    name = draw(st.sampled_from(sorted(_COMMUNITY_CALLS)))
+    graph = draw(st.sampled_from(_FUZZ_GRAPHS))
+    names = _COMMUNITY_CALLS[name]
+    good = _good_values(graph)
+    args = {arg: draw(good[arg]) for arg in names}
+    for arg in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)) if names else ():
+        bad = draw(st.sampled_from(_BAD))
+        if arg in ("vertices", "t_values") and draw(st.booleans()):
+            bad = [*args[arg], bad]
+        args[arg] = bad
+    return name, graph, args
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=_community_calls())
+def test_community_raises_only_package_errors(call):
+    """Whatever the values, a public ``community`` function returns or
+    raises a ``GlpError``, and prints no warning."""
+    name, graph, args = call
+    fn = getattr(g, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn(**args) if name == "leader_block_range" else fn(graph, **args)
+        except GlpError:
+            pass

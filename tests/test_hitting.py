@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -201,11 +202,12 @@ def test_dominating_k_equals_m_reduces_to_arrival():
     assert np.array_equal(a, b.astype(float))
 
 
-@pytest.mark.parametrize("size", [None, 0, 1, 10**3])
-@pytest.mark.parametrize("k", [4, 16])
-def test_dominating_draws_match_numpy_exponential(size, k):
+@pytest.mark.parametrize("k, size", [(k, size) for k in (4, 16) for size in (None, 0, 1, 10**3)]
+                         + [(1000, 2200)])
+def test_dominating_draws_match_numpy_exponential(k, size):
     # the eta draws scaled in place are ``rng.exponential(1.0 / rates)``,
-    # values and generator state alike; k == m has no eta levels
+    # values and generator state alike; k == m has no eta levels, and
+    # 2200 x 996 draws take three chunks of at most 2**20, the last ragged
     lp = g.DominatingLawParams(p=0.5, m=4, j=260, k=k, gamma=0.4)
     rng, ref = g.make_rng(31), g.make_rng(31)
     got = g.sample_dominating(lp, rng, size=size)
@@ -217,6 +219,31 @@ def test_dominating_draws_match_numpy_exponential(size, k):
     want = float(arrival) if size is None else np.asarray(arrival, dtype=np.float64)
     assert type(got) is type(want) and np.array_equal(got, want)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_dominating_peak_is_one_draw_chunk():
+    """10,000 samples over 996 levels draw 80 MB of exponentials, but only
+    one chunk of 2**20 doubles (8 MiB) is held at a time."""
+    lp = g.DominatingLawParams(p=0.5, m=4, j=260, k=1000, gamma=0.4)
+    tracemalloc.start()
+    try:
+        g.sample_dominating(lp, g.make_rng(1), size=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+
+
+def test_rates_at_a_huge_gamma_are_the_limit_without_a_warning():
+    """``i**gamma`` past the float range is inf, so ``delta_i`` is 0 and the
+    rate is the gamma -> inf limit ``c_p * i``; level 1 keeps its delta,
+    since ``1**gamma`` is 1.  numpy's overflow warning stays inside."""
+    lp = g.DominatingLawParams(p=0.5, m=1, j=2, k=4, gamma=float(2**64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = lp.rates()
+    level_1 = g.DominatingLawParams(p=0.5, m=1, j=2, k=2, gamma=1.0).rates()
+    assert rates.tolist() == [level_1[0], g.c_p(0.5) * 2, g.c_p(0.5) * 3]
 
 
 def test_dominating_exponential_factor_moment():

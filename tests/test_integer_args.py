@@ -54,6 +54,7 @@ CASES = [
     ("leaders m", lambda x: g.leaders(GRAPH, x, 1, 2), ParameterError),
     ("leaders j_lo", lambda x: g.leaders(GRAPH, 2, x, 5), ParameterError),
     ("leaders j_hi", lambda x: g.leaders(GRAPH, 2, 1, x), ParameterError),
+    ("leader_block_range t", lambda x: g.leader_block_range(x, 0.5, 0.1, 0.0), ParameterError),
     ("max_clique_topk k", lambda x: g.max_clique_topk(GRAPH, x), ParameterError),
     ("is_clique ids", lambda x: g.is_clique(GRAPH, [1, x, 7]), ParameterError),
     ("DegreeHistogram values",
