@@ -251,16 +251,20 @@ def _topk_ids(graph: process.GlpGraph, k) -> np.ndarray:
     return np.sort(np.concatenate((above, ties))).astype(np.int64) + 1
 
 
-def max_clique_topk(graph: process.GlpGraph, k: int, *, _keys=None) -> tuple[int, ...]:
+def max_clique_topk(graph: process.GlpGraph, k: int) -> tuple[int, ...]:
     """Largest clique among the ``k`` highest-degree vertices.
 
     Candidates are ranked by degree in ``graph`` (ties toward the smaller
     id).  Exact branch and bound at any ``k``, which must be an integer
-    ``>= 1``.  Returns the clique as a sorted id tuple.  ``_keys`` is as in
-    ``is_clique``.
+    ``>= 1``.  Returns the clique as a sorted id tuple.
     """
-    ids = _topk_ids(graph, k)
-    mask = _max_clique_mask(_induced_masks(graph, ids, _keys))
+    return _clique_among(graph, _topk_ids(graph, k))
+
+
+def _clique_among(graph: process.GlpGraph, ids: np.ndarray, keys=None) -> tuple[int, ...]:
+    """The largest clique among the sorted ``ids``, as a sorted id tuple;
+    ``keys`` is as in ``is_clique``."""
+    mask = _max_clique_mask(_induced_masks(graph, ids, keys))
     return tuple(int(ids[i]) for i in range(ids.size) if mask >> i & 1)
 
 
@@ -439,10 +443,11 @@ def clique_growth_rows(
         j_lo, j_hi = leader_block_range(t, graph.p, eps, eps_prime)
         led = leaders(graph.at(t), m=m, j_lo=j_lo, j_hi=j_hi)
         later = graph.at(2 * t)
-        # one induced scan serves both candidate sets
-        keys = _edge_keys(later, np.concatenate((led.vertices, _topk_ids(later, topk))))
+        # one top-k pick and one induced scan serve both candidate sets
+        top_ids = _topk_ids(later, topk)
+        keys = _edge_keys(later, np.concatenate((led.vertices, top_ids)))
         rep = is_clique(later, led.vertices, _keys=keys)
-        top = max_clique_topk(later, topk, _keys=keys)
+        top = _clique_among(later, top_ids, keys)
         rows.append(
             GrowthRow(
                 p=graph.p,

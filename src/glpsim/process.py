@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,12 +336,14 @@ _BLOCK = 2**16
 _DRAW_CUTOFF = 2**19
 
 # ``_slot_draws`` works through the uint32 stream this many draws at a time,
-# so its uint64 temporaries stay in cache.
+# so a window of its products stays in cache.
 _DRAW_WINDOW = 2**14
 _EVEN = np.arange(_DRAW_WINDOW + 1, dtype=np.uint64) & np.uint64(2**64 - 2)
-# 0-d arrays: a ufunc takes them with less per-call work than a scalar
-_LOW32 = np.array(2**32 - 1, dtype=np.uint64)
+# 0-d array: a ufunc takes it with less per-call work than a scalar
 _HIGH = np.array(32, dtype=np.uint64)
+# Which uint32 half of a uint64 holds its low 32 bits: the first in memory
+# on a little-endian host, the second on a big-endian one.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
 
 
 def _slot_draws(rng: np.random.Generator, lo: int, hi: int, carry, out=None):
@@ -358,23 +361,23 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, carry, out=None):
     writes no generator state.  ``_put_carry`` writes a carry into the
     state, where the next numpy draw expects it.
 
-    A window of draws is computed at once in two uint64 windows, the bounds
-    and the products, plus a bool mask: the values ``m >> 32`` go straight
-    into ``out``, and the products are then cut to ``m % 2**32`` in place.
-    Only a window with candidates (``m % 2**32 < b``, rare for small
-    bounds) gets the modulo.  A rejection restarts the window at the
-    rejected draw, one uint32 further on.  Raw outputs are taken only as
-    they are needed.
+    A window of draws is computed inside the slice of ``out`` it fills,
+    seen as uint64: the bounds are written there and multiplied by the
+    draws in place, and the products are shifted down to their values.
+    Before the shift, one bool mask of twice the window's length compares
+    every uint32 half of the products with the window's largest bound.  A
+    high half is a value, below its own bound, so it always passes; a pass
+    beyond the window's length is a low half that may be rejected, and
+    only those get the modulo.  A rejection restarts the window at the
+    rejected draw, one uint32 further on, and the next window rewrites the
+    values past it.  Raw outputs are taken only as they are needed.
     """
     bg = rng.bit_generator
     has, last = carry
     spare = np.array([last] if has else [], dtype=np.uint32)
     if out is None:
         out = np.empty(hi - lo, dtype=np.int64)
-    size = min(_DRAW_WINDOW, hi - lo)  # no window outgrows a short block
-    bounds = np.empty(size, dtype=np.uint64)
-    m = np.empty(size, dtype=np.uint64)
-    small = np.empty(size, dtype=bool)
+    small = np.empty(2 * min(_DRAW_WINDOW, hi - lo), dtype=bool)  # no longer than the block
     i = lo
     while i < hi:
         w = min(_DRAW_WINDOW, hi - i)
@@ -385,19 +388,17 @@ def _slot_draws(rng: np.random.Generator, lo: int, hi: int, carry, out=None):
         else:
             x = spare
         odd = i & 1
-        bw, mw, sw = bounds[:w], m[:w], small[:w]
-        np.add(_EVEN[odd : odd + w], i - odd, out=bw)  # (i + k) & ~1
-        np.multiply(x[:w], bw, out=mw)
-        # Every value is written; those past a rejection are written again
-        # by the next window.  The products then keep only their low halves.
-        np.right_shift(mw, _HIGH, out=out[i - lo : i - lo + w].view(np.uint64))
-        np.bitwise_and(mw, _LOW32, out=mw)
+        mw = out[i - lo : i - lo + w].view(np.uint64)
+        np.add(_EVEN[odd : odd + w], i - odd, out=mw)  # the bounds (i + k) & ~1
+        np.multiply(x[:w], mw, out=mw)
+        halves, sw = mw.view(np.uint32), small[: 2 * w]
         n = w
-        if np.count_nonzero(np.less(mw, bw, out=sw)):
-            cand = np.flatnonzero(sw)
-            rejected = cand[mw[cand] < np.uint64(2**32) % bw[cand]]
+        if np.count_nonzero(np.less(halves, (i + w - 1) & ~1, out=sw)) > w:
+            cand = np.flatnonzero(sw[_LOW_HALF::2])
+            rejected = cand[halves[_LOW_HALF::2][cand] < 2**32 % ((cand + i) & ~1)]
             if rejected.size:
                 n = int(rejected[0])
+        np.right_shift(mw, _HIGH, out=mw)
         spare = x[n + (n < w) :].copy()  # frees the window's raw draws
         i += n
     # Every uint32 drawn but ``spare`` (at most one once the last window
@@ -568,8 +569,10 @@ def _generate(p: float, steps: int, seed: int):
     block's kinds and the temporaries it still reads are alive: about 8.52
     bytes per step at ``2**21`` steps and 8.3 at ``4 * 10**6``, where the
     last block's ``rng.integers`` draw sets it.  Runs of a few blocks peak
-    higher per step while a half block's slots are drawn: about 50 at
-    ``2**14`` steps, 15.2-15.9 at ``10**5`` and 11.8-12.1 at ``2 * 10**5``.
+    higher per step in the first block's doubling passes, while both its
+    int64 buffers are alive: about 44 at ``2**14`` steps, 13.9 at ``10**5``
+    and 10.9 at ``2 * 10**5``.  ``_slot_draws`` computes its windows inside
+    the pointers it fills, so a block's draws stay below that.
     """
     n = int(steps)
     nslots = 2 * (n + 1)

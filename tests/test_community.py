@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import glpsim as g
 from glpsim import community
-from glpsim.community import _edge_keys
+from glpsim.community import _clique_among, _edge_keys, _topk_ids
 from glpsim.errors import GlpError, ParameterError
 
 
@@ -645,8 +645,8 @@ def _window_fills(graph, t, kw):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_clique_calls_read_keys_on_a_superset(seed):
-    """Handed the edge keys of the whole graph, ``is_clique`` and
-    ``max_clique_topk`` keep only the edges among their own ids."""
+    """Handed the edge keys of the whole graph, ``is_clique`` and the
+    top-k clique search keep only the edges among their own ids."""
     gr = g.run(g.ProcessParams(p=0.5, steps=3000, seed=seed)).graph
     keys = _edge_keys(gr)
     rng = np.random.default_rng(seed)
@@ -654,7 +654,7 @@ def test_clique_calls_read_keys_on_a_superset(seed):
         ids = rng.choice(np.arange(1, gr.num_vertices + 1), size, replace=False)
         assert g.is_clique(gr, ids, _keys=keys) == g.is_clique(gr, ids)
     for k in (1, 8, 64):
-        assert g.max_clique_topk(gr, k, _keys=keys) == g.max_clique_topk(gr, k)
+        assert _clique_among(gr, _topk_ids(gr, k), keys) == g.max_clique_topk(gr, k)
 
 
 # ----------------------------------------------------------------------

@@ -252,11 +252,11 @@ def test_slot_draws_match_numpy(lo, hi, pre_draw):
 
 
 def test_slot_draws_window_bytes():
-    # Two uint64 windows of 2**14 entries (the bounds and the products,
-    # cut to their low halves in place), the bool mask and one window of raw
-    # outputs: about 412 KB beyond ``out``.  The carry is copied, so a
-    # window's raw outputs are freed before the next are drawn; a view
-    # would keep them, about 478 KB in all.
+    # The bounds and products are computed inside ``out``, so beyond it
+    # only the bool mask (2 * 2**14 entries) and one window of raw outputs
+    # remain, with the copy that joins a carry to them: 164-227 KiB across
+    # seeds 0-4.  The carry is copied, so a window's raw outputs are freed
+    # before the next are drawn.
     rng = g.make_rng(0)
     buf = np.empty(2**16, dtype=np.int64)
     tracemalloc.start()
@@ -265,7 +265,31 @@ def test_slot_draws_window_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 416 * 2**10, f"{peak} B"
+    assert peak <= 240 * 2**10, f"{peak} B"
+
+
+_W = process._DRAW_WINDOW
+
+
+@pytest.mark.parametrize("pre_draw", [False, True])
+@pytest.mark.parametrize("length", [_W - 1, _W, _W + 1, 2 * _W + 1])
+@pytest.mark.parametrize("lo", [2, 2**20 + 1])
+def test_slot_draws_fill_a_slice(lo, length, pre_draw):
+    # As the first block draws into ``full[lo:]``: the windows are computed
+    # inside the slice, and nothing around it is written.
+    ours, ref = g.make_rng(lo + length), g.make_rng(lo + length)
+    if pre_draw:
+        ours.integers(0, np.array([10]))
+        ref.integers(0, np.array([10]))
+    state = ours.bit_generator.state
+    buf = np.full(3 + length + 5, -1, dtype=np.int64)
+    got, carry = process._slot_draws(ours, lo, lo + length,
+                                     (state["has_uint32"], state["uinteger"]), out=buf[3:-5])
+    assert np.shares_memory(got, buf) and got.size == length
+    assert np.array_equal(got, ref.integers(0, np.arange(lo, lo + length) & ~1))
+    assert (buf[:3] == -1).all() and (buf[-5:] == -1).all()
+    process._put_carry(ours, carry)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,39 +580,40 @@ def test_generation_peak_bytes_per_step():
 
 def test_later_block_peak_bytes_per_step():
     # At 2 * 10**5 steps one block's working set still weighs: about
-    # 12.1 B/step with the endpoints' 8.  The last half block, which has
-    # taken the short remainder, peaks while ``_slot_draws`` fills its int64
-    # pointers (316 KB for its 39,554 slots) beside its kinds and the draw
-    # windows, 0.83 MB above the endpoints.  The first block's two doubling
-    # buffers (256 KiB each) and every chain loop stay below that.
+    # 10.9 B/step with the endpoints' 8.  The first block's doubling passes
+    # set the peak: its two int64 buffers (256 KiB each), its kinds and the
+    # mask and list of the pointers they leave moving.  The last half
+    # block, which has taken the short remainder, comes close while
+    # ``_slot_draws`` fills its int64 pointers (316 KB for its 39,554
+    # slots) beside its kinds, mask and raw draws.
     peak = run_peak_bytes_per_step(2 * 10**5)
-    assert peak <= 12.5, f"{peak:.2f} B/step"
+    assert peak <= 11.3, f"{peak:.2f} B/step"
 
 
 def test_replica_run_peak_bytes_per_step():
     # The size of the replica sweeps: six blocks of 2**15 slots, the last
-    # with the remainder.  The peak comes while a block's slots are drawn:
-    # its int64 pointers (256 KiB), ``_slot_draws``' two uint64 windows and
-    # raw draws (about 400 KB) and its kinds, 0.7 MB over the endpoints'
-    # 8 B/step: about 15.2 B/step at this seed, and up to 15.9 at seeds
-    # where a rejection's carry is joined to the next window's raw draws.
-    # The first block's doubling buffers (512 KiB together) stay below it.
+    # with the remainder.  The peak comes in the first block's doubling
+    # passes: its two int64 buffers (512 KiB together), its kinds and the
+    # mask and list of the pointers they leave moving, about 0.59 MB over
+    # the endpoints' 8 B/step: 13.83-13.91 B/step across seeds 0-4.  A later
+    # block's draws (its int64 pointers, the mask and raw draws) stay below.
     peak = run_peak_bytes_per_step(10**5)
-    assert peak <= 16, f"{peak:.2f} B/step"
+    assert peak <= 14.2, f"{peak:.2f} B/step"
 
 
 def test_first_block_peak_bytes_per_step():
-    # A run in one block peaks inside ``_slot_draws``: the doubling buffer
-    # it fills (16 B/step), the endpoints, the kinds, and the draw windows
-    # of 2**14 entries, about 50.2 B/step.  The roots and the doubling
-    # passes come after it and stay below.
+    # A run in one block peaks in its doubling passes: the two int64
+    # buffers (32 B/step together), the endpoints, the kinds and the mask
+    # and list of the pointers the passes leave moving, 43.6-44.1 B/step
+    # across seeds 0-4.  ``_slot_draws``, which fills one buffer with only
+    # its mask and raw draws beside it, stays below.
     peak = run_peak_bytes_per_step(2**14)
-    assert peak <= 51.5, f"{peak:.2f} B/step"
+    assert peak <= 45, f"{peak:.2f} B/step"
 
 
 def test_short_run_peak_bytes():
-    # ``_slot_draws``' windows are no longer than the block, so a 100-step
-    # run traces about 13 KB, not the 2**14-entry windows' 400 KB.
+    # ``_slot_draws``' mask is no longer than twice the block, so a 100-step
+    # run traces about 7 KB, not the 32 KiB of a whole window's mask.
     assert run_peak_bytes_per_step(100) * 100 <= 32 * 2**10
 
 
