@@ -26,6 +26,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import analytics, community, ensemble, hitting, process
 from .errors import BatchError, ConfigError, FitError, GlpError, StatisticsError
 
@@ -238,29 +240,172 @@ def _cmd_hitting(opts: dict) -> tuple[int, dict]:
     )
     if opts["csv"]:
         # the rows ``csv.writer`` would write: no field needs quoting
-        with open(opts["csv"], "w", newline="") as fh:
-            fh.write("source,p,m,j,k,replica,hit_time\r\n")
+        head = f"{p!r},{m},{j},{k},"
+        with open(opts["csv"], "wb") as fh:
+            fh.write(b"source,p,m,j,k,replica,hit_time\r\n")
+            row = f"empirical,{head}%d,%s\r\n"
             hits = ["censored" if math.isinf(v) else int(v)
                     for v in report.empirical_times.tolist()]
-            _write_rows(fh, f"empirical,{p!r},{m},{j},{k},%d,%s\r\n", hits)
-            _write_rows(fh, f"dominating,{p!r},{m},{j},{k},%d,%r\r\n",
-                        report.dominating_times.tolist())
+            for a in range(0, len(hits), _WRITE_CHUNK):
+                chunk = enumerate(hits[a : a + _WRITE_CHUNK], a)
+                fh.write("".join(row % pair for pair in chunk).encode())
+            dom = report.dominating_times
+            for a in range(0, dom.size, _WRITE_CHUNK):
+                fh.write(_repr_rows(f"dominating,{head}", a, dom[a : a + _WRITE_CHUNK]))
     return 0 if report.passed else 1, {
         "gamma": report.params.gamma, "passed": report.passed,
         "rows": [{**dataclasses.asdict(r), "ok": r.ok} for r in report.rows],
     }
 
 
-# Rows per formatted write: bounds the temporary string at any sample count.
-_WRITE_CHUNK = 2**16
+# Rows per formatted write: bounds the temporaries at any sample count.
+_WRITE_CHUNK = 2**14
+
+# The exact doubles 10**s, and the high and low halves of each by Veltkamp's
+# split (``_halves``), for Dekker's exact product.
+_POW10 = np.array([float(10**s) for s in range(18)])
+_SPLIT = 2.0**27 + 1
+# The margin kept by every digit decision (see ``_shortest_digits``).
+_DELTA = 2.0**-40
 
 
-def _write_rows(fh, row: str, values: list) -> None:
-    """Write ``row % (i, values[i])`` for every ``i``, a chunk at a time."""
-    for a in range(0, len(values), _WRITE_CHUNK):
-        chunk = values[a : a + _WRITE_CHUNK]
-        fields = [x for pair in zip(range(a, a + len(chunk)), chunk) for x in pair]
-        fh.write(row * len(chunk) % tuple(fields))
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``x == hi + lo`` with both halves of at most 26 bits."""
+    t = x * _SPLIT
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _probe(v, vh, vl, half, s) -> tuple[np.ndarray, ...]:
+    """``(n, d, h)`` for each ``v`` (with its ``_halves`` and half an ulp)
+    and ``s`` in ``[0, 16]``: ``n = near + step`` (two integral doubles), the
+    integer nearest ``v * 10**s``, ``d`` its computed distance from it and
+    ``h = 10**s * half``."""
+    hi = v * _POW10[s]
+    lo = vh * _POW10_HI[s]  # Dekker's two-product: v * 10**s == hi + lo
+    lo -= hi
+    lo += vh * _POW10_LO[s]
+    lo += vl * _POW10_HI[s]
+    lo += vl * _POW10_LO[s]
+    near = np.rint(hi)
+    r = hi - near
+    r += lo
+    step = np.rint(r)
+    r -= step
+    return (near, step), np.abs(r), half * _POW10[s]
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(ok, n, size, e10)``: for each ``x[i]`` where ``ok`` holds, in
+    order, ``repr(x[i])`` is the ``size`` digits of ``n`` with the point
+    after the first ``e10 + 1`` of them (``x[i]`` lies in
+    ``[10**e10, 10**(e10 + 1))``).
+
+    Only a finite ``x`` in ``[1, 10**15)`` whose mantissa is not ``2**52``
+    is tried, so that its rounding interval is ``x`` plus or minus half an
+    ulp.  ``repr`` gives the shortest digit string that reads back as ``x``,
+    and the one nearest ``x`` among those.  The nearest ``P``-digit decimal
+    is ``n / 10**s``, ``s = P - 1 - e10``, with ``n`` the integer nearest
+    ``x * 10**s``.  It reads back iff ``d = |x * 10**s - n|`` is below
+    ``h = 10**s`` half-ulps (at ``d == h`` the read breaks a tie to even).
+    If ``P`` digits read back, so do ``P + 1``, and 17 always do, so the
+    probes run down from 16 until one fails.  The length probe, at the last
+    ``P`` that reads back (17 if none does), is then computed again for
+    every value to give ``n``.
+
+    Each probe is exact up to one rounding: ``10**s`` (``s <= 16``) and ``h``
+    are exact doubles, Dekker's two-product gives ``x * 10**s = hi + lo``
+    exactly, and ``hi - rint(hi)`` is exact, as is taking the nearest
+    integer off the sum.  Adding ``lo`` rounds once, by at most ``2**-54``,
+    since the sum is below 1 unless ``hi >= 2**52``, where it is ``lo``
+    itself.  So the computed ``d`` is
+    within ``2**-54`` of the distance to ``n``, and each test of
+    ``d + _DELTA`` or ``d - _DELTA`` rounds by at most ``2**-54`` more:
+    far inside ``_DELTA = 2**-40``.  A probe reads back if
+    ``d + _DELTA < h``, fails if ``d - _DELTA > h``, and is undecided
+    otherwise.  A failing probe whose ``n`` is the wrong one of two nearly
+    equidistant integers is still sound: both are farther than ``h``.
+
+    ``ok`` is false, and the caller must use ``repr``, for a value outside
+    the class above; one with an undecided probe; one whose probe at
+    ``s = 0`` reads back (it might be shorter, with trailing zeros); one
+    whose length probe has ``d + _DELTA >= min(h, 1/2)`` (it is not
+    certified, or ``n`` may be the wrong one of two nearly equidistant
+    integers); and one with ``n == 10**P``.
+    """
+    ok = (x >= 1.0) & (x < 1e15)  # false for nan
+    ok &= np.frexp(x)[0] != 0.5
+    v = x[ok]
+    e10 = np.log10(v).astype(np.int64)  # the floor, or one off beside a power of ten
+    e10 -= v < _POW10[e10]
+    e10 += v >= _POW10[e10 + 1]
+    vh, vl = _halves(v)
+    half = np.spacing(v) / 2  # a power of two
+    size = np.full(v.size, 17)
+    sure = np.ones(v.size, dtype=bool)
+    live = np.arange(v.size)  # the values whose length is not yet known
+    for digits in range(16, 0, -1):
+        s = digits - 1 - e10[live]
+        _, d, h = _probe(v[live], vh[live], vl[live], half[live], s)
+        back = d + _DELTA < h
+        fail = d - _DELTA > h
+        sure[live[~(back | fail) | (back & (s == 0))]] = False
+        size[live[fail]] = digits + 1
+        live = live[back & (s > 0)]
+        if not live.size:
+            break
+    (near, step), d, h = _probe(v, vh, vl, half, size - 1 - e10)
+    n = near.astype(np.int64)
+    n += step.astype(np.int64)
+    sure &= (d + _DELTA < np.minimum(h, 0.5)) & (n != 10**size)
+    ok[ok] = sure
+    return ok, n[sure], size[sure], e10[sure]
+
+
+def _repr_rows(head: str, first: int, x: np.ndarray) -> np.ndarray:
+    r"""The ASCII bytes of ``f"{head}{first + i},{x[i]!r}\r\n"`` for every
+    ``i``, as a uint8 array; ``x`` is not empty, ``head`` at least 15 bytes.
+
+    The values that ``_shortest_digits`` certifies are written by
+    ``process._put_digits``, whose spare zeros land at most 15 bytes back,
+    on the row's comma, index or head.  Every other value is ``repr``'d one
+    at a time.  The indices (spares in the head) and the fixed bytes go in
+    last.
+    """
+    ok, n, size, e10 = _shortest_digits(x)
+    slow = np.flatnonzero(~ok)
+    texts = [repr(v) for v in x[slow].tolist()]
+    width = np.empty(x.size, np.int64)  # the value's bytes, point included
+    width[ok] = size + 1
+    width[slow] = [len(t) for t in texts]
+    index = np.arange(first, first + x.size, dtype=np.int64)
+    digits = np.ones(x.size, np.int64)
+    for k in range(1, len(str(first + x.size - 1))):
+        digits += index >= 10**k
+    end = np.cumsum(width + digits + (len(head) + 3))
+    end -= 2  # each value's end: its row's "\r"
+    buf = np.empty(int(end[-1]) + 2, dtype=np.uint8)
+    at = end[ok]
+    s = size - 1 - e10
+    process._put_digits(buf, n, at, s)
+    buf[at - s - 1] = ord(".")
+    if texts:
+        text = np.frombuffer("".join(texts).encode(), dtype=np.uint8)
+        lens = width[slow]
+        buf[np.repeat(end[slow] - np.cumsum(lens), lens) + np.arange(text.size)] = text
+    comma = end - width - 1
+    process._put_digits(buf, index, comma)
+    buf[comma] = ord(",")
+    buf[end] = ord("\r")
+    buf[end + 1] = ord("\n")
+    comma -= digits + len(head)  # each row's start
+    for byte in head.encode():
+        buf[comma] = byte
+        comma += 1
+    return buf
 
 
 def _cmd_clique(opts: dict) -> tuple[int, dict]:

@@ -28,6 +28,23 @@ from .errors import ParameterError, PreconditionError
 __all__ = _EXPORTS["hitting"]
 
 
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite real; a non-number such as ``"3"`` is not."""
+    try:
+        return math.isfinite(x)
+    except TypeError:
+        return False
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, or ``ParameterError`` naming them
+    ``what`` unless numpy reads them as numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} must be numbers: {exc}") from None
+
+
 def _block(j, m) -> tuple[int, int]:
     """``(j, m)`` as ints, or ``ParameterError`` unless both are integers
     ``>= 1`` (``4.0`` included)."""
@@ -49,7 +66,7 @@ class BlockSpec:
 
     def __post_init__(self):
         j, m = _block(self.j, self.m)
-        ks = tuple(self.thresholds)
+        ks = tuple(self.thresholds) if np.iterable(self.thresholds) else ()
         if not ks or not all(process._integral(k, 1) for k in ks) or list(ks) != sorted(set(ks)):
             raise ParameterError("thresholds must be strictly increasing naturals")
         for name, v in (("j", j), ("m", m), ("thresholds", tuple(int(k) for k in ks))):
@@ -126,7 +143,7 @@ class DominatingLawParams:
     gamma: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p < 1.0):
+        if process._check_p(self.p) == 1.0:
             raise ParameterError("dominating law needs p in [0, 1)")
         j, m = _block(self.j, self.m)
         k = process._check_int(self.k, "threshold k", m)
@@ -138,7 +155,7 @@ class DominatingLawParams:
         # gamma > 0 does (each delta_i < 1).  The theoretical guarantee holds
         # for gamma < 1/c_p - 1; larger values give a thinner dominating tail
         # and are accepted because the comparison is still well-defined.
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+        if not (_finite(self.gamma) and self.gamma > 0.0):
             raise ParameterError(f"gamma must be a positive real, got {self.gamma!r}")
 
     def min_block_index(self) -> float:
@@ -193,10 +210,12 @@ def sample_dominating(params: DominatingLawParams, rng: np.random.Generator, siz
 
 def survival_curve(samples: np.ndarray, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Empirical ``P(X > t)`` on the grid, with its binomial standard error."""
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = _floats(samples, "samples")
     if samples.size == 0:
         raise ParameterError("no samples")
-    grid = np.asarray(t_grid, dtype=np.float64)
+    grid = _floats(t_grid, "time grid")
+    if grid.ndim != 1:
+        raise ParameterError(f"time grid must be a list of times, got {t_grid!r}")
     # a count per grid point: O(samples) memory, the same count / n as a mask's mean
     surv = np.array([np.count_nonzero(samples > t) for t in grid]) / samples.size
     se = np.sqrt(surv * (1.0 - surv) / samples.size)
@@ -253,8 +272,8 @@ def domination_test(
     The grid must hold non-negative integers (``4.0`` included).
     """
     grid = process._time_grid(t_grid, "time grid")
-    empirical_times = np.asarray(empirical_times, dtype=np.float64)
-    dominating_samples = np.asarray(dominating_samples, dtype=np.float64)
+    empirical_times = _floats(empirical_times, "empirical times")
+    dominating_samples = _floats(dominating_samples, "dominating samples")
     emp, emp_se = survival_curve(empirical_times, grid)
     dom, dom_se = survival_curve(dominating_samples, grid)
     rows = tuple(DominationRow(t, float(e), float(es), float(d), float(ds))

@@ -59,9 +59,9 @@ def _check_int(x, what: str, lo: int = 1) -> int:
 def _time_grid(times, what: str) -> list[int]:
     """``times`` sorted, as ints, or ``ParameterError`` naming them ``what``
     unless they are a non-empty collection of non-negative integers."""
-    grid = list(times)
+    grid = list(times) if np.iterable(times) else []
     if not grid or not all(_integral(t) for t in grid):
-        raise ParameterError(f"{what} must be non-empty non-negative integers, got {grid}")
+        raise ParameterError(f"{what} must be non-empty non-negative integers, got {times!r}")
     return sorted(int(t) for t in grid)
 
 
@@ -660,36 +660,52 @@ _READ_CHUNK = 2**16
 _DIGITS = 10
 
 
-def _format_edges(flat: np.ndarray) -> str:
-    r"""``"%d %d\n" * (flat.size // 2) % tuple(flat)`` for ids in
-    ``[0, 2**32)``, formatted as ASCII bytes in numpy.
+def _put_digits(buf: np.ndarray, x: np.ndarray, end: np.ndarray, point=None) -> None:
+    """Write each natural ``x[i]`` in decimal ASCII into the uint8 ``buf``,
+    its units digit at ``end[i] - 1``; given ``point``, one byte is skipped
+    between digit columns ``point[i]`` and ``point[i] - 1`` (``k = 0`` the
+    units), for a decimal point that the caller writes.  ``x`` (an unsigned
+    or non-negative integer array) is overwritten.
 
-    Each id ends at its separator byte, whose position is a running sum of
-    digit counts plus one.  Digit column ``k`` (``k = 0`` the units) of every
-    id is written ``k + 1`` bytes before its separator, highest column
-    first.  An id shorter than ``k + 1`` digits writes its spare zero over an
-    earlier byte, which that byte's owner rewrites with a lower column or
-    its separator later; the first id's spares land in the pad.
+    Every value is written with as many columns as the largest has, highest
+    column first.  A value shorter than column ``k + 1`` writes its spare
+    zero before its own first digit: over an earlier value's lower column,
+    which this call writes later, or over a byte that the caller must write
+    afterwards (a separator, or a pad before the first value).
     """
-    x = flat.astype(np.uint32)
-    ncol = len(str(int(x.max())))
-    width = np.full(x.size, 2, dtype=np.uint8)  # digits + separator
-    for k in range(1, ncol):
-        width += x >= 10**k
-    sep = np.cumsum(width, dtype=np.int64)
-    sep += _DIGITS - 1
-    buf = np.empty(int(sep[-1]) + 1, dtype=np.uint8)
+    if not x.size:
+        return
     cols = []
-    for _ in range(ncol):
+    for _ in range(len(str(int(x.max())))):
         q = x // 10
         x -= q * 10
         x += ord("0")
         cols.append(x.astype(np.uint8))
         x = q
-    at = np.empty_like(sep)
-    for k in reversed(range(ncol)):
-        np.subtract(sep, k + 1, out=at)
+    at = np.empty_like(end)
+    for k in reversed(range(len(cols))):
+        np.subtract(end, k + 1, out=at)
+        if point is not None:
+            at -= point <= k
         buf[at] = cols[k]
+
+
+def _format_edges(flat: np.ndarray) -> str:
+    r"""``"%d %d\n" * (flat.size // 2) % tuple(flat)`` for ids in
+    ``[0, 2**32)``, formatted as ASCII bytes in numpy.
+
+    Each id ends at its separator byte, whose position is a running sum of
+    digit counts plus one; :func:`_put_digits` writes the digits, the first
+    id's spare zeros landing in the pad, and the separators go in last.
+    """
+    x = flat.astype(np.uint32)
+    width = np.full(x.size, 2, dtype=np.uint8)  # digits + separator
+    for k in range(1, len(str(int(x.max())))):
+        width += x >= 10**k
+    sep = np.cumsum(width, dtype=np.int64)
+    sep += _DIGITS - 1
+    buf = np.empty(int(sep[-1]) + 1, dtype=np.uint8)
+    _put_digits(buf, x, sep)
     buf[sep[0::2]] = ord(" ")
     buf[sep[1::2]] = ord("\n")
     return buf[_DIGITS:].tobytes().decode("ascii")

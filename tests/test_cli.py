@@ -6,6 +6,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
+from bad_values import BAD_TEXT
 from glpsim import cli, ensemble, hitting, process
 from glpsim.errors import ConfigError
 
@@ -223,8 +225,7 @@ def test_unused_options_exit_2(tmp_path, capsys, argv, config, flag):
     assert out == "" and not out_path.exists()
 
 
-# The bad alphabet that every option draws from, whatever its type.
-_BAD = ["nan", "inf", "-inf", "-1", "0", "4.0", "1e400", str(2**64), "", "word", "1e-300"]
+# Every option draws its bad values from ``BAD_TEXT``, whatever its type.
 # Valid values by type, then by name where a value sets a size or names a
 # file: an example stays at a few MB and starts at most 3 workers.
 _GOOD = {float: ["0.5", "0.25", "0.05"], int: ["1", "2", "3", "8", "20"],
@@ -254,7 +255,7 @@ def _glp_calls(draw):
              for name, default in options.items()
              if default is cli._REQUIRED or draw(st.booleans())}
     for name in draw(st.lists(st.sampled_from(list(options)), max_size=2)):
-        given[name] = draw(st.sampled_from([*_BAD, None]))
+        given[name] = draw(st.sampled_from([*BAD_TEXT, None]))
     given = {name: value for name, value in given.items() if value is not None}
     # the options that the setting does not read are rejected; mostly leave them out
     setting = "infile" in given if command == "stats" else given.get("experiment")
@@ -596,6 +597,86 @@ def test_hitting_csv_bytes_match_csv_writer(tmp_path, capsys, monkeypatch):
     for i, v in enumerate(dom):
         w.writerow(["dominating", repr(0.5), 4, 260, 8, i, repr(float(v))])
     assert csv_path.read_bytes() == ref.getvalue().encode()
+
+
+# The hitting CSV's float column against ``repr``: the head of its dominating
+# rows, and the dominating law of the benchmark's hitting runs and of gate 07.
+_HEAD = "dominating,0.5,4,260,16,"
+_BENCH_LAW = g.DominatingLawParams(p=0.5, m=4, j=260, k=16, gamma=0.4)
+
+
+def _repr_reference(first, x):
+    return "".join(f"{_HEAD}{first + i},{v!r}\r\n" for i, v in enumerate(x.tolist())).encode()
+
+
+_FLOATS = st.one_of(
+    st.floats(),  # nan, the infinities, negatives, subnormals, values below 1
+    st.floats(1.0, 1e15, exclude_max=True),
+    st.floats(1e15, 1e300),
+    st.integers(1, 2**53).map(float),
+    st.integers(-1074, 1023).map(lambda e: 2.0**e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_FLOATS, min_size=1, max_size=30), first=st.integers(0, 10**12))
+@example(values=[math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.5, 1e15, 2.0**40, 123.0,
+                 1e300, 999999999999999.9, 1.5, 1.25], first=0)
+def test_repr_rows_match_repr(values, first):
+    x = np.array(values)
+    assert cli._repr_rows(_HEAD, first, x).tobytes() == _repr_reference(first, x)
+
+
+def test_repr_rows_match_repr_in_bulk():
+    """1.25 million values, written a chunk at a time as the CSV is: every
+    class that the vector path takes, and some that it leaves to ``repr``."""
+    rng = np.random.default_rng(2026)
+    p10 = 10.0 ** np.arange(1, 16)
+    classes = [
+        g.sample_dominating(_BENCH_LAW, g.make_rng(1), 20_000),  # the benchmark's count
+        g.sample_dominating(_BENCH_LAW, g.make_rng(2), 100_000),  # gate 07's count
+        rng.uniform(1.0, 1e15, 200_000),
+        np.exp(rng.uniform(0.0, np.log(1e15), 200_000)),  # log-uniform
+        np.round(rng.uniform(1.0, 1e4, 150_000), 3),
+        np.round(rng.uniform(1.0, 1e4, 150_000), 4),
+        np.concatenate([np.nextafter(p10, 0.0), p10, np.nextafter(p10, np.inf)]),
+        rng.integers(8, 2**53, 150_000) / 8.0,
+        np.ldexp(rng.integers(2**52, 2**53, 180_000) / 2.0**52, rng.integers(0, 50, 180_000)),
+        rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),  # any bits
+    ]
+    x = np.concatenate(classes)
+    assert x.size >= 10**6
+    for a in range(0, x.size, cli._WRITE_CHUNK):
+        chunk = x[a : a + cli._WRITE_CHUNK]
+        assert cli._repr_rows(_HEAD, a, chunk).tobytes() == _repr_reference(a, chunk)
+
+
+@pytest.mark.parametrize("size, seed", [(20_000, 1), (100_000, 2)])
+def test_dominating_samples_take_the_vector_path(size, seed):
+    # a fallback to ``repr`` that took most values would keep the bytes and lose the speed
+    x = g.sample_dominating(_BENCH_LAW, g.make_rng(seed), size)
+    assert cli._shortest_digits(x)[0].mean() >= 0.99
+
+
+def test_hitting_csv_writer_peak_is_one_chunk(tmp_path, capsys, monkeypatch):
+    """At 10**6 dominating samples the writer holds one chunk's temporaries
+    (about 165 B a row), not a Python float per sample (32 MB)."""
+    dom = g.sample_dominating(_BENCH_LAW, g.make_rng(3), 10**6)
+    report = g.domination_test(_BENCH_LAW, [math.inf, 300.0], dom, [256])
+    monkeypatch.setattr(hitting, "domination_experiment", lambda **kw: report)
+    path = tmp_path / "hits.csv"
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "hitting", "--p", "0.5", "--j", "260", "--m", "4",
+                             "--k", "16", "--grid", "256", "--csv", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    lines = path.read_bytes().split(b"\r\n")
+    assert len(lines) == 1 + 2 + 10**6 + 1
+    assert lines[-2] == f"{_HEAD}{10**6 - 1},{float(dom[-1])!r}".encode()
+    assert peak < 256 * cli._WRITE_CHUNK
 
 
 def test_hitting_precondition_exit(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glpsim as g
+from bad_values import BAD
 from glpsim import community
 from glpsim.community import _clique_among, _edge_keys, _topk_ids
 from glpsim.errors import GlpError, ParameterError
@@ -660,21 +661,6 @@ def test_clique_calls_read_keys_on_a_superset(seed):
 # ----------------------------------------------------------------------
 # the library twin of the exit-code fuzz
 
-# The exit-code fuzz's bad alphabet (``tests/test_cli.py``), both as the
-# strings a command line passes and as the numbers they read as.
-_BAD_TEXT = ["nan", "inf", "-inf", "-1", "0", "4.0", "1e400", str(2**64), "", "word", "1e-300"]
-
-
-def _as_number(text):
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
-
-
-_BAD = [*_BAD_TEXT, *(_as_number(t) for t in _BAD_TEXT if _as_number(t) is not t), None]
 _FUZZ_GRAPHS = [g.run(g.ProcessParams(p=p, steps=steps, seed=seed)).graph
                 for p, steps, seed in ((0.5, 0, 1), (0.0, 20, 2), (1.0, 50, 3), (0.5, 300, 4),
                                        (0.2, 2500, 5))]
@@ -713,7 +699,7 @@ def _community_calls(draw):
     good = _good_values(graph)
     args = {arg: draw(good[arg]) for arg in names}
     for arg in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)) if names else ():
-        bad = draw(st.sampled_from(_BAD))
+        bad = draw(st.sampled_from(BAD))
         if arg in ("vertices", "t_values") and draw(st.booleans()):
             bad = [*args[arg], bad]
         args[arg] = bad

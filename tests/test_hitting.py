@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import glpsim as g
-from glpsim.errors import CapacityError, ParameterError, PreconditionError
+from bad_values import BAD
+from glpsim.errors import CapacityError, GlpError, ParameterError, PreconditionError
 
 
 # ----------------------------------------------------------------------
@@ -374,3 +377,100 @@ def test_domination_experiment_small():
     # empirical survival is a nonincreasing function of t
     emp = [r.empirical for r in rep.rows]
     assert all(a >= b for a, b in zip(emp, emp[1:]))
+
+
+# ----------------------------------------------------------------------
+# the library twin of the exit-code fuzz
+
+_FUZZ_GRAPH = g.run(g.ProcessParams(p=0.5, steps=300, seed=4)).graph
+
+
+def _law(a):
+    return g.DominatingLawParams(p=a["p"], m=a["m"], j=a["j"], k=a["k"], gamma=a["gamma"])
+
+
+# Each public call with the arguments it draws, run on a fresh generator;
+# ``_GOOD`` gives the valid values of each argument, at tiny sizes.
+_HITTING_CALLS = {
+    "sample_arrival": (("j", "m", "p", "size"),
+                       lambda a: g.sample_arrival(a["j"], a["m"], a["p"], g.make_rng(0),
+                                                  size=a["size"])),
+    "sample_dominating": (("p", "m", "j", "k", "gamma", "size"),
+                          lambda a: g.sample_dominating(_law(a), g.make_rng(0), size=a["size"])),
+    "crossing_times": (("j", "m", "thresholds"),
+                       lambda a: g.crossing_times(_FUZZ_GRAPH, g.BlockSpec(
+                           j=a["j"], m=a["m"], thresholds=a["thresholds"]))),
+    "survival_curve": (("samples", "t_grid"),
+                       lambda a: g.survival_curve(a["samples"], a["t_grid"])),
+    "domination_test": (("p", "m", "j", "k", "gamma", "times", "samples", "t_grid"),
+                        lambda a: g.domination_test(_law(a), a["times"], a["samples"],
+                                                    a["t_grid"])),
+    "empirical_hit_times": (("p", "steps", "j", "m", "k", "replicas", "base_seed"),
+                            lambda a: g.empirical_hit_times(a["p"], a["steps"], a["j"], a["m"],
+                                                            a["k"], a["replicas"],
+                                                            a["base_seed"])),
+    "domination_experiment": (("p", "m", "j", "k", "t_grid", "replicas", "count", "base_seed",
+                               "gamma", "steps"),
+                              lambda a: g.domination_experiment(
+                                  p=a["p"], m=a["m"], j=a["j"], k=a["k"], t_grid=a["t_grid"],
+                                  replicas=a["replicas"], dominating_samples=a["count"],
+                                  base_seed=a["base_seed"], gamma=a["gamma"],
+                                  steps=a["steps"])),
+}
+_TIMES = st.one_of(st.integers(1, 400).map(float), st.just(math.inf))
+_GOOD = {
+    "p": st.sampled_from([0.25, 0.5, 0.75]), "j": st.integers(1, 300), "m": st.integers(1, 4),
+    "k": st.integers(1, 12), "gamma": st.sampled_from([0.1, 0.4, 2.0]),
+    "size": st.one_of(st.none(), st.integers(0, 50)),
+    "thresholds": st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True).map(sorted),
+    "samples": st.lists(_TIMES, min_size=1, max_size=20),
+    "times": st.lists(_TIMES, min_size=1, max_size=20),
+    "t_grid": st.lists(st.integers(0, 300), min_size=1, max_size=4),
+    "steps": st.sampled_from([None, 300, 400]), "replicas": st.integers(0, 3),
+    "count": st.integers(0, 50), "base_seed": st.integers(0, 10),
+}
+_LISTS = ("thresholds", "samples", "times", "t_grid")
+
+
+@st.composite
+def _hitting_calls(draw):
+    """A public ``hitting`` call with valid values for its arguments, then up
+    to two of them bad: a value from the bad alphabet, given alone or, for
+    a list argument, inside a valid list."""
+    name = draw(st.sampled_from(sorted(_HITTING_CALLS)))
+    names, _ = _HITTING_CALLS[name]
+    args = {arg: draw(_GOOD[arg]) for arg in names}
+    for arg in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+        bad = draw(st.sampled_from(BAD))
+        if arg in _LISTS and draw(st.booleans()):
+            bad = [*args[arg], bad]
+        args[arg] = bad
+    return name, args
+
+
+_LAW = {"p": 0.5, "m": 1, "j": 4, "k": 3, "gamma": 0.4}
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=_hitting_calls())
+# numpy's ValueError from a sample it cannot read as a float
+@example(call=("domination_test", {**_LAW, "times": [1.0], "samples": [1.0, ""], "t_grid": [0]}))
+# TypeError from list() of a single number, in process._time_grid and in BlockSpec
+@example(call=("domination_experiment", {**_LAW, "t_grid": math.nan, "replicas": 1, "count": 1,
+                                         "base_seed": 0, "steps": None}))
+@example(call=("crossing_times", {"j": 4.0, "m": 1, "thresholds": math.nan}))
+# TypeError from comparing a string p, and from math.isfinite of a string gamma
+@example(call=("sample_dominating", {**_LAW, "p": "word", "size": None}))
+@example(call=("sample_dominating", {**_LAW, "gamma": "word", "size": None}))
+# TypeError from iterating over the 0-d grid of a single time
+@example(call=("survival_curve", {"samples": [math.inf], "t_grid": "nan"}))
+def test_hitting_raises_only_package_errors(call):
+    """Whatever the values, a public ``hitting`` call returns or raises a
+    ``GlpError``, and prints no warning."""
+    name, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _HITTING_CALLS[name][1](args)
+        except GlpError:
+            pass

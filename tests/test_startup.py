@@ -1,6 +1,7 @@
 """Start-up cost: ``import glpsim`` loads none of its submodules, ``glp
-generate`` and ``count_triangles`` load neither scipy nor the process pool;
-the calls that need them load them on first use.
+generate`` and ``count_triangles`` load neither scipy nor the process pool,
+``glp hitting --csv`` neither scipy, ``decimal`` nor ``fractions``; the
+calls that need them load them on first use.
 
 pytest has already imported scipy in this process, so each check runs in a
 fresh interpreter.
@@ -118,6 +119,28 @@ def test_import_and_generate_load_no_scipy_or_pool(tmp_path):
     assert lines[0] == "[]"
     assert json.loads("\n".join(lines[1:-1]))["t"] == 2000
     assert lines[-1] == "[]"
+
+
+def test_hitting_csv_loads_no_scipy_decimal_or_fractions(tmp_path, capsys):
+    """The CSV's float column is formatted in numpy, without the exact
+    arithmetic of ``decimal`` or ``fractions``, and the same bytes come out
+    of a fresh interpreter as out of this one."""
+    path = tmp_path / "hits.csv"
+    argv = ["hitting", "--p", "0.5", "--j", "260", "--m", "4", "--k", "8", "--grid", "256,2048",
+            "--replicas", "20", "--dom-samples", "3000", "--seed", "5", "--csv", str(path)]
+    code, out = _in_process(capsys, argv)
+    rows = path.read_bytes()
+    path.unlink()
+    proc = _fresh(
+        f"import sys; from glpsim import cli; code = cli.main({argv!r}); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('scipy', 'decimal', '_decimal', '_pydecimal', 'fractions'))); sys.exit(code)"
+    )
+    assert code == proc.returncode and code in (0, 1), proc.stderr
+    *doc, loaded = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert "\n".join(doc) + "\n" == out
+    assert path.read_bytes() == rows and rows.count(b"\n") == 1 + 20 + 3000
 
 
 def test_count_triangles_loads_no_scipy():
